@@ -3,12 +3,11 @@ LOS MIMO capacity."""
 
 __version__ = "0.1.0"
 
-from .geometry import ArrayGeometry, ULAGeometry, build_upa
+from .geometry import ArrayGeometry, build_upa
 from .regions import RegionBounds, boundary_distances, classify
 
 __all__ = [
     "ArrayGeometry",
-    "ULAGeometry",
     "build_upa",
     "RegionBounds",
     "boundary_distances",

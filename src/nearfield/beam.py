@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .field import element_field_integrals, fresnel_channel_vector
+from .field import (element_field_integrals, fresnel_channel_vector,
+                    spherical_phase)
 from .geometry import ArrayGeometry
 from .numerics import fresnel_cs, sinc, solve_scalar_root
 from .regions import boundary_distances
@@ -160,14 +159,13 @@ def beam_depth_square(geom: ArrayGeometry, focal_distance: float) -> float:
     return 2.0 * c * d_fa * f**2 / (d_fa**2 - c**2 * f**2)
 
 
-def _pattern_row(geom: ArrayGeometry, w_conj: np.ndarray, x_grid: np.ndarray,
-                 z: float) -> np.ndarray:
-    centers = geom.element_centers()
-    dx = centers[:, 0][:, None] - x_grid[None, :]
-    dist = np.sqrt(dx * dx + centers[:, 1][:, None] ** 2 + z * z)
-    h = np.exp(-2j * np.pi / geom.wavelength * dist)
-    dots = w_conj @ h
-    return np.abs(dots) ** 2 / geom.num_elements**2
+def _pattern_row(centers: np.ndarray, wavelength: float, weights: np.ndarray,
+                 x_grid: np.ndarray, z: float) -> np.ndarray:
+    """|weights . h(p)|^2 for p = (x, 0, z) over the x grid."""
+    points = np.column_stack([x_grid, np.zeros_like(x_grid),
+                              np.full_like(x_grid, z)])
+    phases, _ = spherical_phase(centers, wavelength, points)
+    return np.abs(np.exp(1j * phases) @ weights) ** 2
 
 
 def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
@@ -175,20 +173,24 @@ def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
     """Normalized gain |h(F)^H h(p)|^2 / (||h(F)||^2 ||h(p)||^2) on an
     (x, z) grid, using the per-element spherical-phase channel model.
 
-    Returns an array of shape (len(z_grid), len(x_grid)). Rows are computed
-    in parallel (NEARFIELD_WORKERS threads) with deterministic ordering.
+    Returns an array of shape (len(z_grid), len(x_grid)). Every grid point
+    lies in the y = 0 plane, where the elements at +y and -y see the same
+    response, so the conjugate focus weights are folded onto the y >= 0
+    element rows and only those rows are evaluated. This holds for any
+    focal point, including one off the y = 0 plane.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     z_grid = np.asarray(z_grid, dtype=float)
-    if np.any(z_grid <= 0):
+    if not np.all(z_grid > 0):
         raise ValueError("grid must satisfy z > 0")
-    h_f = fresnel_channel_vector(geom, focal_point)
-    w_conj = np.conj(h_f.coefficients)
-    workers = int(os.environ.get("NEARFIELD_WORKERS", os.cpu_count() or 1))
-    if workers > 1 and len(z_grid) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda z: _pattern_row(geom, w_conj, x_grid, z), z_grid))
-    else:
-        rows = [_pattern_row(geom, w_conj, x_grid, z) for z in z_grid]
-    return np.vstack(rows)
+    m, n = geom.rows, geom.cols
+    h_f = fresnel_channel_vector(geom, focal_point).coefficients
+    w = np.conj(h_f).reshape(m, n)
+    folded = w + w[::-1]
+    if m % 2:
+        folded[m // 2] *= 0.5  # the y = 0 row is its own mirror
+    weights = folded[m // 2:].ravel()
+    centers = geom.element_centers()[(m // 2) * n:]
+    rows = [_pattern_row(centers, geom.wavelength, weights, x_grid, z)
+            for z in z_grid]
+    return np.vstack(rows) / geom.num_elements**2

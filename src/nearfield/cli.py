@@ -229,6 +229,11 @@ def run_heatmap(cfg: RunConfig) -> CsvSeries:
     x_max = cfg.length(exp["x_max"], "experiment.x_max")
     z_lo = cfg.length(exp["z_min"], "experiment.z_min")
     z_hi = cfg.length(exp["z_max"], "experiment.z_max")
+    for key, value in (("focal_distance", f), ("z_min", z_lo), ("z_max", z_hi)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"experiment.{key} must be finite and positive")
+    if not math.isfinite(x_max):
+        raise ConfigError("experiment.x_max must be finite")
     x_grid = np.linspace(-x_max, x_max, int(exp.get("x_points", 81)))
     z_grid = np.linspace(z_lo, z_hi, int(exp.get("z_points", 81)))
     gains = beam.beam_pattern_map(geom, (0.0, 0.0, f), x_grid, z_grid)

@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .beam import solve_a3db
-from .field import fresnel_channel_vector
+from .field import spherical_phase
 from .geometry import ArrayGeometry
 from .numerics import RankError
 from .regions import boundary_distances
@@ -116,26 +116,25 @@ def build_mu_channel(geom: ArrayGeometry, users: Sequence[Sequence[float]],
     is evaluated per element instead.
     """
     users = [tuple(float(v) for v in u) for u in users]
+    if not users:
+        raise ValueError("need at least one user")
     if len(set(users)) < len(users):
         warnings.warn("duplicate user positions give a rank-deficient channel",
                       stacklevel=2)
     lam = geom.wavelength
-    centers = geom.element_centers()
-    columns = []
-    for user in users:
-        if user[2] <= 0:
-            raise ValueError("user z must be positive")
-        h = fresnel_channel_vector(geom, user).coefficients
-        if per_element_amplitude:
-            dx = centers[:, 0] - user[0]
-            dy = centers[:, 1] - user[1]
-            dist = np.sqrt(dx * dx + dy * dy + user[2] ** 2)
-            columns.append(lam / (4.0 * np.pi * dist) * h)
-        else:
-            d_k = math.sqrt(user[0] ** 2 + user[1] ** 2 + user[2] ** 2)
-            columns.append(lam / (4.0 * np.pi * d_k) * h)
-    return MultiUserChannel(matrix=np.column_stack(columns),
-                            user_positions=tuple(users), geometry=geom)
+    phases, dist = spherical_phase(geom.element_centers(), lam, users)
+    # Built in place, one row per user: with many users on a large array
+    # the channel and its temporaries dominate peak memory.
+    rows = 1j * phases
+    np.exp(rows, out=rows)
+    if per_element_amplitude:
+        dist *= 4.0 * np.pi
+        rows *= np.divide(lam, dist, out=dist)
+    else:
+        rows *= lam / (4.0 * np.pi * np.linalg.norm(users, axis=1,
+                                                     keepdims=True))
+    return MultiUserChannel(matrix=rows.T, user_positions=tuple(users),
+                            geometry=geom)
 
 
 def zf_precoder(h: np.ndarray, total_power: float = 1.0) -> np.ndarray:

@@ -1,42 +1,22 @@
-"""Electric-field models and channel coefficients for a planar array.
+"""Electric-field models and channel vectors for a planar array.
 
 Two channel models coexist on purpose: a patch-integrated exact model for
 on-axis sources (used to validate gain-vs-distance behavior) and a
-per-element spherical-phase model for arbitrary focal/user positions (used
-for beam maps and multi-user channels).
+per-element spherical-phase model for arbitrary focal/user positions. The
+spherical phase is computed in one place, `spherical_phase`, which channel
+vectors, beam maps and multi-user channels all call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import ArrayGeometry
-from .numerics import Rect, integrate_patch
-
-FREE_SPACE_IMPEDANCE = 376.730313668  # ohms
-
-
-def green_tensor(source, obs, wavelength: float) -> np.ndarray:
-    """3x3 dyadic response of a point source at `source` observed at `obs`."""
-    source = np.asarray(source, dtype=float)
-    obs = np.asarray(obs, dtype=float)
-    diff = obs - source
-    d = float(np.linalg.norm(diff))
-    if d == 0.0:
-        raise ValueError("source and observation point coincide")
-    lam = wavelength
-    dhat = diff / d
-    eye = np.eye(3)
-    proj = eye - np.outer(dhat, dhat)
-    proj3 = eye - 3.0 * np.outer(dhat, dhat)
-    k_inv = lam / (2.0 * np.pi * d)
-    prefactor = -1j * FREE_SPACE_IMPEDANCE * np.exp(-2j * np.pi * d / lam) / (2.0 * lam * d)
-    return prefactor * (proj + 1j * k_inv * proj3 - k_inv**2 * proj3)
 
 
 def efield_exact(x, y, z, wavelength: float):
@@ -51,16 +31,6 @@ def efield_exact(x, y, z, wavelength: float):
     return amplitude * np.exp(-2j * np.pi / wavelength * np.sqrt(r2))
 
 
-def efield_fresnel(x, y, z, wavelength: float):
-    """Paraxial approximation of `efield_exact`: flat amplitude, quadratic phase."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(np.asarray(z) <= 0):
-        raise ValueError("z must be positive")
-    phase = -2j * np.pi / wavelength * (z + x * x / (2.0 * z) + y * y / (2.0 * z))
-    return np.exp(phase) / (np.sqrt(4.0 * np.pi) * z)
-
-
 @dataclass(frozen=True)
 class ChannelVector:
     """Per-element complex channel coefficients, row-major (m, n) order."""
@@ -72,17 +42,6 @@ class ChannelVector:
     @property
     def norm_squared(self) -> float:
         return float(np.vdot(self.coefficients, self.coefficients).real)
-
-
-def channel_coefficient(patch: Rect, source_z: float, wavelength: float,
-                        tol: float = 1e-8) -> complex:
-    """Patch-integrated coefficient sqrt(1/A) * integral of the exact field."""
-    if source_z <= 0:
-        raise ValueError("source_z must be positive")
-    value = integrate_patch(
-        lambda x, y: efield_exact(x, y, source_z, wavelength), patch, tol=tol
-    )
-    return value / math.sqrt(patch.area)
 
 
 def _patch_integrals(geom: ArrayGeometry, z: float, order: int) -> np.ndarray:
@@ -142,31 +101,39 @@ def channel_vector(geom: ArrayGeometry, source_z: float,
                          source_position=(0.0, 0.0, source_z))
 
 
-def fresnel_channel_vector(geom: ArrayGeometry, point) -> ChannelVector:
-    """Unit-amplitude channel vector with exact spherical per-element phases.
+def spherical_phase(centers: np.ndarray, wavelength: float,
+                    points) -> Tuple[np.ndarray, np.ndarray]:
+    """Spherical per-element phases and distances for a batch of points.
 
-    The phase of element k is -(2 pi / lambda) * ||center_k - point||. The
-    distance is accumulated as ||point|| plus a stably computed per-element
-    difference, so phase *differences* across the aperture stay accurate at
-    arbitrarily large distances. A point at infinite z gives the broadside
-    plane-wave limit (all phases equal).
+    `centers` is the (elements, 2) array of element centers in the z = 0
+    plane and `points` a (points, 3) array of positions, or one position,
+    with finite x, y and z > 0. Returns `(phases, dist)`, each of shape
+    (points, elements), where `dist` is ||e_k - p|| and the phase is
+    -(2 pi / lambda) * ||e_k - p|| up to a whole number of cycles per point.
+    It is accumulated as ||p|| mod lambda plus a cancellation-free
+    ||e_k - p|| - ||p||, so phase *differences* across the aperture stay
+    accurate at arbitrarily large distances. A point at infinite z gives the
+    broadside plane-wave limit: zero phase, infinite distance.
     """
-    px, py, pz = (float(v) for v in point)
-    if pz <= 0:
-        raise ValueError("point must satisfy z > 0")
-    centers = geom.element_centers()
-    lam = geom.wavelength
-    if math.isinf(pz):
-        phases = np.zeros(geom.num_elements)
-    else:
-        r = math.sqrt(px * px + py * py + pz * pz)
-        dx = centers[:, 0] - px
-        dy = centers[:, 1] - py
-        dist = np.sqrt(dx * dx + dy * dy + pz * pz)
-        e_sq = centers[:, 0] ** 2 + centers[:, 1] ** 2
-        # ||e - p|| - ||p||, cancellation-free
-        delta = (e_sq - 2.0 * (centers[:, 0] * px + centers[:, 1] * py)) / (dist + r)
-        phases = -2.0 * np.pi / lam * (math.fmod(r, lam) + delta)
-    coeffs = np.exp(1j * phases)
-    return ChannelVector(coefficients=coeffs, geometry=geom,
-                         source_position=(px, py, pz))
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not (np.all(np.isfinite(points[:, :2])) and np.all(points[:, 2] > 0)):
+        raise ValueError("points must have finite x, y and z > 0")
+    px, py, pz = points.T[:, :, None]
+    ex, ey = centers.T
+    dist = np.sqrt((ex - px) ** 2 + (ey - py) ** 2 + pz * pz)
+    r = np.sqrt(px * px + py * py + pz * pz)
+    delta = (ex * ex + ey * ey - 2.0 * (ex * px + ey * py)) / (dist + r)
+    with np.errstate(invalid="ignore"):  # fmod(inf) at z = +inf, zeroed below
+        phases = -2.0 * np.pi / wavelength * (np.fmod(r, wavelength) + delta)
+    phases[np.isinf(pz[:, 0])] = 0.0
+    return phases, dist
+
+
+def fresnel_channel_vector(geom: ArrayGeometry, point) -> ChannelVector:
+    """Unit-amplitude channel vector with exact spherical per-element phases
+    (see `spherical_phase`)."""
+    position = tuple(float(v) for v in point)
+    phases, _ = spherical_phase(geom.element_centers(), geom.wavelength,
+                                position)
+    return ChannelVector(coefficients=np.exp(1j * phases[0]),
+                         geometry=geom, source_position=position)

@@ -1,9 +1,9 @@
-"""Planar and linear array geometries."""
+"""Planar array geometry."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,27 +51,6 @@ class ArrayGeometry:
         y = (np.arange(1, m + 1) - (m + 1) / 2.0) * s
         xx, yy = np.meshgrid(x, y)
         return np.column_stack([xx.ravel(), yy.ravel()])
-
-
-@dataclass(frozen=True)
-class ULAGeometry:
-    """Uniform linear array."""
-
-    num_antennas: int
-    spacing: float
-    orientation: str = "x"
-
-    def __post_init__(self):
-        if self.num_antennas < 1:
-            raise ValueError("num_antennas must be >= 1")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        if self.orientation not in ("x", "y"):
-            raise ValueError("orientation must be 'x' or 'y'")
-
-    @property
-    def diagonal(self) -> float:
-        return (self.num_antennas - 1) * self.spacing
 
 
 def build_upa(rows: int, cols: int, element_side: float, wavelength: float) -> ArrayGeometry:

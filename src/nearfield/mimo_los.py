@@ -90,14 +90,12 @@ def pair_distance(m, k, spacing: float, distance: float):
 
 def build_los_mimo(num_antennas: int, spacing: float, distance: float,
                    wavelength: float, tx_gain: float = 1.0,
-                   rx_gain: float = 1.0,
-                   half_phase: bool = False) -> LosMimoLink:
+                   rx_gain: float = 1.0) -> LosMimoLink:
     """Exact and Fresnel-approximate K x K LOS channel matrices.
 
     The exact matrix uses the full propagation phase 2 pi (d_mk - d)/lambda,
     which is the convention consistent with the Fresnel form
-    exp(-j pi delta_mk / (d lambda)). half_phase=True switches to the
-    halved-phase variant for compatibility checks.
+    exp(-j pi delta_mk / (d lambda)).
     """
     if distance <= 0 or spacing <= 0 or wavelength <= 0:
         raise ValueError("distance, spacing, wavelength must be positive")
@@ -105,9 +103,8 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
     idx = np.arange(1, k + 1)
     d_mk = pair_distance(idx[:, None], idx[None, :], spacing, distance)
     beta_mk = tx_gain * rx_gain * (wavelength / (4.0 * np.pi * d_mk)) ** 2
-    phase_scale = np.pi if half_phase else 2.0 * np.pi
     h_exact = np.sqrt(beta_mk) * np.exp(
-        -1j * phase_scale * (d_mk - distance) / wavelength)
+        -2j * np.pi * (d_mk - distance) / wavelength)
     beta = tx_gain * rx_gain * (wavelength / (4.0 * np.pi * distance)) ** 2
     delta = ((idx[:, None] - idx[None, :]) * spacing) ** 2
     h_fresnel = math.sqrt(beta) * np.exp(

@@ -3,7 +3,6 @@ dense complex linear algebra."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -143,16 +142,6 @@ def svd(m: np.ndarray):
         raise ValueError("matrix has non-finite entries")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return u, s, vh.conj().T
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for square A; raises RankError when A is singular."""
-    a = np.asarray(a)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(np.asarray(b)))):
-        raise ValueError("inputs have non-finite entries")
-    if np.linalg.cond(a) > 1e14 or not math.isfinite(np.linalg.cond(a)):
-        raise RankError("matrix is singular to working precision")
-    return np.linalg.solve(a, b)
 
 
 def sinc(x):

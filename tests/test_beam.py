@@ -230,18 +230,29 @@ class TestBeamPatternMap:
         closed = gain_focal_plane(g, f, x, 0.0)
         np.testing.assert_allclose(pattern[0], closed, atol=0.02)
 
-    def test_deterministic_and_worker_independent(self, monkeypatch):
-        g = make_desk_array(6, 6)
-        f = boundary_distances(g).d_fa / 20.0
-        x = np.linspace(-0.1, 0.1, 9)
-        z = np.linspace(0.5 * f, 2 * f, 8)
-        monkeypatch.setenv("NEARFIELD_WORKERS", "4")
-        a = beam_pattern_map(g, (0.0, 0.0, f), x, z)
-        monkeypatch.setenv("NEARFIELD_WORKERS", "1")
-        b = beam_pattern_map(g, (0.0, 0.0, f), x, z)
-        np.testing.assert_array_equal(a, b)
+    def test_matches_direct_evaluation(self):
+        # odd and single element rows, on- and off-axis foci (also y != 0),
+        # against the spherical phase written out from raw distances
+        x = np.linspace(-0.3, 0.3, 11)
+        z = np.array([0.4, 0.9, 2.5])
+        for rows, cols in ((5, 7), (1, 9), (4, 6)):
+            g = make_desk_array(rows, cols)
+            c = g.element_centers()
+            k = 2 * np.pi / g.wavelength
+            for focus in ((0.0, 0.0, 0.8), (0.13, -0.07, 1.1), (0.0, 0.05, 0.6)):
+                h_f = np.exp(-1j * k * np.sqrt((c[:, 0] - focus[0]) ** 2
+                                               + (c[:, 1] - focus[1]) ** 2
+                                               + focus[2] ** 2))
+                dist = np.sqrt((c[:, 0, None, None] - x) ** 2
+                               + c[:, 1, None, None] ** 2 + z[:, None] ** 2)
+                dots = np.einsum("e,ezx->zx", np.conj(h_f),
+                                 np.exp(-1j * k * dist))
+                direct = np.abs(dots) ** 2 / g.num_elements**2
+                pattern = beam_pattern_map(g, focus, x, z)
+                np.testing.assert_allclose(pattern, direct, rtol=0, atol=1e-12)
 
     def test_invalid_grid(self):
         g = make_desk_array(4, 4)
-        with pytest.raises(ValueError):
-            beam_pattern_map(g, (0.0, 0.0, 1.0), [0.0], [0.0, 1.0])
+        for z in ([0.0, 1.0], [1.0, -2.0], [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                beam_pattern_map(g, (0.0, 0.0, 1.0), [0.0], z)

@@ -121,6 +121,8 @@ class TestGoldenRegeneration:
 
     def test_heatmap_byte_identical_across_worker_counts(self, tmp_path,
                                                          monkeypatch):
+        # The library has no worker knob: a stray NEARFIELD_WORKERS setting
+        # must not change a single byte of the heatmap.
         cfg = CONFIGS / "fig6_heatmap.yaml"
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("NEARFIELD_WORKERS", "1")
@@ -176,6 +178,25 @@ class TestCliBehavior:
         assert main(["dof", "--config", str(cfg), "--out", "-"]) \
             == EXIT_CONFIG_ERROR
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("z_min", ".nan"), ("z_max", ".inf"), ("z_min", "0"),
+        ("focal_distance", "-1"), ("focal_distance", ".inf"),
+        ("x_max", ".nan"),
+    ])
+    def test_heatmap_invalid_length_exit_code(self, tmp_path, capsys, key,
+                                              value):
+        lengths = {"focal_distance": "1", "x_max": "0.1", "z_min": "0.5",
+                   "z_max": "2", key: value}
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "geometry:\n  rows: 4\n  cols: 4\n"
+            "  element_side: \"0.25 lambda\"\n  frequency: \"3 GHz\"\n"
+            "experiment:\n"
+            + "".join(f"  {k}: {v}\n" for k, v in lengths.items()))
+        assert main(["heatmap", "--config", str(cfg), "--out", "-"]) \
+            == EXIT_CONFIG_ERROR
+        assert f"experiment.{key}" in capsys.readouterr().err
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # two coincident users make the ZF Gram matrix singular

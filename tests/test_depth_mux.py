@@ -16,6 +16,7 @@ from nearfield.depth_mux import (
     planning_depth_parameter,
     zf_precoder,
 )
+from nearfield.field import fresnel_channel_vector
 from nearfield.numerics import RankError
 
 
@@ -133,6 +134,19 @@ class TestChannelAndPrecoders:
             beta = (lam / (4 * math.pi * d)) ** 2
             assert np.linalg.norm(h[:, k]) ** 2 == pytest.approx(
                 beta * self.geom.num_elements, rel=1e-12)
+
+    def test_per_element_amplitude_columns(self):
+        # off-axis users too: column k is lambda / (4 pi ||e - p_k||) * h_k
+        users = self.users + [(0.4, -0.3, 2.0), (-1.1, 0.2, 7.5)]
+        h = build_mu_channel(self.geom, users,
+                             per_element_amplitude=True).matrix
+        lam = self.geom.wavelength
+        c = self.geom.element_centers()
+        for k, (x, y, z) in enumerate(users):
+            dist = np.sqrt((c[:, 0] - x) ** 2 + (c[:, 1] - y) ** 2 + z * z)
+            expected = (lam / (4 * math.pi * dist)
+                        * fresnel_channel_vector(self.geom, (x, y, z)).coefficients)
+            np.testing.assert_allclose(h[:, k], expected, rtol=1e-14, atol=0)
 
     def test_duplicate_users_warn(self):
         with pytest.warns(UserWarning):

@@ -6,13 +6,10 @@ import pytest
 from nearfield import boundary_distances, build_upa
 from nearfield.field import (
     ChannelVector,
-    channel_coefficient,
     channel_vector,
     efield_exact,
-    efield_fresnel,
     element_field_integrals,
     fresnel_channel_vector,
-    green_tensor,
 )
 from nearfield.numerics import Rect
 
@@ -22,43 +19,12 @@ def make_desk_array(rows=30, cols=40, freq=3e9):
     return build_upa(rows, cols, lam / 4.0, lam)
 
 
-class TestGreenTensor:
-    def test_symmetry_and_shape(self):
-        g = green_tensor([0, 0, 0], [0.3, -0.2, 1.1], 0.1)
-        assert g.shape == (3, 3)
-        np.testing.assert_allclose(g, g.T, atol=1e-12 * np.abs(g).max())
-
-    def test_far_field_transverse(self):
-        # far away along z the response is transverse: zz entry vanishes
-        g = green_tensor([0, 0, 0], [0, 0, 1e5], 0.1)
-        assert abs(g[2, 2]) < 1e-6 * abs(g[0, 0])
-        assert g[0, 0] == pytest.approx(g[1, 1])
-
-    def test_coincident_points(self):
-        with pytest.raises(ValueError):
-            green_tensor([0, 0, 0], [0, 0, 0], 0.1)
-
-
 class TestScalarFields:
     def test_on_axis_amplitude(self):
         # on axis the exact amplitude is exactly 1/(sqrt(4 pi) z)
         for z in (0.5, 3.0, 100.0):
             val = efield_exact(0.0, 0.0, z, 0.1)
             assert abs(val) == pytest.approx(1.0 / (math.sqrt(4 * math.pi) * z))
-
-    def test_fresnel_matches_exact_far_out(self):
-        lam = 0.1
-        z = 500.0
-        x = np.linspace(-0.5, 0.5, 11)
-        e = efield_exact(x, 0.12, z, lam)
-        f = efield_fresnel(x, 0.12, z, lam)
-        np.testing.assert_allclose(f, e, rtol=5e-6)
-
-    def test_fresnel_departs_close_in(self):
-        lam = 0.1
-        e = efield_exact(0.8, 0.0, 1.0, lam)
-        f = efield_fresnel(0.8, 0.0, 1.0, lam)
-        assert abs(e - f) / abs(e) > 0.1
 
     def test_power_decay(self):
         # |E|^2 follows 1/(4 pi z^2) on axis
@@ -70,33 +36,35 @@ class TestScalarFields:
     def test_invalid_z(self):
         with pytest.raises(ValueError):
             efield_exact(0.0, 0.0, -1.0, 0.1)
-        with pytest.raises(ValueError):
-            efield_fresnel(0.0, 0.0, 0.0, 0.1)
 
 
 class TestChannelCoefficient:
+    """The exact channel of a single element is its patch-integrated field
+    scaled by sqrt(1/A)."""
+
+    def single_element(self):
+        lam = 0.1
+        return build_upa(1, 1, lam / 4, lam)
+
     def test_matches_field_times_sqrt_area_far_away(self):
         # far away the patch integral is field * area, so the coefficient
         # tends to sqrt(A) * E(center)
-        lam = 0.1
-        side = lam / 4
-        patch = Rect(-side / 2, side / 2, -side / 2, side / 2)
+        g = self.single_element()
         z = 200.0
-        coeff = channel_coefficient(patch, z, lam)
-        expected = math.sqrt(patch.area) * efield_exact(0.0, 0.0, z, lam)
+        coeff = channel_vector(g, z).coefficients[0]
+        expected = math.sqrt(g.element_area) * efield_exact(0.0, 0.0, z,
+                                                            g.wavelength)
         assert abs(coeff - expected) / abs(expected) < 1e-4
 
     def test_power_bounded_by_unity(self):
         # |h|^2 <= 1 for any lossless patch (physical passivity)
-        lam = 0.1
-        side = lam / 4
-        patch = Rect(-side / 2, side / 2, -side / 2, side / 2)
+        g = self.single_element()
         for z in (0.05, 0.2, 1.0, 10.0):
-            assert abs(channel_coefficient(patch, z, lam)) ** 2 < 1.0
+            assert abs(channel_vector(g, z).coefficients[0]) ** 2 < 1.0
 
     def test_invalid_source(self):
         with pytest.raises(ValueError):
-            channel_coefficient(Rect(0, 1, 0, 1), -2.0, 0.1)
+            channel_vector(self.single_element(), -2.0)
 
 
 class TestElementIntegrals:
@@ -175,8 +143,10 @@ class TestChannelVectors:
 
     def test_invalid_point(self):
         g = make_desk_array(2, 2)
-        with pytest.raises(ValueError):
-            fresnel_channel_vector(g, (0.0, 0.0, 0.0))
+        for point in ((0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, math.nan),
+                      (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0)):
+            with pytest.raises(ValueError):
+                fresnel_channel_vector(g, point)
 
     def test_fresnel_agrees_with_exact_channel_beyond_dfa(self):
         # beyond d_FA both models agree up to a global complex scale

@@ -5,7 +5,6 @@ import pytest
 
 from nearfield import (
     ArrayGeometry,
-    ULAGeometry,
     boundary_distances,
     build_upa,
     classify,
@@ -55,14 +54,6 @@ class TestArrayGeometry:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ArrayGeometry(**kwargs)
-
-    def test_ula_validation(self):
-        u = ULAGeometry(num_antennas=5, spacing=0.2)
-        assert u.diagonal == pytest.approx(0.8)
-        with pytest.raises(ValueError):
-            ULAGeometry(num_antennas=0, spacing=0.1)
-        with pytest.raises(ValueError):
-            ULAGeometry(num_antennas=2, spacing=0.1, orientation="z")
 
 
 class TestBoundaries:

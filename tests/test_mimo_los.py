@@ -67,16 +67,6 @@ class TestChannelConstruction:
             -2j * np.pi * (d - 8.0) / lam)
         np.testing.assert_allclose(link.h_exact, expected, rtol=1e-12)
 
-    def test_half_phase_variant(self):
-        lam = 0.1
-        a = build_los_mimo(3, 0.25, 8.0, lam)
-        b = build_los_mimo(3, 0.25, 8.0, lam, half_phase=True)
-        ratio = np.angle(a.h_exact / b.h_exact)
-        expected = -2 * np.pi * (np.abs(
-            pair_distance(np.arange(1, 4)[:, None], np.arange(1, 4)[None, :],
-                          0.25, 8.0)) - 8.0) / lam / 2
-        np.testing.assert_allclose(ratio, expected, atol=1e-9)
-
     def test_fresnel_matches_exact_phases_paraxially(self):
         # with delta^2/(2 d) << lambda the two phase conventions agree
         lam = 0.1

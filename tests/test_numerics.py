@@ -7,14 +7,12 @@ from scipy.integrate import quad
 from nearfield.numerics import (
     AccuracyError,
     BracketError,
-    RankError,
     Rect,
     fresnel_cs,
     hermitian_eig,
     integrate_patch,
     sinc,
     solve_scalar_root,
-    solve,
     svd,
 )
 
@@ -162,7 +160,3 @@ class TestDenseLinalg:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_singular_solve(self):
-        with pytest.raises(RankError):
-            solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
