@@ -34,7 +34,8 @@ def array_gain_exact(geom: ArrayGeometry, z: float, tol: float = 1e-6) -> float:
     """Normalized array gain from patch-integrated exact fields, in (0, 1].
 
     Total matched-filter power over all elements divided by the power of
-    rows*cols reference elements at the origin.
+    rows*cols reference elements at the origin. Raises `AccuracyError` if
+    the element integrals do not converge (see `element_field_integrals`).
     """
     integrals, ref = element_field_integrals(geom, z, tol=tol)
     num = float(np.sum(np.abs(integrals) ** 2))

@@ -156,6 +156,34 @@ def _need_isotropic(radio) -> None:
                               "define; use isotropic")
 
 
+def _integer(value: Any, where: str) -> int:
+    """A count from the config, at least 1."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
+    if number < 1:
+        raise ConfigError(f"{where} must be at least 1, got {number}")
+    return number
+
+
+def _positive(value: Any, where: str) -> float:
+    """A finite, positive number from the config."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not 0 < number < math.inf:
+        raise ConfigError(f"{where} must be finite and positive")
+    return number
+
+
+def _positive_length(cfg: RunConfig, exp: Mapping[str, Any], key: str) -> float:
+    """The finite, positive length `experiment.<key>`, in meters."""
+    where = f"experiment.{key}"
+    return _positive(cfg.length(exp[key], where), where)
+
+
 def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
     if not (0 < lo < hi) or points < 2:
         raise ConfigError("need 0 < min < max and at least 2 points")
@@ -184,10 +212,10 @@ def run_regions(cfg: RunConfig) -> CsvSeries:
 def run_gain_sweep(cfg: RunConfig) -> CsvSeries:
     geom = _need_geometry(cfg)
     exp = _experiment(cfg, {"z_min", "z_max"}, {"points", "tol"})
-    z_lo = cfg.length(exp["z_min"], "experiment.z_min")
-    z_hi = cfg.length(exp["z_max"], "experiment.z_max")
-    points = int(exp.get("points", 40))
-    tol = float(exp.get("tol", 1e-6))
+    z_lo = _positive_length(cfg, exp, "z_min")
+    z_hi = _positive_length(cfg, exp, "z_max")
+    points = _integer(exp.get("points", 40), "experiment.points")
+    tol = _positive(exp.get("tol", 1e-6), "experiment.tol")
     d_f = cfg.bounds.d_f
     rows = []
     for z in _log_grid(z_lo, z_hi, points):
@@ -203,7 +231,7 @@ def run_beam_width(cfg: RunConfig) -> CsvSeries:
     focals = [cfg.length(v, "experiment.focal_distances")
               for v in exp["focal_distances"]]
     x_max = cfg.length(exp["x_max"], "experiment.x_max")
-    points = int(exp.get("points", 201))
+    points = _integer(exp.get("points", 201), "experiment.points")
     x = np.linspace(-x_max, x_max, points)
     comments = _standard_comments("beam-width", cfg)
     columns = [x]
@@ -235,17 +263,16 @@ def run_heatmap(cfg: RunConfig) -> CsvSeries:
     geom = _need_geometry(cfg)
     exp = _experiment(cfg, {"focal_distance", "x_max", "z_min", "z_max"},
                       {"x_points", "z_points"})
-    f = cfg.length(exp["focal_distance"], "experiment.focal_distance")
+    f = _positive_length(cfg, exp, "focal_distance")
+    z_lo = _positive_length(cfg, exp, "z_min")
+    z_hi = _positive_length(cfg, exp, "z_max")
     x_max = cfg.length(exp["x_max"], "experiment.x_max")
-    z_lo = cfg.length(exp["z_min"], "experiment.z_min")
-    z_hi = cfg.length(exp["z_max"], "experiment.z_max")
-    for key, value in (("focal_distance", f), ("z_min", z_lo), ("z_max", z_hi)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"experiment.{key} must be finite and positive")
     if not math.isfinite(x_max):
         raise ConfigError("experiment.x_max must be finite")
-    x_grid = np.linspace(-x_max, x_max, int(exp.get("x_points", 81)))
-    z_grid = np.linspace(z_lo, z_hi, int(exp.get("z_points", 81)))
+    x_grid = np.linspace(-x_max, x_max,
+                         _integer(exp.get("x_points", 81), "experiment.x_points"))
+    z_grid = np.linspace(z_lo, z_hi,
+                         _integer(exp.get("z_points", 81), "experiment.z_points"))
     gains = beam.beam_pattern_map(geom, (0.0, 0.0, f), x_grid, z_grid)
     rows = []
     for i, z in enumerate(z_grid):
@@ -353,8 +380,8 @@ def run_los_capacity(cfg: RunConfig) -> CsvSeries:
     _need_isotropic(radio)
     exp = _experiment(cfg, {"num_antennas", "distance_m"},
                       {"spacing", "model"})
-    k = int(exp["num_antennas"])
-    d = float(exp["distance_m"])
+    k = _integer(exp["num_antennas"], "experiment.num_antennas")
+    d = _positive(exp["distance_m"], "experiment.distance_m")
     lam = radio.wavelength()
     spacing_spec = exp.get("spacing", "optimal")
     if spacing_spec == "optimal":
@@ -384,8 +411,8 @@ def run_mode_patterns(cfg: RunConfig) -> CsvSeries:
     radio = _need_radio(cfg)
     exp = _experiment(cfg, {"num_antennas", "distance_m"},
                       {"spacing", "num_angles", "num_modes"})
-    k = int(exp["num_antennas"])
-    d = float(exp["distance_m"])
+    k = _integer(exp["num_antennas"], "experiment.num_antennas")
+    d = _positive(exp["distance_m"], "experiment.distance_m")
     lam = radio.wavelength()
     spacing_spec = exp.get("spacing", "optimal")
     if spacing_spec == "optimal":
@@ -393,8 +420,9 @@ def run_mode_patterns(cfg: RunConfig) -> CsvSeries:
     else:
         spacing = float(spacing_spec)
     link = mimo_los.build_los_mimo(k, spacing, d, lam)
-    analysis = mimo_los.mode_analysis(link, num_angles=int(exp.get("num_angles", 361)))
-    n_modes = min(int(exp.get("num_modes", 2)), k)
+    analysis = mimo_los.mode_analysis(link, num_angles=_integer(
+        exp.get("num_angles", 361), "experiment.num_angles"))
+    n_modes = min(_integer(exp.get("num_modes", 2), "experiment.num_modes"), k)
     header = ["theta_rad"] + [f"mode_{i}" for i in range(1, n_modes + 1)]
     comments = _standard_comments("mode-patterns", cfg)
     comments.append("eigenvalue fractions: "
@@ -413,13 +441,13 @@ def run_capacity_vs_bandwidth(cfg: RunConfig) -> CsvSeries:
     if ("beta" in exp) == ("distance_m" in exp):
         raise ConfigError("experiment: set exactly one of beta/distance_m")
     if "beta" in exp:
-        beta = float(exp["beta"])
+        beta = _positive(exp["beta"], "experiment.beta")
     else:
-        d = float(exp["distance_m"])
+        d = _positive(exp["distance_m"], "experiment.distance_m")
         beta = (radio.wavelength() / (4.0 * np.pi * d)) ** 2
     grid = _log_grid(parse_frequency(exp["b_min_hz"], "experiment.b_min_hz"),
                      parse_frequency(exp["b_max_hz"], "experiment.b_max_hz"),
-                     int(exp.get("points", 200)))
+                     _integer(exp.get("points", 200), "experiment.points"))
     sweep = mimo_los.capacity_bandwidth_sweep(radio.power_over_noise, beta, grid)
     rows = [[b, r, sweep.rate_limit, sweep.bandwidth_80pct]
             for b, r in zip(sweep.bandwidths, sweep.rates)]
@@ -433,11 +461,11 @@ def run_capacity_vs_frequency(cfg: RunConfig) -> CsvSeries:
     radio = _need_radio(cfg)
     exp = _experiment(cfg, {"area_m2", "distance_m", "f_min", "f_max"},
                       {"points", "gain_model"})
-    area = float(exp["area_m2"])
-    d = float(exp["distance_m"])
+    area = _positive(exp["area_m2"], "experiment.area_m2")
+    d = _positive(exp["distance_m"], "experiment.distance_m")
     freqs = _log_grid(parse_frequency(exp["f_min"], "experiment.f_min"),
                       parse_frequency(exp["f_max"], "experiment.f_max"),
-                      int(exp.get("points", 100)))
+                      _integer(exp.get("points", 100), "experiment.points"))
     model = str(exp.get("gain_model", "both"))
     if model not in ("both", "isotropic", "directive"):
         raise ConfigError("experiment.gain_model must be both|isotropic|directive")
@@ -460,7 +488,7 @@ def run_capacity_vs_frequency(cfg: RunConfig) -> CsvSeries:
 
 def run_dof(cfg: RunConfig) -> CsvSeries:
     exp = _experiment(cfg, {"area_m2"}, {"wavelengths_m", "frequencies"})
-    area = float(exp["area_m2"])
+    area = _positive(exp["area_m2"], "experiment.area_m2")
     wavelengths: List[float] = [float(v) for v in exp.get("wavelengths_m", [])]
     for f in exp.get("frequencies", []):
         wavelengths.append(mimo_los.SPEED_OF_LIGHT

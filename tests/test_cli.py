@@ -1,4 +1,5 @@
 import io
+import re
 import shutil
 from pathlib import Path
 
@@ -214,6 +215,43 @@ class TestCliBehavior:
             == EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
         assert f"radio.{key}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("config_name,subcommand,key,value", [
+        ("fig4_gain_sweep.yaml", "gain-sweep", "points", '"abc"'),
+        ("fig4_gain_sweep.yaml", "gain-sweep", "z_max", ".inf"),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "area_m2", "-1"),
+        ("los_capacity.yaml", "los-capacity", "num_antennas", "0"),
+    ])
+    def test_invalid_experiment_value_exit_code(self, tmp_path, capsys,
+                                                config_name, subcommand, key,
+                                                value):
+        text = (CONFIGS / config_name).read_text()
+        text, count = re.subn(rf"(?m)^  {key}: .*$", f"  {key}: {value}", text)
+        assert count == 1
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
+            == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert f"experiment.{key}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_quadrature_not_converged_exit_code(self, tmp_path, capsys):
+        # a 20 lambda element within two wavelengths needs more than order 64
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "geometry:\n  rows: 1\n  cols: 1\n"
+            "  element_side: \"20 lambda\"\n  frequency: \"3 GHz\"\n"
+            "experiment:\n  z_min: \"1 lambda\"\n  z_max: \"2 lambda\"\n"
+            "  points: 2\n")
+        assert main(["gain-sweep", "--config", str(cfg), "--out", "-"]) \
+            == EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert "gain-sweep" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

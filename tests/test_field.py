@@ -1,17 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
-from nearfield import boundary_distances, build_upa
+from nearfield import boundary_distances, build_upa, field
 from nearfield.field import (
     ChannelVector,
+    _quadrant_integrals,
     channel_vector,
     efield_exact,
     element_field_integrals,
     fresnel_channel_vector,
 )
-from nearfield.numerics import Rect
+from nearfield.numerics import AccuracyError, Rect, integrate_patch
 
 
 def make_desk_array(rows=30, cols=40, freq=3e9):
@@ -98,6 +101,67 @@ class TestElementIntegrals:
         grid = integrals.reshape(4, 4)
         np.testing.assert_allclose(grid, grid[::-1, :], rtol=1e-10)
         np.testing.assert_allclose(grid, grid[:, ::-1], rtol=1e-10)
+
+    @pytest.mark.parametrize("rows,cols", [(3, 4), (5, 5), (1, 7), (6, 1),
+                                           (4, 6)])
+    def test_matches_unfolded_evaluation(self, rows, cols):
+        # only the x >= 0, y >= 0 quadrant is integrated; every element must
+        # match an order-48 Gauss rule applied to each element directly
+        lam = 0.1
+        g = build_upa(rows, cols, lam / 2, lam)
+        z = 0.6
+        integrals, _ = element_field_integrals(g, z, tol=1e-13)
+        nodes, weights = leggauss(48)
+        h = g.element_side / 2
+        expected = [
+            h * h * weights @ efield_exact(cx + h * nodes[None, :],
+                                           cy + h * nodes[:, None], z,
+                                           lam) @ weights
+            for cx, cy in g.element_centers()]
+        np.testing.assert_allclose(integrals, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("side_over_z", [0.2, 1.0, 4.0])
+    def test_reference_power_closed_form(self, side_over_z):
+        # the closed-form |E|^2 integral over the centred element
+        lam = 0.1
+        g = build_upa(1, 1, lam, lam)
+        z = g.element_side / side_over_z
+        _, ref = element_field_integrals(g, z)
+        h = g.element_side / 2
+        expected = integrate_patch(
+            lambda x, y: np.abs(efield_exact(x, y, z, lam)) ** 2,
+            Rect(-h, h, -h, h), tol=1e-13)
+        assert ref == pytest.approx(expected.real, rel=1e-13)
+
+    def test_not_converged_raises(self):
+        # a 20 lambda element one wavelength away needs more than order 64
+        lam = 0.1
+        g = build_upa(1, 1, 20 * lam, lam)
+        with pytest.raises(AccuracyError) as exc:
+            element_field_integrals(g, lam, tol=1e-6)
+        estimate = exc.value.best_estimate
+        assert estimate.shape == (1,) and np.all(np.isfinite(estimate))
+
+    def test_blocks_do_not_change_result(self, monkeypatch):
+        # 40-sample blocks split the 4x5 quadrant of a 7x9 array into
+        # partial row and column blocks at every order
+        g = make_desk_array(7, 9)
+        whole, _ = element_field_integrals(g, 0.5, tol=1e-12)
+        monkeypatch.setattr(field, "_BLOCK_SAMPLES", 40)
+        blocked, _ = element_field_integrals(g, 0.5, tol=1e-12)
+        np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=0)
+
+    def test_level_memory_bounded(self):
+        # one order-32 level of a 300x400 array; an unblocked field tensor
+        # would need about 2 GB
+        g = make_desk_array(300, 400)
+        tracemalloc.start()
+        try:
+            _quadrant_integrals(g, 1.0, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestChannelVectors:
