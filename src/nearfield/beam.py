@@ -11,7 +11,7 @@ import numpy as np
 from .field import (element_field_integrals, fresnel_channel_vector,
                     spherical_phase)
 from .geometry import ArrayGeometry
-from .numerics import fresnel_cs, sinc, solve_scalar_root
+from .numerics import fresnel_cs, solve_scalar_root
 from .regions import boundary_distances
 
 #: Rounded 8 * a3dB * d_FA / d_F for a square array (exact value 9.9373...).
@@ -52,7 +52,7 @@ def gain_focal_plane(geom: ArrayGeometry, focal_distance: float,
     lam = geom.wavelength
     ax = n / math.sqrt(2.0) * d * np.asarray(x_r) / (lam * focal_distance)
     ay = m / math.sqrt(2.0) * d * np.asarray(y_r) / (lam * focal_distance)
-    return sinc(ax) ** 2 * sinc(ay) ** 2
+    return np.sinc(ax) ** 2 * np.sinc(ay) ** 2
 
 
 def beam_width_3db(geom: ArrayGeometry, focal_distance: float) -> float:
@@ -69,10 +69,9 @@ def g_of_x(rows: int, cols: int, x):
     ax = np.abs(x)
     out = np.ones_like(ax)
     nz = ax > 0
-    u_m = rows * np.sqrt(ax[nz])
-    u_n = cols * np.sqrt(ax[nz])
-    cm, sm = fresnel_cs(u_m)
-    cn, sn = fresnel_cs(u_n)
+    root = np.sqrt(ax[nz])
+    cm, sm = fresnel_cs(rows * root)
+    cn, sn = (cm, sm) if cols == rows else fresnel_cs(cols * root)
     out[nz] = ((cm**2 + sm**2) * (cn**2 + sn**2)
                / (rows * cols * ax[nz]) ** 2)
     if out.ndim == 0:

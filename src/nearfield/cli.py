@@ -167,26 +167,39 @@ def _integer(value: Any, where: str) -> int:
     return number
 
 
-def _positive(value: Any, where: str) -> float:
-    """A finite, positive number from the config."""
+def _number(value: Any, where: str) -> float:
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _positive(value: Any, where: str) -> float:
+    """A finite, positive number from the config."""
+    number = _number(value, where)
     if not 0 < number < math.inf:
         raise ConfigError(f"{where} must be finite and positive")
     return number
 
 
-def _positive_length(cfg: RunConfig, exp: Mapping[str, Any], key: str) -> float:
-    """The finite, positive length `experiment.<key>`, in meters."""
-    where = f"experiment.{key}"
-    return _positive(cfg.length(exp[key], where), where)
+def _non_negative(value: Any, where: str) -> float:
+    """A finite number >= 0 from the config."""
+    number = _number(value, where)
+    if not 0 <= number < math.inf:
+        raise ConfigError(f"{where} must be finite and non-negative")
+    return number
+
+
+def _positive_length(cfg: RunConfig, block: Mapping[str, Any], key: str,
+                     prefix: str = "experiment") -> float:
+    """The finite, positive length `<prefix>.<key>` of `block`, in meters."""
+    where = f"{prefix}.{key}"
+    return _positive(cfg.length(block[key], where), where)
 
 
 def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    if not (0 < lo < hi) or points < 2:
-        raise ConfigError("need 0 < min < max and at least 2 points")
+    if not (0 < lo < hi < math.inf) or points < 2:
+        raise ConfigError("need 0 < min < max < inf and at least 2 points")
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
@@ -284,9 +297,14 @@ def run_heatmap(cfg: RunConfig) -> CsvSeries:
 
 def run_g_of_x(cfg: RunConfig) -> CsvSeries:
     exp = _experiment(cfg, {"shapes", "x_max"}, {"points"})
-    shapes = [(int(m), int(n)) for m, n in exp["shapes"]]
-    x_max = float(exp["x_max"])
-    points = int(exp.get("points", 401))
+    shapes = exp["shapes"]
+    if not (isinstance(shapes, list)
+            and all(isinstance(mn, list) and len(mn) == 2 for mn in shapes)):
+        raise ConfigError("experiment.shapes: expected a list of [rows, cols]")
+    shapes = [(_integer(m, "experiment.shapes"), _integer(n, "experiment.shapes"))
+              for m, n in shapes]
+    x_max = _positive(exp["x_max"], "experiment.x_max")
+    points = _integer(exp.get("points", 401), "experiment.points")
     x = np.linspace(-x_max, x_max, points)
     header = ["x"]
     columns = [x]
@@ -320,12 +338,18 @@ def run_depth_plan(cfg: RunConfig) -> CsvSeries:
                     f"{len(plan.focal_points)}")
     if "gain_grid" in exp:
         grid = exp["gain_grid"]
+        if not isinstance(grid, Mapping):
+            raise ConfigError("experiment.gain_grid: expected a mapping")
         unknown = set(grid) - {"z_min", "z_max", "points"}
         if unknown:
             raise ConfigError(f"experiment.gain_grid: unknown keys {sorted(unknown)}")
-        z = _log_grid(cfg.length(grid["z_min"], "gain_grid.z_min"),
-                      cfg.length(grid["z_max"], "gain_grid.z_max"),
-                      int(grid.get("points", 200)))
+        missing = {"z_min", "z_max"} - set(grid)
+        if missing:
+            raise ConfigError(f"experiment.gain_grid: missing keys {sorted(missing)}")
+        prefix = "experiment.gain_grid"
+        z = _log_grid(_positive_length(cfg, grid, "z_min", prefix),
+                      _positive_length(cfg, grid, "z_max", prefix),
+                      _integer(grid.get("points", 200), f"{prefix}.points"))
         header = ["z_m"] + [f"gain_f{i}" for i in range(1, len(plan.focal_points) + 1)]
         rows = []
         for zi in z:
@@ -350,12 +374,16 @@ def run_zf_sinr(cfg: RunConfig) -> CsvSeries:
                                        if k in ("d_min", "depth_parameter")})
         users = depth_mux.plan_user_positions(plan, geom)
     else:
+        if not (isinstance(users_spec, list) and all(
+                isinstance(u, list) and len(u) == 3 for u in users_spec)):
+            raise ConfigError("experiment.users: expected from_plan or a list "
+                              "of [x, y, z]")
         users = [tuple(cfg.length(v, "experiment.users") for v in u)
                  for u in users_spec]
-        users = [(u[0], u[1], u[2]) for u in users]
+    total_power = _positive(exp.get("total_power", 1.0), "experiment.total_power")
+    noise_power = _non_negative(exp["noise_power"], "experiment.noise_power")
+    bandwidth = _positive(exp.get("bandwidth", 1.0), "experiment.bandwidth")
     channel = depth_mux.build_mu_channel(geom, users)
-    total_power = float(exp.get("total_power", 1.0))
-    noise_power = float(exp["noise_power"])
     kind = str(exp.get("precoder", "zf"))
     if kind == "zf":
         w = depth_mux.zf_precoder(channel.matrix, total_power)
@@ -363,7 +391,6 @@ def run_zf_sinr(cfg: RunConfig) -> CsvSeries:
         w = depth_mux.matched_filter_precoder(channel.matrix, total_power)
     else:
         raise ConfigError("experiment.precoder must be zf|mf")
-    bandwidth = float(exp.get("bandwidth", 1.0))
     sinr, sum_rate = depth_mux.evaluate_sinr(channel.matrix, w, noise_power,
                                              bandwidth=bandwidth)
     rows = []
@@ -375,6 +402,15 @@ def run_zf_sinr(cfg: RunConfig) -> CsvSeries:
         rows, _standard_comments("zf-sinr", cfg))
 
 
+def _los_link(exp: Mapping[str, Any], k: int, d: float, lam: float):
+    spacing = exp.get("spacing", "optimal")
+    if spacing == "optimal":
+        spacing = mimo_los.optimal_spacing(k, d, lam)
+    else:
+        spacing = _positive(spacing, "experiment.spacing")
+    return mimo_los.build_los_mimo(k, spacing, d, lam)
+
+
 def run_los_capacity(cfg: RunConfig) -> CsvSeries:
     radio = _need_radio(cfg)
     _need_isotropic(radio)
@@ -382,13 +418,7 @@ def run_los_capacity(cfg: RunConfig) -> CsvSeries:
                       {"spacing", "model"})
     k = _integer(exp["num_antennas"], "experiment.num_antennas")
     d = _positive(exp["distance_m"], "experiment.distance_m")
-    lam = radio.wavelength()
-    spacing_spec = exp.get("spacing", "optimal")
-    if spacing_spec == "optimal":
-        spacing = mimo_los.optimal_spacing(k, d, lam)
-    else:
-        spacing = float(spacing_spec)
-    link = mimo_los.build_los_mimo(k, spacing, d, lam)
+    link = _los_link(exp, k, d, radio.wavelength())
     model = str(exp.get("model", "fresnel"))
     if model not in ("fresnel", "exact"):
         raise ConfigError("experiment.model must be fresnel|exact")
@@ -413,13 +443,7 @@ def run_mode_patterns(cfg: RunConfig) -> CsvSeries:
                       {"spacing", "num_angles", "num_modes"})
     k = _integer(exp["num_antennas"], "experiment.num_antennas")
     d = _positive(exp["distance_m"], "experiment.distance_m")
-    lam = radio.wavelength()
-    spacing_spec = exp.get("spacing", "optimal")
-    if spacing_spec == "optimal":
-        spacing = mimo_los.optimal_spacing(k, d, lam)
-    else:
-        spacing = float(spacing_spec)
-    link = mimo_los.build_los_mimo(k, spacing, d, lam)
+    link = _los_link(exp, k, d, radio.wavelength())
     analysis = mimo_los.mode_analysis(link, num_angles=_integer(
         exp.get("num_angles", 361), "experiment.num_angles"))
     n_modes = min(_integer(exp.get("num_modes", 2), "experiment.num_modes"), k)
@@ -489,7 +513,8 @@ def run_capacity_vs_frequency(cfg: RunConfig) -> CsvSeries:
 def run_dof(cfg: RunConfig) -> CsvSeries:
     exp = _experiment(cfg, {"area_m2"}, {"wavelengths_m", "frequencies"})
     area = _positive(exp["area_m2"], "experiment.area_m2")
-    wavelengths: List[float] = [float(v) for v in exp.get("wavelengths_m", [])]
+    wavelengths: List[float] = [_positive(v, "experiment.wavelengths_m")
+                                for v in exp.get("wavelengths_m", [])]
     for f in exp.get("frequencies", []):
         wavelengths.append(mimo_los.SPEED_OF_LIGHT
                            / parse_frequency(f, "experiment.frequencies"))
@@ -551,7 +576,11 @@ def _emit(series: CsvSeries, out: Optional[str], cfg: RunConfig) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.subcommand == "compare-golden":
-        passed, report = compare_golden(args.csv, args.golden, args.tol)
+        try:
+            passed, report = compare_golden(args.csv, args.golden, args.tol)
+        except (OSError, ValueError) as exc:
+            print(f"compare-golden: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
         print("\n".join(report))
         return 0 if passed else 1
     try:

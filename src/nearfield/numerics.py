@@ -1,14 +1,20 @@
-"""Shared numerical kernels: Fresnel integrals, 2-D quadrature, root finding,
-dense complex linear algebra."""
+"""Shared numerical kernels: Fresnel integrals, root finding, dense complex
+linear algebra.
+
+numpy and the standard library only. The Fresnel integrals follow the power
+series and continued fraction of Press et al., *Numerical Recipes*, 3rd ed.,
+section 6.8 (`frenel`), after Abramowitz & Stegun 7.3. The root finder is
+Brent's method (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4), in the form of scipy's `brentq`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import sys
 from typing import Callable, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import optimize, special
 
 
 class BracketError(ValueError):
@@ -16,7 +22,8 @@ class BracketError(ValueError):
 
 
 class AccuracyError(RuntimeError):
-    """Quadrature refinement exhausted without meeting the tolerance.
+    """An iterative method (quadrature refinement, a series, a root finder)
+    exhausted its budget without meeting the tolerance.
 
     Carries the best available estimate in ``best_estimate``.
     """
@@ -30,36 +37,84 @@ class RankError(ValueError):
     """A linear system or Gram matrix is (numerically) rank deficient."""
 
 
-@dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle in the xy-plane, lengths in meters."""
+_EPS = sys.float_info.epsilon
+#: Fresnel series below this |x|, continued fraction above (NR's XMIN).
+_FRESNEL_SERIES_MAX = 1.5
+#: Above this |x| the oscillating part of C and S, of size 1/(pi x), is below
+#: half an ulp of 0.5, so both are 0.5. It also keeps pi x^2 from overflowing.
+_FRESNEL_HALF_MIN = 2.0**54 / math.pi
+_FRESNEL_MAX_TERMS = 100
+#: Continued-fraction numerators -n(n+1), n = 1, 3, 5, ...
+_FRESNEL_CF_A = [-n * (n + 1.0) for n in range(1, 2 * _FRESNEL_MAX_TERMS, 2)]
+#: Brent iteration cap, as in scipy.optimize.brentq.
+_BRENT_MAX_ITER = 100
 
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
 
-    def __post_init__(self):
-        if not (self.x_lo < self.x_hi and self.y_lo < self.y_hi):
-            raise ValueError(f"degenerate rectangle: {self}")
-
-    @property
-    def area(self) -> float:
-        return (self.x_hi - self.x_lo) * (self.y_hi - self.y_lo)
+def _fresnel(x: float) -> Tuple[float, float]:
+    """(C(x), S(x)) for one float: NR `frenel` in double precision."""
+    ax = abs(x)
+    if ax > _FRESNEL_HALF_MIN:
+        c = s = 0.5
+    elif ax <= _FRESNEL_SERIES_MAX:
+        # power series: term k is ax (pi ax^2/2)^k / k! / (2k+1), feeding
+        # C for even k and S for odd k, with signs + + - - + + ...
+        fact = 0.5 * math.pi * ax * ax
+        term = c = ax
+        s = 0.0
+        for k in range(1, _FRESNEL_MAX_TERMS):
+            term *= fact / k
+            part = term / (2 * k + 1)
+            if k & 2:
+                part = -part
+            if k & 1:
+                s += part
+                total = s
+            else:
+                c += part
+                total = c
+            if term <= _EPS * abs(total):
+                break
+        else:
+            raise AccuracyError(f"Fresnel series did not converge at {x}", c + 1j * s)
+    else:
+        # modified Lentz evaluation of the continued fraction for erfc, from
+        # which (C + iS) = (1 + i)/2 (1 - e^{i pi ax^2/2} h (ax - i ax))
+        pix2 = math.pi * ax * ax
+        b = complex(1.0, -pix2)
+        cc = 1.0 / sys.float_info.min
+        d = h = 1.0 / b
+        for a in _FRESNEL_CF_A:
+            b += 4.0
+            d = 1.0 / (a * d + b)
+            cc = b + a / cc
+            step = cc * d
+            h *= step
+            if abs(step - 1.0) < 4 * _EPS:
+                break
+        else:
+            raise AccuracyError(f"Fresnel continued fraction did not converge at {x}",
+                                h)
+        phase = complex(math.cos(0.5 * pix2), math.sin(0.5 * pix2))
+        cs = complex(0.5, 0.5) * (1.0 - phase * h * complex(ax, -ax))
+        c, s = cs.real, cs.imag
+    return (c, s) if x >= 0 else (-c, -s)
 
 
 def fresnel_cs(x):
     """Fresnel integrals C(x) = int_0^x cos(pi t^2/2) dt and the sine analog.
 
-    Accepts scalars or arrays; odd in x. Accurate to well below 1e-10.
+    Accepts scalars or arrays; odd in x. Agrees with scipy.special.fresnel
+    to about 1e-12 absolute. A 0-d input gives a pair of Python floats.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    values = x.ravel().tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("fresnel_cs requires finite input")
-    s, c = special.fresnel(x)
     if x.ndim == 0:
-        return float(c), float(s)
-    return c, s
+        return _fresnel(values[0])
+    cs = np.array([_fresnel(v) for v in values], dtype=float)
+    cs = cs.reshape(x.shape + (2,))
+    return cs[..., 0], cs[..., 1]
 
 
 def solve_scalar_root(
@@ -67,59 +122,64 @@ def solve_scalar_root(
     bracket: Tuple[float, float],
     tol: float = 1e-12,
 ) -> float:
-    """Root of a scalar function inside a sign-changing bracket."""
+    """Root of a scalar function inside a sign-changing bracket.
+
+    Brent's method, to an absolute tolerance `tol` plus 4 eps relative.
+    Raises `AccuracyError` if it has not converged after 100 iterations.
+    """
     lo, hi = bracket
     g_lo, g_hi = g(lo), g(hi)
+    if math.isnan(g_lo) or math.isnan(g_hi):
+        raise ValueError(f"g is NaN at an end of [{lo}, {hi}]")
     if g_lo == 0.0:
         return lo
     if g_hi == 0.0:
         return hi
-    if g_lo * g_hi > 0:
+    if (g_lo > 0) == (g_hi > 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo}, {g_hi}")
-    return float(optimize.brentq(g, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps))
-
-
-_MAX_GAUSS_ORDER = 256
-
-
-def integrate_patch(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    region: Rect,
-    tol: float = 1e-8,
-) -> complex:
-    """Integral of a smooth complex-valued f(x, y) over a rectangle.
-
-    Tensor-product Gauss-Legendre with order doubling until two successive
-    levels agree to the relative tolerance.
-    """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    cx = 0.5 * (region.x_lo + region.x_hi)
-    cy = 0.5 * (region.y_lo + region.y_hi)
-    hx = 0.5 * (region.x_hi - region.x_lo)
-    hy = 0.5 * (region.y_hi - region.y_lo)
+    return _brentq(g, float(lo), float(hi), float(g_lo), float(g_hi), tol)
 
-    def level(order: int) -> complex:
-        nodes, weights = leggauss(order)
-        x = cx + hx * nodes
-        y = cy + hy * nodes
-        vals = f(x[:, None], y[None, :])
-        w2 = np.multiply.outer(weights, weights)
-        return complex(hx * hy * np.sum(vals * w2))
 
-    order = 4
-    prev = level(order)
-    while order < _MAX_GAUSS_ORDER:
-        order *= 2
-        cur = level(order)
-        scale = max(abs(cur), abs(prev), np.finfo(float).tiny)
-        if abs(cur - prev) <= tol * scale:
-            return cur
-        prev = cur
-    raise AccuracyError(
-        f"quadrature did not converge to rel tol {tol} by order {_MAX_GAUSS_ORDER}",
-        best_estimate=prev,
-    )
+def _brentq(g, xpre: float, xcur: float, fpre: float, fcur: float,
+            xtol: float) -> float:
+    """Brent (1973, ch. 4) with the control flow of scipy's `brentq`: the
+    root is kept between xcur and xblk, |f(xcur)| <= |f(xblk)|."""
+    rtol = 4 * _EPS
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre and fcur and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = float(g(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"g is NaN at {xcur}")
+    raise AccuracyError(f"Brent's method did not converge in {_BRENT_MAX_ITER} "
+                        "iterations", best_estimate=xcur)
 
 
 def hermitian_eig(m: np.ndarray, atol: float = 1e-10):
@@ -142,8 +202,3 @@ def svd(m: np.ndarray):
         raise ValueError("matrix has non-finite entries")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return u, s, vh.conj().T
-
-
-def sinc(x):
-    """Normalized sinc, sin(pi x)/(pi x)."""
-    return np.sinc(x)

@@ -224,12 +224,27 @@ class TestCliBehavior:
         ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
          "area_m2", "-1"),
         ("los_capacity.yaml", "los-capacity", "num_antennas", "0"),
+        ("fig9_g_of_x.yaml", "g-of-x", "x_max", '"abc"'),
+        ("fig9_g_of_x.yaml", "g-of-x", "points", '"abc"'),
+        ("fig9_g_of_x.yaml", "g-of-x", "shapes", '[[10, "abc"]]'),
+        ("fig9_g_of_x.yaml", "g-of-x", "shapes", "[[10, 10, 10]]"),
+        ("fig7_depth_plan_gains.yaml", "depth-plan", "gain_grid.points",
+         '"abc"'),
+        ("fig7_depth_plan_gains.yaml", "depth-plan", "gain_grid.z_max",
+         ".inf"),
+        ("zf_sinr.yaml", "zf-sinr", "noise_power", "-1"),
+        ("zf_sinr.yaml", "zf-sinr", "total_power", '"abc"'),
+        ("zf_sinr.yaml", "zf-sinr", "users", "[[0, 0]]"),
+        ("los_capacity.yaml", "los-capacity", "spacing", "-0.1"),
     ])
     def test_invalid_experiment_value_exit_code(self, tmp_path, capsys,
                                                 config_name, subcommand, key,
                                                 value):
+        # a dotted key names a nested config line by its last part
         text = (CONFIGS / config_name).read_text()
-        text, count = re.subn(rf"(?m)^  {key}: .*$", f"  {key}: {value}", text)
+        leaf = key.rsplit(".", 1)[-1]
+        text, count = re.subn(rf"(?m)^( +){leaf}: .*$", rf"\g<1>{leaf}: {value}",
+                              text)
         assert count == 1
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text)
@@ -282,3 +297,11 @@ class TestCliBehavior:
         assert main(["compare-golden", str(local), str(golden),
                      "--tol", "1e-6"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_compare_golden_missing_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["compare-golden", str(missing),
+                     str(GOLDENS / "dof.csv")]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert "Traceback" not in captured.err

@@ -14,7 +14,8 @@ from nearfield.field import (
     element_field_integrals,
     fresnel_channel_vector,
 )
-from nearfield.numerics import AccuracyError, Rect, integrate_patch
+from nearfield.numerics import AccuracyError
+from patch_quadrature import Rect, integrate_patch
 
 
 def make_desk_array(rows=30, cols=40, freq=3e9):
@@ -77,7 +78,6 @@ class TestElementIntegrals:
         integrals, ref = element_field_integrals(g, z, tol=1e-9)
         assert integrals.shape == (12,)
         # spot-check two patches against the generic adaptive integrator
-        from nearfield.numerics import integrate_patch
         centers = g.element_centers()
         for idx in (0, 7):
             cx, cy = centers[idx]

@@ -1,20 +1,26 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import fresnel
 
+import nearfield
+from nearfield import beam, mimo_los
 from nearfield.numerics import (
     AccuracyError,
     BracketError,
-    Rect,
     fresnel_cs,
     hermitian_eig,
-    integrate_patch,
-    sinc,
     solve_scalar_root,
     svd,
 )
+from patch_quadrature import Rect, integrate_patch
 
 
 def fresnel_quad(x):
@@ -56,6 +62,30 @@ class TestFresnel:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             fresnel_cs(float("nan"))
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(-60.0, 60.0, 24001),
+        np.logspace(-8, 4, 20001),
+        1.5 + np.array([-1e-12, 0.0, 1e-12]),
+        np.array([1e16, 1e100, -1e150]),
+    ], ids=["dense", "logspace", "series-cf-switch", "huge"])
+    def test_matches_scipy(self, x):
+        c, s = fresnel_cs(x)
+        s_ref, c_ref = fresnel(x)
+        np.testing.assert_allclose(c, c_ref, rtol=0, atol=2e-12)
+        np.testing.assert_allclose(s, s_ref, rtol=0, atol=2e-12)
+
+    def test_pi_x_squared_overflow(self):
+        # pi x^2 overflows here (scipy gives nan); C and S are 0.5 to an ulp
+        assert fresnel_cs(1e300) == (0.5, 0.5)
+        assert fresnel_cs(-1e200) == (-0.5, -0.5)
+
+    def test_scalar_gives_python_floats(self):
+        for x in (0.3, np.float64(2.5), np.array(-7.0)):
+            c, s = fresnel_cs(x)
+            assert type(c) is float and type(s) is float
+        c, s = fresnel_cs(np.full((2, 3), 0.3))
+        assert c.shape == s.shape == (2, 3)
 
 
 class TestIntegratePatch:
@@ -113,7 +143,7 @@ class TestRootFinding:
             == pytest.approx(1.0, abs=1e-12)
 
     def test_sinc_half_power(self):
-        root = solve_scalar_root(lambda x: sinc(x) ** 2 - 0.5, (0.0 + 1e-9, 1.0))
+        root = solve_scalar_root(lambda x: np.sinc(x) ** 2 - 0.5, (0.0 + 1e-9, 1.0))
         assert root == pytest.approx(0.443, abs=1e-3)
 
     def test_cosine(self):
@@ -123,6 +153,43 @@ class TestRootFinding:
     def test_bracket_error(self):
         with pytest.raises(BracketError):
             solve_scalar_root(lambda x: x * x + 1.0, (-1.0, 1.0))
+
+    def test_iteration_cap_raises(self):
+        # a step function over a 1e300-wide bracket needs ~2000 bisections
+        with pytest.raises(AccuracyError):
+            solve_scalar_root(lambda x: 1.0 if x > 1e-300 else -1.0,
+                              (-1e300, 1e300), tol=1e-310)
+
+    @pytest.mark.parametrize("g,bracket,tol", [
+        (math.cos, (1.0, 2.0), 1e-12),
+        (lambda x: x**3 - 2.0, (0.0, 3.0), 1e-15),
+        (lambda x: x - 2.0, (1.0, 2.0), 1e-12),
+        (lambda x: x - 1.0, (1.0, 2.0), 1e-12),
+    ], ids=["cos", "cube-root", "root-at-hi", "root-at-lo"])
+    def test_matches_scipy_brentq(self, g, bracket, tol):
+        ref = brentq(g, *bracket, xtol=tol, rtol=4 * np.finfo(float).eps)
+        assert abs(solve_scalar_root(g, bracket, tol) - ref) <= tol
+
+    @pytest.mark.parametrize("module,problem", [
+        (beam, lambda: beam.solve_a3db(10, 10)),
+        (beam, lambda: beam.solve_a3db(30, 40)),
+        (beam, lambda: beam.solve_a3db(200, 200)),
+        (mimo_los, lambda: mimo_los.capacity_bandwidth_sweep(
+            1e11, 5.6e-6, [1e6, 1e9])),
+    ], ids=["a3db-10x10", "a3db-30x40", "a3db-200x200", "bandwidth-80pct"])
+    def test_library_roots_match_scipy_brentq(self, monkeypatch, module,
+                                              problem):
+        calls = []
+
+        def spy(g, bracket, tol=1e-12):
+            calls.append((g, bracket, tol))
+            return solve_scalar_root(g, bracket, tol)
+
+        monkeypatch.setattr(module, "solve_scalar_root", spy)
+        problem()
+        (g, (lo, hi), tol), = calls
+        ref = brentq(g, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
+        assert abs(solve_scalar_root(g, (lo, hi), tol) - ref) <= tol
 
 
 class TestDenseLinalg:
@@ -160,3 +227,15 @@ class TestDenseLinalg:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle: the package and its CLI must not import it
+    src = str(Path(nearfield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, nearfield, nearfield.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120, check=True,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.stdout.strip() == "[]"
