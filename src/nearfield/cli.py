@@ -7,12 +7,14 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config, parse_frequency
+from .config import (REQUIRED, ConfigError, RunConfig, Schema, count,
+                     either, enum, frequency, length, list_of, load_config,
+                     non_negative, position, positive)
 from . import beam, depth_mux, mimo_los, regions
 from .numerics import AccuracyError, BracketError, RankError, hermitian_eig
 
@@ -52,13 +54,6 @@ def _fmt(value: Any) -> str:
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return format(v, ".12g")
-
-
-def _standard_comments(subcommand: str, cfg: Optional[RunConfig]) -> List[str]:
-    comments = [f"nearfield {__version__}", f"subcommand: {subcommand}"]
-    if cfg is not None:
-        comments.append(f"config-sha256: {cfg.config_hash()}")
-    return comments
 
 
 def _read_csv(path: str):
@@ -121,29 +116,22 @@ def compare_golden(csv_path: str, golden_path: str, rel_tol: float):
 
 
 # ---------------------------------------------------------------------------
-# experiment-block helpers
+# subcommands: each runner gets its experiment block parsed by its table
 
-def _experiment(cfg: RunConfig, required: set, optional: set) -> Mapping[str, Any]:
-    exp = cfg.experiment
-    unknown = set(exp) - required - optional
-    if unknown:
-        raise ConfigError(f"experiment: unknown keys {sorted(unknown)}")
-    missing = required - set(exp)
-    if missing:
-        raise ConfigError(f"experiment: missing keys {sorted(missing)}")
-    return exp
+#: subcommand -> runner(cfg, exp) returning the CSV rows and extra comments
+RUNNERS: Dict[str, Callable[[RunConfig, Dict[str, Any]], CsvSeries]] = {}
+#: subcommand -> (config block it needs, or None; its experiment table)
+SCHEMAS: Dict[str, Tuple[Optional[str], Schema]] = {}
 
 
-def _need_geometry(cfg: RunConfig):
-    if cfg.geometry is None:
-        raise ConfigError("this subcommand requires a geometry block")
-    return cfg.geometry
-
-
-def _need_radio(cfg: RunConfig):
-    if cfg.radio is None:
-        raise ConfigError("this subcommand requires a radio block")
-    return cfg.radio
+def subcommand(name: str, needs: Optional[str] = None, one_of=(), **keys):
+    """Register a runner with its experiment table: each keyword maps a key
+    to (kind, default or REQUIRED); `one_of` lists exclusive key pairs."""
+    def register(runner):
+        RUNNERS[name] = runner
+        SCHEMAS[name] = (needs, Schema(keys, one_of))
+        return runner
+    return register
 
 
 def _need_isotropic(radio) -> None:
@@ -156,390 +144,246 @@ def _need_isotropic(radio) -> None:
                               "define; use isotropic")
 
 
-def _integer(value: Any, where: str) -> int:
-    """A count from the config, at least 1."""
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}") from None
-    if number < 1:
-        raise ConfigError(f"{where} must be at least 1, got {number}")
-    return number
-
-
-def _number(value: Any, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-
-
-def _positive(value: Any, where: str) -> float:
-    """A finite, positive number from the config."""
-    number = _number(value, where)
-    if not 0 < number < math.inf:
-        raise ConfigError(f"{where} must be finite and positive")
-    return number
-
-
-def _non_negative(value: Any, where: str) -> float:
-    """A finite number >= 0 from the config."""
-    number = _number(value, where)
-    if not 0 <= number < math.inf:
-        raise ConfigError(f"{where} must be finite and non-negative")
-    return number
-
-
-def _positive_length(cfg: RunConfig, block: Mapping[str, Any], key: str,
-                     prefix: str = "experiment") -> float:
-    """The finite, positive length `<prefix>.<key>` of `block`, in meters."""
-    where = f"{prefix}.{key}"
-    return _positive(cfg.length(block[key], where), where)
-
-
-def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    if not (0 < lo < hi < math.inf) or points < 2:
-        raise ConfigError("need 0 < min < max < inf and at least 2 points")
+def _log_grid(lo: float, hi: float, points: int, where: str) -> np.ndarray:
+    if not lo < hi or points < 2:
+        raise ConfigError(f"{where}: need min < max and at least 2 points")
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
-# ---------------------------------------------------------------------------
-# subcommand runners
-
-def run_regions(cfg: RunConfig) -> CsvSeries:
-    geom = _need_geometry(cfg)
-    exp = _experiment(cfg, set(), {"classify"})
+@subcommand("regions", "geometry", classify=(list_of(length), ()))
+def run_regions(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     bounds = cfg.bounds
     rows: List[Sequence[Any]] = []
     for name in ("d_n", "d_f", "d_b", "d_fa"):
         value = getattr(bounds, name)
         rows.append([name, value, value / bounds.d_f, ""])
-    for raw in exp.get("classify", []):
-        d = cfg.length(raw, "experiment.classify")
+    # the label echoes each distance as written in the config
+    for raw, d in zip(cfg.experiment.get("classify", ()), exp["classify"]):
         rows.append([f"classify({raw})", d, d / bounds.d_f,
                      regions.classify(d, bounds)])
-    return CsvSeries(["quantity", "meters", "in_dF", "label"], rows,
-                     _standard_comments("regions", cfg))
+    return CsvSeries(["quantity", "meters", "in_dF", "label"], rows)
 
 
-def run_gain_sweep(cfg: RunConfig) -> CsvSeries:
-    geom = _need_geometry(cfg)
-    exp = _experiment(cfg, {"z_min", "z_max"}, {"points", "tol"})
-    z_lo = _positive_length(cfg, exp, "z_min")
-    z_hi = _positive_length(cfg, exp, "z_max")
-    points = _integer(exp.get("points", 40), "experiment.points")
-    tol = _positive(exp.get("tol", 1e-6), "experiment.tol")
+@subcommand("gain-sweep", "geometry", z_min=(length, REQUIRED),
+            z_max=(length, REQUIRED), points=(count, 40), tol=(positive, 1e-6))
+def run_gain_sweep(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     d_f = cfg.bounds.d_f
-    rows = []
-    for z in _log_grid(z_lo, z_hi, points):
-        gain = beam.array_gain_exact(geom, z, tol=tol)
-        rows.append([z, z / d_f, gain])
-    return CsvSeries(["z_m", "z_over_dF", "gain"], rows,
-                     _standard_comments("gain-sweep", cfg))
+    z_grid = _log_grid(exp["z_min"], exp["z_max"], exp["points"], "experiment")
+    rows = [[z, z / d_f, beam.array_gain_exact(cfg.geometry, z, tol=exp["tol"])]
+            for z in z_grid]
+    return CsvSeries(["z_m", "z_over_dF", "gain"], rows)
 
 
-def run_beam_width(cfg: RunConfig) -> CsvSeries:
-    geom = _need_geometry(cfg)
-    exp = _experiment(cfg, {"focal_distances", "x_max"}, {"points"})
-    focals = [cfg.length(v, "experiment.focal_distances")
-              for v in exp["focal_distances"]]
-    x_max = cfg.length(exp["x_max"], "experiment.x_max")
-    points = _integer(exp.get("points", 201), "experiment.points")
-    x = np.linspace(-x_max, x_max, points)
-    comments = _standard_comments("beam-width", cfg)
+@subcommand("beam-width", "geometry", focal_distances=(list_of(length), REQUIRED),
+            x_max=(length, REQUIRED), points=(count, 201))
+def run_beam_width(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    geom = cfg.geometry
+    x = np.linspace(-exp["x_max"], exp["x_max"], exp["points"])
     columns = [x]
     header = ["x_m"]
-    for i, f in enumerate(focals, start=1):
+    comments = []
+    for i, f in enumerate(exp["focal_distances"], start=1):
         columns.append(beam.gain_focal_plane(geom, f, x, 0.0))
         header.append(f"gain_f{i}")
         comments.append(f"f{i}: F={_fmt(f)} m, bw_3db={_fmt(beam.beam_width_3db(geom, f))} m")
-    rows = [[col[i] for col in columns] for i in range(points)]
-    return CsvSeries(header, rows, comments)
+    return CsvSeries(header, list(zip(*columns)), comments)
 
 
-def run_beam_depth(cfg: RunConfig) -> CsvSeries:
-    geom = _need_geometry(cfg)
-    exp = _experiment(cfg, {"focal_distances"}, set())
+@subcommand("beam-depth", "geometry",
+            focal_distances=(list_of(length), REQUIRED))
+def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    geom = cfg.geometry
     rows = []
     a3db = beam.solve_a3db(geom.rows, geom.cols)
-    for raw in exp["focal_distances"]:
-        f = cfg.length(raw, "experiment.focal_distances")
+    for f in exp["focal_distances"]:
         metrics = beam.beam_depth_3db(geom, f, a3db=a3db)
         rows.append([f, metrics.bd_interval[0], metrics.bd_interval[1],
                      metrics.bd_3db, metrics.bw_3db, metrics.a_3db])
     return CsvSeries(
-        ["focal_m", "z_lo_m", "z_hi_m", "bd_3db_m", "bw_3db_m", "a_3db"],
-        rows, _standard_comments("beam-depth", cfg))
+        ["focal_m", "z_lo_m", "z_hi_m", "bd_3db_m", "bw_3db_m", "a_3db"], rows)
 
 
-def run_heatmap(cfg: RunConfig) -> CsvSeries:
-    geom = _need_geometry(cfg)
-    exp = _experiment(cfg, {"focal_distance", "x_max", "z_min", "z_max"},
-                      {"x_points", "z_points"})
-    f = _positive_length(cfg, exp, "focal_distance")
-    z_lo = _positive_length(cfg, exp, "z_min")
-    z_hi = _positive_length(cfg, exp, "z_max")
-    x_max = cfg.length(exp["x_max"], "experiment.x_max")
-    if not math.isfinite(x_max):
-        raise ConfigError("experiment.x_max must be finite")
-    x_grid = np.linspace(-x_max, x_max,
-                         _integer(exp.get("x_points", 81), "experiment.x_points"))
-    z_grid = np.linspace(z_lo, z_hi,
-                         _integer(exp.get("z_points", 81), "experiment.z_points"))
-    gains = beam.beam_pattern_map(geom, (0.0, 0.0, f), x_grid, z_grid)
-    rows = []
-    for i, z in enumerate(z_grid):
-        for j, x in enumerate(x_grid):
-            rows.append([x, z, gains[i, j]])
-    return CsvSeries(["x_m", "z_m", "gain"], rows,
-                     _standard_comments("heatmap", cfg))
+@subcommand("heatmap", "geometry", focal_distance=(length, REQUIRED),
+            x_max=(length, REQUIRED), z_min=(length, REQUIRED),
+            z_max=(length, REQUIRED), x_points=(count, 81), z_points=(count, 81))
+def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    x_grid = np.linspace(-exp["x_max"], exp["x_max"], exp["x_points"])
+    z_grid = np.linspace(exp["z_min"], exp["z_max"], exp["z_points"])
+    gains = beam.beam_pattern_map(cfg.geometry, (0.0, 0.0, exp["focal_distance"]),
+                                  x_grid, z_grid)
+    rows = [[x, z, gains[i, j]] for i, z in enumerate(z_grid)
+            for j, x in enumerate(x_grid)]
+    return CsvSeries(["x_m", "z_m", "gain"], rows)
 
 
-def run_g_of_x(cfg: RunConfig) -> CsvSeries:
-    exp = _experiment(cfg, {"shapes", "x_max"}, {"points"})
-    shapes = exp["shapes"]
-    if not (isinstance(shapes, list)
-            and all(isinstance(mn, list) and len(mn) == 2 for mn in shapes)):
-        raise ConfigError("experiment.shapes: expected a list of [rows, cols]")
-    shapes = [(_integer(m, "experiment.shapes"), _integer(n, "experiment.shapes"))
-              for m, n in shapes]
-    x_max = _positive(exp["x_max"], "experiment.x_max")
-    points = _integer(exp.get("points", 401), "experiment.points")
-    x = np.linspace(-x_max, x_max, points)
+@subcommand("g-of-x", shapes=(list_of(list_of(count, 2)), REQUIRED),
+            x_max=(positive, REQUIRED), points=(count, 401))
+def run_g_of_x(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    x = np.linspace(-exp["x_max"], exp["x_max"], exp["points"])
     header = ["x"]
     columns = [x]
-    comments = _standard_comments("g-of-x", cfg)
-    for m, n in shapes:
+    comments = []
+    for m, n in exp["shapes"]:
         header.append(f"g_{m}x{n}")
         columns.append(beam.g_of_x(m, n, x))
         comments.append(f"a3db_{m}x{n}: {_fmt(beam.solve_a3db(m, n))}")
-    rows = [[col[i] for col in columns] for i in range(points)]
-    return CsvSeries(header, rows, comments)
+    return CsvSeries(header, list(zip(*columns)), comments)
 
 
-def _plan_from_config(cfg: RunConfig, exp: Mapping[str, Any]):
-    geom = _need_geometry(cfg)
-    d_min = None
-    if "d_min" in exp:
-        d_min = cfg.length(exp["d_min"], "experiment.d_min")
-    mode = str(exp.get("depth_parameter", "canonical"))
-    if mode not in ("canonical", "exact"):
-        raise ConfigError("experiment.depth_parameter must be canonical|exact")
-    a3db = depth_mux.planning_depth_parameter(geom, exact=(mode == "exact"))
-    return depth_mux.plan_depth_focal_points(geom, d_min=d_min, a3db=a3db)
+#: experiment keys of the depth-domain focal plan
+_PLAN = {"d_min": (length, None),
+         "depth_parameter": (enum("canonical", "exact"), "canonical")}
 
 
-def run_depth_plan(cfg: RunConfig) -> CsvSeries:
-    geom = _need_geometry(cfg)
-    exp = _experiment(cfg, set(), {"d_min", "depth_parameter", "gain_grid"})
-    plan = _plan_from_config(cfg, exp)
-    comments = _standard_comments("depth-plan", cfg)
-    comments.append(f"d_min: {_fmt(plan.d_min)} m, focal points: "
-                    f"{len(plan.focal_points)}")
-    if "gain_grid" in exp:
-        grid = exp["gain_grid"]
-        if not isinstance(grid, Mapping):
-            raise ConfigError("experiment.gain_grid: expected a mapping")
-        unknown = set(grid) - {"z_min", "z_max", "points"}
-        if unknown:
-            raise ConfigError(f"experiment.gain_grid: unknown keys {sorted(unknown)}")
-        missing = {"z_min", "z_max"} - set(grid)
-        if missing:
-            raise ConfigError(f"experiment.gain_grid: missing keys {sorted(missing)}")
-        prefix = "experiment.gain_grid"
-        z = _log_grid(_positive_length(cfg, grid, "z_min", prefix),
-                      _positive_length(cfg, grid, "z_max", prefix),
-                      _integer(grid.get("points", 200), f"{prefix}.points"))
+def _plan(cfg: RunConfig, exp: Dict[str, Any]):
+    exact = exp["depth_parameter"] == "exact"
+    a3db = depth_mux.planning_depth_parameter(cfg.geometry, exact=exact)
+    return depth_mux.plan_depth_focal_points(cfg.geometry, d_min=exp["d_min"],
+                                             a3db=a3db)
+
+
+@subcommand("depth-plan", "geometry", gain_grid=(Schema({
+    "z_min": (length, REQUIRED), "z_max": (length, REQUIRED),
+    "points": (count, 200)}), None), **_PLAN)
+def run_depth_plan(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    plan = _plan(cfg, exp)
+    comments = [f"d_min: {_fmt(plan.d_min)} m, focal points: "
+                f"{len(plan.focal_points)}"]
+    grid = exp["gain_grid"]
+    if grid is not None:
+        z = _log_grid(grid["z_min"], grid["z_max"], grid["points"],
+                      "experiment.gain_grid")
         header = ["z_m"] + [f"gain_f{i}" for i in range(1, len(plan.focal_points) + 1)]
-        rows = []
-        for zi in z:
-            rows.append([zi] + [beam.gain_axial(geom, f, zi)
-                                for f in plan.focal_points])
+        rows = [[zi] + [beam.gain_axial(cfg.geometry, f, zi)
+                        for f in plan.focal_points] for zi in z]
         return CsvSeries(header, rows, comments)
-    rows = []
-    for i, (f, (lo, hi)) in enumerate(zip(plan.focal_points, plan.intervals),
-                                      start=1):
-        rows.append([i, f, lo, hi])
+    rows = [[i, f, lo, hi] for i, (f, (lo, hi))
+            in enumerate(zip(plan.focal_points, plan.intervals), start=1)]
     return CsvSeries(["index", "focal_m", "z_lo_m", "z_hi_m"], rows, comments)
 
 
-def run_zf_sinr(cfg: RunConfig) -> CsvSeries:
-    geom = _need_geometry(cfg)
-    exp = _experiment(cfg, {"noise_power"},
-                      {"users", "d_min", "depth_parameter", "total_power",
-                       "precoder", "bandwidth"})
-    users_spec = exp.get("users", "from_plan")
-    if users_spec == "from_plan":
-        plan = _plan_from_config(cfg, {k: v for k, v in exp.items()
-                                       if k in ("d_min", "depth_parameter")})
-        users = depth_mux.plan_user_positions(plan, geom)
+@subcommand("zf-sinr", "geometry", noise_power=(non_negative, REQUIRED),
+            users=(either("from_plan", list_of(position)), "from_plan"),
+            total_power=(positive, 1.0), precoder=(enum("zf", "mf"), "zf"),
+            bandwidth=(positive, 1.0), **_PLAN)
+def run_zf_sinr(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    users = exp["users"]
+    if users == "from_plan":
+        users = depth_mux.plan_user_positions(_plan(cfg, exp), cfg.geometry)
+    channel = depth_mux.build_mu_channel(cfg.geometry, users)
+    if exp["precoder"] == "zf":
+        w = depth_mux.zf_precoder(channel.matrix, exp["total_power"])
     else:
-        if not (isinstance(users_spec, list) and all(
-                isinstance(u, list) and len(u) == 3 for u in users_spec)):
-            raise ConfigError("experiment.users: expected from_plan or a list "
-                              "of [x, y, z]")
-        users = [tuple(cfg.length(v, "experiment.users") for v in u)
-                 for u in users_spec]
-    total_power = _positive(exp.get("total_power", 1.0), "experiment.total_power")
-    noise_power = _non_negative(exp["noise_power"], "experiment.noise_power")
-    bandwidth = _positive(exp.get("bandwidth", 1.0), "experiment.bandwidth")
-    channel = depth_mux.build_mu_channel(geom, users)
-    kind = str(exp.get("precoder", "zf"))
-    if kind == "zf":
-        w = depth_mux.zf_precoder(channel.matrix, total_power)
-    elif kind == "mf":
-        w = depth_mux.matched_filter_precoder(channel.matrix, total_power)
-    else:
-        raise ConfigError("experiment.precoder must be zf|mf")
-    sinr, sum_rate = depth_mux.evaluate_sinr(channel.matrix, w, noise_power,
-                                             bandwidth=bandwidth)
+        w = depth_mux.matched_filter_precoder(channel.matrix, exp["total_power"])
+    sinr, sum_rate = depth_mux.evaluate_sinr(channel.matrix, w,
+                                             exp["noise_power"],
+                                             bandwidth=exp["bandwidth"])
     rows = []
     for i, (user, s) in enumerate(zip(users, sinr), start=1):
         rows.append([i, user[0], user[1], user[2], s,
                      10.0 * math.log10(s) if s > 0 else -math.inf, sum_rate])
     return CsvSeries(
-        ["user", "x_m", "y_m", "z_m", "sinr", "sinr_db", "sum_rate"],
-        rows, _standard_comments("zf-sinr", cfg))
+        ["user", "x_m", "y_m", "z_m", "sinr", "sinr_db", "sum_rate"], rows)
 
 
-def _los_link(exp: Mapping[str, Any], k: int, d: float, lam: float):
-    spacing = exp.get("spacing", "optimal")
+#: experiment keys of a LOS MIMO link between two ULAs
+_LINK = {"num_antennas": (count, REQUIRED), "distance_m": (positive, REQUIRED),
+         "spacing": (either("optimal", positive), "optimal")}
+
+
+def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
+    k, d, lam = exp["num_antennas"], exp["distance_m"], cfg.radio.wavelength()
+    spacing = exp["spacing"]
     if spacing == "optimal":
         spacing = mimo_los.optimal_spacing(k, d, lam)
-    else:
-        spacing = _positive(spacing, "experiment.spacing")
     return mimo_los.build_los_mimo(k, spacing, d, lam)
 
 
-def run_los_capacity(cfg: RunConfig) -> CsvSeries:
-    radio = _need_radio(cfg)
+@subcommand("los-capacity", "radio",
+            model=(enum("fresnel", "exact"), "fresnel"), **_LINK)
+def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    radio = cfg.radio
     _need_isotropic(radio)
-    exp = _experiment(cfg, {"num_antennas", "distance_m"},
-                      {"spacing", "model"})
-    k = _integer(exp["num_antennas"], "experiment.num_antennas")
-    d = _positive(exp["distance_m"], "experiment.distance_m")
-    link = _los_link(exp, k, d, radio.wavelength())
-    model = str(exp.get("model", "fresnel"))
-    if model not in ("fresnel", "exact"):
-        raise ConfigError("experiment.model must be fresnel|exact")
-    h = link.h_fresnel if model == "fresnel" else link.h_exact
+    link = _los_link(cfg, exp)
+    h = link.h_fresnel if exp["model"] == "fresnel" else link.h_exact
     eigenvalues, _ = hermitian_eig(h.conj().T @ h)
     eigenvalues = np.maximum(eigenvalues, 0.0)
     b = radio.bandwidth()
     snr = radio.power_over_noise / b
     result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
-    rows = []
-    for i in range(k):
-        rows.append([i + 1, result.eigenvalues[i], result.powers[i],
-                     result.capacity])
+    rows = [[i + 1, result.eigenvalues[i], result.powers[i], result.capacity]
+            for i in range(exp["num_antennas"])]
     return CsvSeries(
-        ["stream", "eigenvalue", "power_fraction", "capacity_bit_per_s"],
-        rows, _standard_comments("los-capacity", cfg))
+        ["stream", "eigenvalue", "power_fraction", "capacity_bit_per_s"], rows)
 
 
-def run_mode_patterns(cfg: RunConfig) -> CsvSeries:
-    radio = _need_radio(cfg)
-    exp = _experiment(cfg, {"num_antennas", "distance_m"},
-                      {"spacing", "num_angles", "num_modes"})
-    k = _integer(exp["num_antennas"], "experiment.num_antennas")
-    d = _positive(exp["distance_m"], "experiment.distance_m")
-    link = _los_link(exp, k, d, radio.wavelength())
-    analysis = mimo_los.mode_analysis(link, num_angles=_integer(
-        exp.get("num_angles", 361), "experiment.num_angles"))
-    n_modes = min(_integer(exp.get("num_modes", 2), "experiment.num_modes"), k)
+@subcommand("mode-patterns", "radio", num_angles=(count, 361),
+            num_modes=(count, 2), **_LINK)
+def run_mode_patterns(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    analysis = mimo_los.mode_analysis(_los_link(cfg, exp),
+                                      num_angles=exp["num_angles"])
+    n_modes = min(exp["num_modes"], exp["num_antennas"])
     header = ["theta_rad"] + [f"mode_{i}" for i in range(1, n_modes + 1)]
-    comments = _standard_comments("mode-patterns", cfg)
-    comments.append("eigenvalue fractions: "
-                    + ", ".join(_fmt(v) for v in analysis.eigenvalue_fractions))
-    rows = []
-    for i, theta in enumerate(analysis.angles):
-        rows.append([theta] + [analysis.patterns[m, i] for m in range(n_modes)])
+    comments = ["eigenvalue fractions: "
+                + ", ".join(_fmt(v) for v in analysis.eigenvalue_fractions)]
+    rows = [[theta] + [analysis.patterns[m, i] for m in range(n_modes)]
+            for i, theta in enumerate(analysis.angles)]
     return CsvSeries(header, rows, comments)
 
 
-def run_capacity_vs_bandwidth(cfg: RunConfig) -> CsvSeries:
-    radio = _need_radio(cfg)
+@subcommand("capacity-vs-bandwidth", "radio", one_of=(("beta", "distance_m"),),
+            b_min_hz=(frequency, REQUIRED), b_max_hz=(frequency, REQUIRED),
+            points=(count, 200), beta=(positive, None),
+            distance_m=(positive, None))
+def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    radio = cfg.radio
     _need_isotropic(radio)
-    exp = _experiment(cfg, {"b_min_hz", "b_max_hz"},
-                      {"points", "beta", "distance_m"})
-    if ("beta" in exp) == ("distance_m" in exp):
-        raise ConfigError("experiment: set exactly one of beta/distance_m")
-    if "beta" in exp:
-        beta = _positive(exp["beta"], "experiment.beta")
-    else:
-        d = _positive(exp["distance_m"], "experiment.distance_m")
-        beta = (radio.wavelength() / (4.0 * np.pi * d)) ** 2
-    grid = _log_grid(parse_frequency(exp["b_min_hz"], "experiment.b_min_hz"),
-                     parse_frequency(exp["b_max_hz"], "experiment.b_max_hz"),
-                     _integer(exp.get("points", 200), "experiment.points"))
+    beta = exp["beta"]
+    if beta is None:
+        beta = (radio.wavelength() / (4.0 * np.pi * exp["distance_m"])) ** 2
+    grid = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"],
+                     "experiment")
     sweep = mimo_los.capacity_bandwidth_sweep(radio.power_over_noise, beta, grid)
     rows = [[b, r, sweep.rate_limit, sweep.bandwidth_80pct]
             for b, r in zip(sweep.bandwidths, sweep.rates)]
     return CsvSeries(
         ["bandwidth_hz", "rate_bit_per_s", "rate_limit_bit_per_s",
-         "bandwidth_80pct_hz"],
-        rows, _standard_comments("capacity-vs-bandwidth", cfg))
+         "bandwidth_80pct_hz"], rows)
 
 
-def run_capacity_vs_frequency(cfg: RunConfig) -> CsvSeries:
-    radio = _need_radio(cfg)
-    exp = _experiment(cfg, {"area_m2", "distance_m", "f_min", "f_max"},
-                      {"points", "gain_model"})
-    area = _positive(exp["area_m2"], "experiment.area_m2")
-    d = _positive(exp["distance_m"], "experiment.distance_m")
-    freqs = _log_grid(parse_frequency(exp["f_min"], "experiment.f_min"),
-                      parse_frequency(exp["f_max"], "experiment.f_max"),
-                      _integer(exp.get("points", 100), "experiment.points"))
-    model = str(exp.get("gain_model", "both"))
-    if model not in ("both", "isotropic", "directive"):
-        raise ConfigError("experiment.gain_model must be both|isotropic|directive")
+@subcommand("capacity-vs-frequency", "radio", area_m2=(positive, REQUIRED),
+            distance_m=(positive, REQUIRED), f_min=(frequency, REQUIRED),
+            f_max=(frequency, REQUIRED), points=(count, 100),
+            gain_model=(enum("both", "isotropic", "directive"), "both"))
+def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    freqs = _log_grid(exp["f_min"], exp["f_max"], exp["points"], "experiment")
+    model = exp["gain_model"]
     variants = ["isotropic", "directive"] if model == "both" else [model]
     sweeps = {}
     for variant in variants:
-        r = dataclasses.replace(radio, tx_gain_model=variant,
+        r = dataclasses.replace(cfg.radio, tx_gain_model=variant,
                                 rx_gain_model=variant)
-        sweeps[variant] = mimo_los.capacity_frequency_sweep(area, d, freqs, r)
+        sweeps[variant] = mimo_los.capacity_frequency_sweep(
+            exp["area_m2"], exp["distance_m"], freqs, r)
     header = ["frequency_hz", "streams"] + [f"capacity_{v}_bit_per_s"
                                             for v in variants]
-    rows = []
-    for i, f in enumerate(freqs):
-        row = [f, sweeps[variants[0]][i].num_streams]
-        row += [sweeps[v][i].capacity for v in variants]
-        rows.append(row)
-    return CsvSeries(header, rows,
-                     _standard_comments("capacity-vs-frequency", cfg))
+    rows = [[f, sweeps[variants[0]][i].num_streams]
+            + [sweeps[v][i].capacity for v in variants]
+            for i, f in enumerate(freqs)]
+    return CsvSeries(header, rows)
 
 
-def run_dof(cfg: RunConfig) -> CsvSeries:
-    exp = _experiment(cfg, {"area_m2"}, {"wavelengths_m", "frequencies"})
-    area = _positive(exp["area_m2"], "experiment.area_m2")
-    wavelengths: List[float] = [_positive(v, "experiment.wavelengths_m")
-                                for v in exp.get("wavelengths_m", [])]
-    for f in exp.get("frequencies", []):
-        wavelengths.append(mimo_los.SPEED_OF_LIGHT
-                           / parse_frequency(f, "experiment.frequencies"))
+@subcommand("dof", area_m2=(positive, REQUIRED),
+            wavelengths_m=(list_of(positive), ()),
+            frequencies=(list_of(frequency), ()))
+def run_dof(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    wavelengths = list(exp["wavelengths_m"]) + [
+        mimo_los.SPEED_OF_LIGHT / f for f in exp["frequencies"]]
     if not wavelengths:
         raise ConfigError("experiment: need wavelengths_m or frequencies")
+    area = exp["area_m2"]
     rows = [[lam, area, mimo_los.spatial_dof(area, lam)] for lam in wavelengths]
-    return CsvSeries(["wavelength_m", "area_m2", "dof"], rows,
-                     _standard_comments("dof", cfg))
-
-
-RUNNERS = {
-    "regions": run_regions,
-    "gain-sweep": run_gain_sweep,
-    "beam-width": run_beam_width,
-    "beam-depth": run_beam_depth,
-    "heatmap": run_heatmap,
-    "g-of-x": run_g_of_x,
-    "depth-plan": run_depth_plan,
-    "zf-sinr": run_zf_sinr,
-    "los-capacity": run_los_capacity,
-    "mode-patterns": run_mode_patterns,
-    "capacity-vs-bandwidth": run_capacity_vs_bandwidth,
-    "capacity-vs-frequency": run_capacity_vs_frequency,
-    "dof": run_dof,
-}
+    return CsvSeries(["wavelength_m", "area_m2", "dof"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(series: CsvSeries, out: Optional[str], cfg: RunConfig) -> None:
-    target = out if out is not None else cfg.output
-    if target in (None, "-"):
-        series.write(sys.stdout)
-    else:
-        with open(target, "w") as fh:
-            series.write(fh)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.subcommand == "compare-golden":
@@ -583,16 +418,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_CONFIG_ERROR
         print("\n".join(report))
         return 0 if passed else 1
+    name = args.subcommand
     try:
         cfg = load_config(args.config)
-        series = RUNNERS[args.subcommand](cfg)
+        needs, schema = SCHEMAS[name]
+        if needs and getattr(cfg, needs) is None:
+            raise ConfigError(f"{name} requires a {needs} block")
+        exp = schema.validate(cfg.experiment, "experiment", cfg.units)
+        series = RUNNERS[name](cfg, exp)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (AccuracyError, BracketError, RankError, np.linalg.LinAlgError) as exc:
-        print(f"numeric error in {args.subcommand}: {exc}", file=sys.stderr)
+        print(f"numeric error in {name}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
-    _emit(series, args.out, cfg)
+    series.comments[:0] = [f"nearfield {__version__}", f"subcommand: {name}",
+                           f"config-sha256: {cfg.config_hash()}"]
+    target = args.out if args.out is not None else cfg.output
+    if target in (None, "-"):
+        series.write(sys.stdout)
+    else:
+        with open(target, "w") as fh:
+            series.write(fh)
     return 0
 
 

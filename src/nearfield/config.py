@@ -1,4 +1,5 @@
-"""Run-config parsing: YAML tree, unit-tagged quantities, validation."""
+"""Run-config parsing: YAML tree, unit-tagged quantities, and one
+table-driven validator for every config block."""
 
 from __future__ import annotations
 
@@ -6,12 +7,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import yaml
 
 from .geometry import ArrayGeometry, build_upa
-from .mimo_los import SPEED_OF_LIGHT, RadioParams
+from .mimo_los import GAIN_MODELS, SPEED_OF_LIGHT, RadioParams
 from .regions import RegionBounds, boundary_distances
 
 
@@ -23,21 +24,25 @@ _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
 _LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "cm": 1e-2, "km": 1e3}
 
 
-def _split_quantity(value: str) -> tuple[float, str]:
+def _split_quantity(value: str, where: str) -> tuple[float, str]:
     parts = value.split()
     if len(parts) != 2:
-        raise ConfigError(f"expected '<number> <unit>', got {value!r}")
+        raise ConfigError(f"{where}: expected '<number> <unit>', got {value!r}")
     try:
         return float(parts[0]), parts[1]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value in {value!r}") from exc
+    except ValueError:
+        raise ConfigError(f"{where}: bad numeric value in {value!r}") from None
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def parse_frequency(value: Any, where: str) -> float:
-    if isinstance(value, (int, float)):
-        return float(value)
+    if _is_number(value):
+        return _float(value, where, None)
     if isinstance(value, str):
-        num, unit = _split_quantity(value)
+        num, unit = _split_quantity(value, where)
         if unit.lower() not in _FREQ_UNITS:
             raise ConfigError(f"{where}: unknown frequency unit {unit!r}")
         return num * _FREQ_UNITS[unit.lower()]
@@ -48,12 +53,12 @@ def parse_length(value: Any, where: str, wavelength: Optional[float] = None,
                  bounds: Optional[RegionBounds] = None) -> float:
     """Length in meters; accepts numbers (meters), 'inf', and unit-tagged
     strings ('2 m', '0.25 lambda', '1000 dF', '0.04 dFA', '1 dB')."""
-    if isinstance(value, (int, float)):
-        return float(value)
+    if _is_number(value):
+        return _float(value, where, None)
     if isinstance(value, str):
         if value.strip().lower() in ("inf", "infinity"):
             return math.inf
-        num, unit = _split_quantity(value)
+        num, unit = _split_quantity(value, where)
         key = unit.lower()
         if key in _LENGTH_UNITS:
             return num * _LENGTH_UNITS[key]
@@ -70,22 +75,226 @@ def parse_length(value: Any, where: str, wavelength: Optional[float] = None,
     raise ConfigError(f"{where}: expected length, got {value!r}")
 
 
-def _require_mapping(node: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(node, Mapping):
-        raise ConfigError(f"{where}: expected a mapping block")
-    return node
+@dataclass(frozen=True)
+class Units:
+    """What relative lengths refer to: `lambda` to the wavelength, and
+    `dF`, `dFA`, `dB` and `dN` to the region bounds of the geometry."""
+
+    wavelength: Optional[float] = None
+    bounds: Optional[RegionBounds] = None
 
 
-def _check_keys(node: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(node) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+# ---------------------------------------------------------------------------
+# kinds: each checks one config value at dotted key `where` and returns it
+# parsed, or raises ConfigError naming `where`
+
+Kind = Callable[[Any, str, Units], Any]
+#: The default of a key that must be set.
+REQUIRED = object()
+
+
+def _float(value: Any, where: str, units: Units) -> float:
+    """A number. A numeric string counts, because YAML 1.1 reads `1e-6`
+    (no decimal point) as text."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+def _int(value: Any, where: str, units: Units) -> int:
+    """A YAML integer: `2.7`, `"40"` and `true` are not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _ranged(parse: Kind, test: Callable[[float], bool], what: str) -> Kind:
+    """The values that `parse` reads as a number passing `test`."""
+    def check(value: Any, where: str, units: Units) -> Any:
+        result = parse(value, where, units)
+        if not test(result):
+            raise ConfigError(f"{where}: must be {what}, got {value!r}")
+        return result
+    return check
+
+
+def _length(value: Any, where: str, units: Units) -> float:
+    return parse_length(value, where, units.wavelength, units.bounds)
+
+
+count = _ranged(_int, lambda n: n >= 1, "at least 1")
+number = _ranged(_float, math.isfinite, "finite")
+positive = _ranged(_float, lambda x: 0 < x < math.inf, "finite and positive")
+non_negative = _ranged(_float, lambda x: 0 <= x < math.inf,
+                       "finite and non-negative")
+coordinate = _ranged(_length, math.isfinite, "finite")
+length = _ranged(_length, lambda x: 0 < x < math.inf, "finite and positive")
+frequency = _ranged(lambda value, where, units: parse_frequency(value, where),
+                    lambda f: 0 < f < math.inf, "finite and positive")
+
+
+def text(value: Any, where: str, units: Units) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def block(value: Any, where: str, units: Units) -> Mapping[str, Any]:
+    """A mapping checked later, against its subcommand's table."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where}: expected a mapping block, got {value!r}")
+    return value
+
+
+def enum(*words: str) -> Kind:
+    def check(value: Any, where: str, units: Units) -> str:
+        if value not in words:
+            raise ConfigError(f"{where}: expected {'|'.join(words)}, "
+                              f"got {value!r}")
+        return value
+    check.words = words
+    return check
+
+
+def list_of(item: Kind, size: Optional[int] = None) -> Kind:
+    """A non-empty list of `item`s, of exactly `size` if given."""
+    def check(value: Any, where: str, units: Units) -> list:
+        if not isinstance(value, list) or not value \
+                or size not in (None, len(value)):
+            raise ConfigError(f"{where}: expected a list of "
+                              f"{size or 'one or more'}, got {value!r}")
+        return [item(v, f"{where}[{i}]", units) for i, v in enumerate(value)]
+    check.item, check.size = item, size
+    return check
+
+
+def either(word: str, kind: Kind) -> Kind:
+    """The literal `word`, or a value of `kind`."""
+    def check(value: Any, where: str, units: Units) -> Any:
+        return word if value == word else kind(value, where, units)
+    check.word, check.kind = word, kind
+    return check
+
+
+_XYZ = list_of(coordinate, 3)
+
+
+def position(value: Any, where: str, units: Units) -> Tuple[float, ...]:
+    """A point [x, y, z] in front of the array, so z > 0."""
+    x, y, z = _XYZ(value, where, units)
+    if not z > 0:
+        raise ConfigError(f"{where}: z must be positive, got {value!r}")
+    return (x, y, z)
+
+
+@dataclass(frozen=True)
+class Schema:
+    """One config block: key -> (kind, default or REQUIRED).
+
+    Of each `one_of` pair at most one key may be set, and the other one is
+    then None, not its default. If neither is set, their defaults apply,
+    unless both are None: then one must be set.
+    """
+
+    keys: Mapping[str, Tuple[Kind, Any]]
+    one_of: Tuple[Tuple[str, str], ...] = ()
+
+    def validate(self, node: Any, where: str,
+                 units: Union[Units, Callable[[dict], Units]] = Units()
+                 ) -> Dict[str, Any]:
+        """The block `node` at dotted key `where` ("" for the root), with
+        every key parsed or defaulted. `units` may be a function of the
+        values parsed so far, in table order, for a block that sets its
+        own wavelength. A Schema is itself the kind of a nested block."""
+        name = where or "config root"
+        if not isinstance(node, Mapping):
+            raise ConfigError(f"{name}: expected a mapping block, got {node!r}")
+        unknown = set(node) - set(self.keys)
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {sorted(unknown, key=str)}")
+        missing = [key for key, (_, default) in self.keys.items()
+                   if default is REQUIRED and key not in node]
+        if missing:
+            raise ConfigError(f"{name}: missing keys {missing}")
+        for pair in self.one_of:
+            given = [key for key in pair if key in node]
+            if len(given) == 2 or not (given or any(
+                    self.keys[key][1] is not None for key in pair)):
+                raise ConfigError(f"{name}: set {'only ' if given else ''}one "
+                                  f"of {'/'.join(pair)}")
+        out: Dict[str, Any] = {}
+        for key, (kind, default) in self.keys.items():
+            if key not in node:
+                out[key] = default
+                continue
+            context = units(out) if callable(units) else units
+            out[key] = kind(node[key], f"{where}.{key}" if where else key,
+                            context)
+        for pair in self.one_of:
+            if any(key in node for key in pair):
+                out.update({key: None for key in pair if key not in node})
+        return out
+
+    __call__ = validate
+
+
+# ---------------------------------------------------------------------------
+# the geometry, radio and root blocks
+
+GEOMETRY = Schema({
+    "rows": (count, REQUIRED),
+    "cols": (count, REQUIRED),
+    "wavelength": (length, None),
+    "frequency": (frequency, None),
+    "element_side": (length, REQUIRED),
+}, one_of=(("wavelength", "frequency"),))
+
+RADIO = Schema({
+    "frequency": (frequency, REQUIRED),
+    "power_over_noise_db": (number, REQUIRED),
+    "bandwidth_fraction": (positive, RadioParams.bandwidth_fraction),
+    "bandwidth_hz": (frequency, None),
+    "tx_gain_model": (enum(*GAIN_MODELS), RadioParams.tx_gain_model),
+    "rx_gain_model": (enum(*GAIN_MODELS), RadioParams.rx_gain_model),
+}, one_of=(("bandwidth_fraction", "bandwidth_hz"),))
+
+
+def _wavelength(values: Mapping[str, Any]) -> Optional[float]:
+    """The geometry's wavelength, once its keys are parsed."""
+    if values.get("frequency"):
+        return SPEED_OF_LIGHT / values["frequency"]
+    return values.get("wavelength")
+
+
+def _geometry(node: Any, where: str, units: Units) -> ArrayGeometry:
+    """The geometry block; its `lambda` unit is its own wavelength."""
+    g = GEOMETRY.validate(node, where,
+                          lambda parsed: Units(wavelength=_wavelength(parsed)))
+    return build_upa(g["rows"], g["cols"], g["element_side"], _wavelength(g))
+
+
+def _radio(node: Any, where: str, units: Units) -> RadioParams:
+    r = RADIO.validate(node, where)
+    return RadioParams(carrier_frequency=r.pop("frequency"), **r)
+
+
+ROOT = Schema({
+    "geometry": (_geometry, None),
+    "radio": (_radio, None),
+    "experiment": (block, {}),
+    "output": (text, None),
+})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed run configuration: geometry/radio blocks plus the raw
-    experiment mapping for the chosen subcommand."""
+    experiment mapping, which the chosen subcommand's table checks."""
 
     raw: Mapping[str, Any]
     geometry: Optional[ArrayGeometry]
@@ -99,61 +308,15 @@ class RunConfig:
             raise ConfigError("config has no geometry block")
         return boundary_distances(self.geometry)
 
-    def length(self, value: Any, where: str) -> float:
-        lam = self.geometry.wavelength if self.geometry else None
-        bounds = boundary_distances(self.geometry) if self.geometry else None
-        return parse_length(value, where, wavelength=lam, bounds=bounds)
+    @property
+    def units(self) -> Units:
+        if self.geometry is None:
+            return Units()
+        return Units(self.geometry.wavelength, self.bounds)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, default=str)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def _parse_geometry(node: Mapping[str, Any]) -> ArrayGeometry:
-    _check_keys(node, {"rows", "cols", "element_side", "wavelength",
-                       "frequency"}, "geometry")
-    for key in ("rows", "cols", "element_side"):
-        if key not in node:
-            raise ConfigError(f"geometry: missing key {key!r}")
-    if ("wavelength" in node) == ("frequency" in node):
-        raise ConfigError("geometry: set exactly one of wavelength/frequency")
-    if "wavelength" in node:
-        lam = parse_length(node["wavelength"], "geometry.wavelength")
-    else:
-        lam = SPEED_OF_LIGHT / parse_frequency(node["frequency"],
-                                               "geometry.frequency")
-    side = parse_length(node["element_side"], "geometry.element_side",
-                        wavelength=lam)
-    try:
-        return build_upa(int(node["rows"]), int(node["cols"]), side, lam)
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
-
-
-def _parse_radio(node: Mapping[str, Any]) -> RadioParams:
-    _check_keys(node, {"frequency", "power_over_noise_db", "bandwidth_fraction",
-                       "bandwidth_hz", "tx_gain_model", "rx_gain_model"},
-                "radio")
-    for key in ("frequency", "power_over_noise_db"):
-        if key not in node:
-            raise ConfigError(f"radio: missing key {key!r}")
-    kwargs: dict[str, Any] = {
-        "carrier_frequency": parse_frequency(node["frequency"], "radio.frequency"),
-        "power_over_noise_db": float(node["power_over_noise_db"]),
-    }
-    if "bandwidth_hz" in node:
-        kwargs["bandwidth_hz"] = parse_frequency(node["bandwidth_hz"],
-                                                 "radio.bandwidth_hz")
-        kwargs["bandwidth_fraction"] = None
-    elif "bandwidth_fraction" in node:
-        kwargs["bandwidth_fraction"] = float(node["bandwidth_fraction"])
-    for key in ("tx_gain_model", "rx_gain_model"):
-        if key in node:
-            kwargs[key] = str(node[key])
-    try:
-        return RadioParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"radio: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -166,18 +329,4 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config {path!r} is not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}
-    raw = _require_mapping(raw, "config root")
-    _check_keys(raw, {"geometry", "radio", "experiment", "output"}, "config root")
-    geometry = None
-    if "geometry" in raw:
-        geometry = _parse_geometry(_require_mapping(raw["geometry"], "geometry"))
-    radio = None
-    if "radio" in raw:
-        radio = _parse_radio(_require_mapping(raw["radio"], "radio"))
-    experiment = raw.get("experiment", {})
-    if experiment is None:
-        experiment = {}
-    experiment = _require_mapping(experiment, "experiment")
-    output = raw.get("output")
-    return RunConfig(raw=raw, geometry=geometry, radio=radio,
-                     experiment=experiment, output=output)
+    return RunConfig(raw=raw, **ROOT.validate(raw, ""))

@@ -70,8 +70,8 @@ def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
     bounds = boundary_distances(geom)
     if d_min is None:
         d_min = bounds.d_b
-    if d_min <= 0:
-        raise ValueError("d_min must be positive")
+    if not 0 < d_min < math.inf:
+        raise ValueError("d_min must be finite and positive")
     if d_min < bounds.d_b:
         warnings.warn("d_min below d_B: gain and interval approximations "
                       "degrade close to the array", stacklevel=2)

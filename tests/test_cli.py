@@ -1,12 +1,14 @@
 import io
-import re
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from nearfield import config
 from nearfield.cli import (
+    SCHEMAS,
     CsvSeries,
     EXIT_CONFIG_ERROR,
     EXIT_NUMERIC_ERROR,
@@ -40,6 +42,101 @@ CASES = {
 
 def run_subcommand(config, subcommand, out):
     return main([subcommand, "--config", str(config), "--out", str(out)])
+
+
+def config_with(tmp_path, base, key, value, drop=None):
+    """Write the config text `base` with the dotted `key` set to the YAML
+    text `value`, and its sibling key `drop` removed."""
+    tree = yaml.safe_load(base)
+    *blocks, leaf = key.split(".")
+    node = tree
+    for name in blocks:
+        node = node[name]
+    node[leaf] = yaml.safe_load(value)
+    node.pop(drop, None)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    return path
+
+
+def assert_config_error(capsys, subcommand, cfg, key):
+    assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
+        == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+BEAM_DEPTH_BASE = """\
+geometry:
+  rows: 30
+  cols: 40
+  element_side: "0.25 lambda"
+  frequency: "3 GHz"
+experiment:
+  focal_distances: ["0.1 dFA"]
+"""
+
+#: YAML values of each leaf kind: (wrong types, out of range)
+BAD_VALUES = {
+    config.count: (("2.7", "true", '"40"'), ("0", "-1")),
+    config.positive: (('"abc"', "true"), ("0", "-1", ".inf")),
+    config.non_negative: (('"abc"', "[1]"), ("-1", ".nan")),
+    config.number: (("true", "[1]"), (".nan", "-.inf")),
+    config.length: (("true", "[1]"), ("0", "-1", ".nan", ".inf")),
+    config.frequency: (('"abc"', "true"), ('"0 GHz"', "-.inf")),
+    config.position: (("[0, 0]", '[0, 0, "x"]'), ("[0, 0, -1]", "[.nan, 0, 1]")),
+}
+
+
+def bad_values(kind):
+    """Wrong-type and out-of-range YAML values for a kind of a table."""
+    if kind in BAD_VALUES:
+        return BAD_VALUES[kind]
+    if hasattr(kind, "words"):
+        return ("5",), ('"bogus"',)
+    if hasattr(kind, "item"):
+        item = bad_values(kind.item)[1][0]
+        return ("5",), ("[]", "[" + ", ".join([item] * (kind.size or 1)) + "]")
+    if hasattr(kind, "word"):
+        wrong, out = bad_values(kind.kind)
+        return wrong + (f'"{kind.word}x"',), out
+    raise KeyError(f"no bad values for kind {kind!r}")
+
+
+def table_cases(prefix, schema):
+    """(dotted key, its one-of partner, bad value) for every key."""
+    for key, (kind, _) in schema.keys.items():
+        dotted = f"{prefix}.{key}"
+        partner = next((a if b == key else b
+                        for a, b in schema.one_of if key in (a, b)), None)
+        if isinstance(kind, config.Schema):
+            yield dotted, partner, "5"
+            yield from table_cases(dotted, kind)
+            continue
+        for values in bad_values(kind):
+            for value in values:
+                yield dotted, partner, value
+
+
+def schema_cases():
+    bases = {"beam-depth": BEAM_DEPTH_BASE}
+    for config_name, (subcommand, _) in CASES.items():
+        bases.setdefault(subcommand, (CONFIGS / config_name).read_text())
+    tables = [("regions", "geometry", config.GEOMETRY),
+              ("los-capacity", "radio", config.RADIO)]
+    tables += [(name, "experiment", schema)
+               for name, (_, schema) in SCHEMAS.items()]
+    cases = []
+    for subcommand, prefix, schema in tables:
+        for key, drop, value in table_cases(prefix, schema):
+            cases.append((f"{subcommand}-{key}-{value}", subcommand,
+                          bases[subcommand], key, value, drop))
+    return cases
+
+
+SCHEMA_CASES = schema_cases()
 
 
 class TestCsvSeries:
@@ -236,24 +333,83 @@ class TestCliBehavior:
         ("zf_sinr.yaml", "zf-sinr", "total_power", '"abc"'),
         ("zf_sinr.yaml", "zf-sinr", "users", "[[0, 0]]"),
         ("los_capacity.yaml", "los-capacity", "spacing", "-0.1"),
+        ("fig5_beam_width.yaml", "beam-width", "focal_distances", "5"),
+        ("fig5_beam_width.yaml", "beam-width", "focal_distances", "[-1]"),
+        ("fig5_beam_width.yaml", "beam-width", "x_max", ".inf"),
+        ("regions.yaml", "regions", "classify", "5"),
+        ("regions.yaml", "regions", "classify", "[-1]"),
+        ("zf_sinr.yaml", "zf-sinr", "users", "[[0, 0, -1]]"),
+        ("zf_sinr.yaml", "zf-sinr", "users", "[[0, 0, .nan]]"),
+        ("zf_sinr.yaml", "zf-sinr", "d_min", "-1"),
+        ("dof.yaml", "dof", "frequencies", '["0 GHz"]'),
+        ("dof.yaml", "dof", "frequencies", "5"),
+        ("fig4_gain_sweep.yaml", "gain-sweep", "points", "2.7"),
+        ("fig10_depth_plan.yaml", "depth-plan", "d_min", "-1"),
+        ("fig10_depth_plan.yaml", "depth-plan", "d_min", ".nan"),
     ])
     def test_invalid_experiment_value_exit_code(self, tmp_path, capsys,
                                                 config_name, subcommand, key,
                                                 value):
-        # a dotted key names a nested config line by its last part
-        text = (CONFIGS / config_name).read_text()
-        leaf = key.rsplit(".", 1)[-1]
-        text, count = re.subn(rf"(?m)^( +){leaf}: .*$", rf"\g<1>{leaf}: {value}",
-                              text)
-        assert count == 1
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(text)
-        assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
+        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(),
+                          f"experiment.{key}", value)
+        assert_config_error(capsys, subcommand, cfg, f"experiment.{key}")
+
+    @pytest.mark.parametrize("config_name,subcommand,key,value", [
+        ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
+         '"abc"'),
+        ("fig10_depth_plan.yaml", "depth-plan", "geometry.rows", "[1]"),
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
+         "radio.bandwidth_fraction", '"abc"'),
+        ("regions.yaml", "regions", "geometry.frequency", '"0 GHz"'),
+        ("regions.yaml", "regions", "geometry.rows", "2.7"),
+        ("regions.yaml", "regions", "geometry.wavelength", ".nan"),
+    ])
+    def test_invalid_block_value_exit_code(self, tmp_path, capsys,
+                                           config_name, subcommand, key,
+                                           value):
+        drop = "frequency" if key == "geometry.wavelength" else None
+        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(), key,
+                          value, drop)
+        assert_config_error(capsys, subcommand, cfg, key)
+
+    @pytest.mark.parametrize("case", SCHEMA_CASES,
+                             ids=[case[0] for case in SCHEMA_CASES])
+    def test_schema_value_exit_code(self, tmp_path, capsys, case):
+        # one case per bad value of every key of every table, so a new key
+        # is covered as soon as its table names it
+        _, subcommand, base, key, value, drop = case
+        cfg = config_with(tmp_path, base, key, value, drop)
+        assert_config_error(capsys, subcommand, cfg, key)
+
+    def test_integer_beyond_float_range_exit_code(self, tmp_path, capsys):
+        huge = "1" + "0" * 400  # YAML reads it as an int float() overflows on
+        for config_name, subcommand, key, value in [
+                ("fig4_gain_sweep.yaml", "gain-sweep", "tol", huge),
+                ("regions.yaml", "regions", "classify", f"[{huge}]")]:
+            cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(),
+                              f"experiment.{key}", value)
+            assert_config_error(capsys, subcommand, cfg, f"experiment.{key}")
+
+    def test_quantity_error_names_key(self, tmp_path, capsys):
+        cfg = config_with(tmp_path, (CONFIGS / "fig5_beam_width.yaml")
+                          .read_text(), "experiment.x_max", '"abc"')
+        assert main(["beam-width", "--config", str(cfg), "--out", "-"]) \
             == EXIT_CONFIG_ERROR
-        captured = capsys.readouterr()
-        assert f"experiment.{key}" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
+        assert capsys.readouterr().err.startswith(
+            "config error: experiment.x_max: expected '<number> <unit>'")
+
+    def test_beam_depth(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(BEAM_DEPTH_BASE)
+        assert main(["beam-depth", "--config", str(cfg), "--out", "-"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if not l.startswith("#")]
+        assert lines[0] == "focal_m,z_lo_m,z_hi_m,bd_3db_m,bw_3db_m,a_3db"
+        assert len(lines) == 2
+        cfg = config_with(tmp_path, BEAM_DEPTH_BASE,
+                          "experiment.focal_distances", "[-1]")
+        assert_config_error(capsys, "beam-depth", cfg,
+                            "experiment.focal_distances")
 
     def test_quadrature_not_converged_exit_code(self, tmp_path, capsys):
         # a 20 lambda element within two wavelengths needs more than order 64

@@ -4,6 +4,7 @@ import pytest
 
 from nearfield.config import (
     ConfigError,
+    length,
     load_config,
     parse_frequency,
     parse_length,
@@ -52,10 +53,10 @@ class TestQuantityParsing:
     def test_length_boundary_units(self, tmp_path):
         cfg = load_config(write(tmp_path, GEOMETRY))
         b = cfg.bounds
-        assert cfg.length("10 dF", "t") == pytest.approx(10 * b.d_f)
-        assert cfg.length("0.04 dFA", "t") == pytest.approx(0.04 * b.d_fa)
-        assert cfg.length("1 dB", "t") == pytest.approx(b.d_b)
-        assert cfg.length("2 dN", "t") == pytest.approx(2 * b.d_n)
+        assert length("10 dF", "t", cfg.units) == pytest.approx(10 * b.d_f)
+        assert length("0.04 dFA", "t", cfg.units) == pytest.approx(0.04 * b.d_fa)
+        assert length("1 dB", "t", cfg.units) == pytest.approx(b.d_b)
+        assert length("2 dN", "t", cfg.units) == pytest.approx(2 * b.d_n)
 
     def test_length_errors(self):
         with pytest.raises(ConfigError):

@@ -104,6 +104,12 @@ class TestFocalPlan:
         with pytest.raises(ValueError):
             plan_depth_focal_points(half_wave_square(50), d_min=0.0)
 
+    @pytest.mark.parametrize("d_min", [math.nan, math.inf, -1.0])
+    def test_non_finite_d_min(self, d_min):
+        # NaN fails every comparison, so the packing loop would never stop
+        with pytest.raises(ValueError, match="finite and positive"):
+            plan_depth_focal_points(half_wave_square(50), d_min=d_min)
+
 
 class TestUserPositions:
     def test_positions_on_axis_inside_intervals(self):
