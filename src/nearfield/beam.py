@@ -9,7 +9,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .field import (element_field_integrals, fresnel_channel_vector,
-                    spherical_phase)
+                    spherical_phasors)
 from .geometry import ArrayGeometry
 from .numerics import fresnel_cs, solve_scalar_root
 from .regions import boundary_distances
@@ -159,13 +159,27 @@ def beam_depth_square(geom: ArrayGeometry, focal_distance: float) -> float:
     return 2.0 * c * d_fa * f**2 / (d_fa**2 - c**2 * f**2)
 
 
-def _pattern_row(centers: np.ndarray, wavelength: float, weights: np.ndarray,
-                 x_grid: np.ndarray, z: float) -> np.ndarray:
-    """|weights . h(p)|^2 for p = (x, 0, z) over the x grid."""
+def _pattern_row(x_cols: np.ndarray, y_rows: np.ndarray, wavelength: float,
+                 weights: np.ndarray, x_grid: np.ndarray,
+                 z: float) -> np.ndarray:
+    """|sum_k w_k h_k(p)|^2 for p = (x, 0, z) over the x grid, where the
+    elements are the grid of `x_cols` by `y_rows` and `weights` is a
+    (rows, cols, 2) array of [Re w, Im w].
+
+    The sum runs block by block over the phasors of `spherical_phasors`, as
+    real matrix products of their real and imaginary parts with `weights`.
+    """
     points = np.column_stack([x_grid, np.zeros_like(x_grid),
                               np.full_like(x_grid, z)])
-    phases, _ = spherical_phase(centers, wavelength, points)
-    return np.abs(np.exp(1j * phases) @ weights) ** 2
+    cos_w = np.zeros((len(points), 2))  # sum of cos * [Re w, Im w]
+    sin_w = np.zeros((len(points), 2))  # sum of sin * [Re w, Im w]
+    for ps, rs, cs, re, im in spherical_phasors(x_cols, y_rows, wavelength,
+                                                points):
+        w = weights[rs, cs].reshape(-1, 2)
+        cos_w[ps] += re.reshape(len(re), -1) @ w
+        sin_w[ps] += im.reshape(len(im), -1) @ w
+    return ((cos_w[:, 0] - sin_w[:, 1]) ** 2
+            + (cos_w[:, 1] + sin_w[:, 0]) ** 2)
 
 
 def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
@@ -189,8 +203,10 @@ def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
     folded = w + w[::-1]
     if m % 2:
         folded[m // 2] *= 0.5  # the y = 0 row is its own mirror
-    weights = folded[m // 2:].ravel()
-    centers = geom.element_centers()[(m // 2) * n:]
-    rows = [_pattern_row(centers, geom.wavelength, weights, x_grid, z)
+    folded = folded[m // 2:]
+    weights = np.stack([folded.real, folded.imag], axis=-1)
+    x_cols, y_rows = geom.element_axes()
+    rows = [_pattern_row(x_cols, y_rows[m // 2:], geom.wavelength, weights,
+                         x_grid, z)
             for z in z_grid]
     return np.vstack(rows) / geom.num_elements**2

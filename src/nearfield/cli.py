@@ -238,8 +238,11 @@ _PLAN = {"d_min": (length, None),
 def _plan(cfg: RunConfig, exp: Dict[str, Any]):
     exact = exp["depth_parameter"] == "exact"
     a3db = depth_mux.planning_depth_parameter(cfg.geometry, exact=exact)
-    return depth_mux.plan_depth_focal_points(cfg.geometry, d_min=exp["d_min"],
-                                             a3db=a3db)
+    try:
+        return depth_mux.plan_depth_focal_points(
+            cfg.geometry, d_min=exp["d_min"], a3db=a3db)
+    except ValueError as exc:
+        raise ConfigError(f"experiment.d_min: {exc}") from None
 
 
 @subcommand("depth-plan", "geometry", gain_grid=(Schema({
@@ -270,7 +273,10 @@ def run_zf_sinr(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     users = exp["users"]
     if users == "from_plan":
         users = depth_mux.plan_user_positions(_plan(cfg, exp), cfg.geometry)
-    channel = depth_mux.build_mu_channel(cfg.geometry, users)
+    try:
+        channel = depth_mux.build_mu_channel(cfg.geometry, users)
+    except ValueError as exc:  # a user position beyond the float range
+        raise ConfigError(f"experiment.users: {exc}") from None
     if exp["precoder"] == "zf":
         w = depth_mux.zf_precoder(channel.matrix, exp["total_power"])
     else:
@@ -296,7 +302,10 @@ def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
     spacing = exp["spacing"]
     if spacing == "optimal":
         spacing = mimo_los.optimal_spacing(k, d, lam)
-    return mimo_los.build_los_mimo(k, spacing, d, lam)
+    try:
+        return mimo_los.build_los_mimo(k, spacing, d, lam)
+    except ValueError as exc:  # the link leaves the float range
+        raise ConfigError(f"experiment.distance_m: {exc}") from None
 
 
 @subcommand("los-capacity", "radio",
@@ -338,12 +347,20 @@ def run_mode_patterns(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     radio = cfg.radio
     _need_isotropic(radio)
-    beta = exp["beta"]
-    if beta is None:
-        beta = (radio.wavelength() / (4.0 * np.pi * exp["distance_m"])) ** 2
+    beta, key = exp["beta"], "experiment.beta"
     grid = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"],
                      "experiment")
-    sweep = mimo_los.capacity_bandwidth_sweep(radio.power_over_noise, beta, grid)
+    try:
+        if beta is None:
+            key = "experiment.distance_m"
+            beta = mimo_los.free_space_gain(radio.wavelength(),
+                                            exp["distance_m"])
+        sweep = mimo_los.capacity_bandwidth_sweep(radio.power_over_noise,
+                                                  beta, grid)
+    except BracketError:  # a numeric failure, not a value out of range
+        raise
+    except ValueError as exc:  # the path gain or P beta out of range
+        raise ConfigError(f"{key}: {exc}") from None
     rows = [[b, r, sweep.rate_limit, sweep.bandwidth_80pct]
             for b, r in zip(sweep.bandwidths, sweep.rates)]
     return CsvSeries(
@@ -363,8 +380,11 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     for variant in variants:
         r = dataclasses.replace(cfg.radio, tx_gain_model=variant,
                                 rx_gain_model=variant)
-        sweeps[variant] = mimo_los.capacity_frequency_sweep(
-            exp["area_m2"], exp["distance_m"], freqs, r)
+        try:
+            sweeps[variant] = mimo_los.capacity_frequency_sweep(
+                exp["area_m2"], exp["distance_m"], freqs, r)
+        except ValueError as exc:  # the path gain out of range
+            raise ConfigError(f"experiment.distance_m: {exc}") from None
     header = ["frequency_hz", "streams"] + [f"capacity_{v}_bit_per_s"
                                             for v in variants]
     rows = [[f, sweeps[variants[0]][i].num_streams]

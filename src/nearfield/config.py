@@ -280,7 +280,10 @@ def _geometry(node: Any, where: str, units: Units) -> ArrayGeometry:
 
 def _radio(node: Any, where: str, units: Units) -> RadioParams:
     r = RADIO.validate(node, where)
-    return RadioParams(carrier_frequency=r.pop("frequency"), **r)
+    try:
+        return RadioParams(carrier_frequency=r.pop("frequency"), **r)
+    except ValueError as exc:  # "<field>: ...", a value out of range
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 ROOT = Schema({

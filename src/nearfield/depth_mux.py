@@ -11,7 +11,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .beam import solve_a3db
-from .field import spherical_phase
+from .field import phasor_rows
 from .geometry import ArrayGeometry
 from .numerics import RankError
 from .regions import boundary_distances
@@ -65,19 +65,28 @@ def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
     The first focal point is at infinity and covers [d_F/(8 a3dB), inf);
     each subsequent interval's upper endpoint equals the previous lower
     endpoint. Focal points below d_min are not admitted. d_min defaults to
-    the geometry's d_B bound.
+    the geometry's d_B bound. Raises `ValueError` if the plan would have
+    more focal points than the array has elements: no precoder resolves
+    more users than antennas.
     """
     bounds = boundary_distances(geom)
     if d_min is None:
         d_min = bounds.d_b
     if not 0 < d_min < math.inf:
         raise ValueError("d_min must be finite and positive")
-    if d_min < bounds.d_b:
-        warnings.warn("d_min below d_B: gain and interval approximations "
-                      "degrade close to the array", stacklevel=2)
     if a3db is None:
         a3db = planning_depth_parameter(geom)
     inv_tau = bounds.d_f / (8.0 * a3db)  # first interval's lower endpoint
+    # the finite focal points are inv_tau / (2j), j = 1, 2, ..., down to
+    # d_min, give or take the rounding tolerance of the loop below
+    finite_points = inv_tau / (2.0 * d_min * (1.0 - 1e-9))
+    if finite_points >= geom.num_elements:
+        raise ValueError(
+            f"d_min = {d_min:.6g} m admits more focal points than the "
+            f"{geom.num_elements} array elements")
+    if d_min < bounds.d_b:
+        warnings.warn("d_min below d_B: gain and interval approximations "
+                      "degrade close to the array", stacklevel=2)
 
     focal_points: List[float] = [math.inf]
     intervals: List[Tuple[float, float]] = [(inv_tau, math.inf)]
@@ -121,18 +130,13 @@ def build_mu_channel(geom: ArrayGeometry, users: Sequence[Sequence[float]],
     if len(set(users)) < len(users):
         warnings.warn("duplicate user positions give a rank-deficient channel",
                       stacklevel=2)
-    lam = geom.wavelength
-    phases, dist = spherical_phase(geom.element_centers(), lam, users)
-    # Built in place, one row per user: with many users on a large array
-    # the channel and its temporaries dominate peak memory.
-    rows = 1j * phases
-    np.exp(rows, out=rows)
     if per_element_amplitude:
-        dist *= 4.0 * np.pi
-        rows *= np.divide(lam, dist, out=dist)
+        scale = 1.0
     else:
-        rows *= lam / (4.0 * np.pi * np.linalg.norm(users, axis=1,
-                                                     keepdims=True))
+        scale = geom.wavelength / (4.0 * np.pi * np.linalg.norm(users, axis=1))
+    # (users, elements) rows, returned transposed: the (elements, users)
+    # matrix is Fortran-ordered
+    rows = phasor_rows(geom, users, per_element_amplitude, scale)
     return MultiUserChannel(matrix=rows.T, user_positions=tuple(users),
                             geometry=geom)
 

@@ -2,17 +2,26 @@
 
 Two channel models coexist on purpose: a patch-integrated exact model for
 on-axis sources (used to validate gain-vs-distance behavior) and a
-per-element spherical-phase model for arbitrary focal/user positions. The
-spherical phase is computed in one place, `spherical_phase`, which channel
-vectors, beam maps and multi-user channels all call.
+per-element spherical-phase model for arbitrary focal/user positions.
+
+The spherical-phase model is evaluated by one blocked kernel,
+`spherical_phasors`. It walks (points x elements) blocks of at most
+`_BLOCK_SAMPLES` samples in reused scratch arrays, so its memory is bounded
+for any array size and number of points. Channel vectors and multi-user
+channel matrices (`phasor_rows`) write its blocks into their output, and
+beam maps reduce them against the focus weights.
 
 The exact model integrates the field of `efield_exact` over each element
 by Gauss-Legendre quadrature (`element_field_integrals`), with its own
 blocked evaluation of that field; tests compare the two. The on-axis field
 is even in x and in y over the centred grid, so only the quadrant x >= 0,
 y >= 0 is integrated and then mirrored, and the node grid is evaluated in
-blocks of a fixed size, so memory stays bounded for any array size and
-order. The reference |E|^2 integral over one element has a closed form.
+the same fixed-size blocks. The reference |E|^2 integral over one element
+has a closed form.
+
+Both kernels form e^{i phi} from t = tan(phi / 2) in `_tangent_phasor`:
+one tangent per sample, where a complex exponential would cost a cosine
+and a sine.
 """
 
 from __future__ import annotations
@@ -56,11 +65,33 @@ class ChannelVector:
 #: Highest Gauss-Legendre order per axis that `element_field_integrals` tries.
 _MAX_GAUSS_ORDER = 64
 
-#: Most field samples `_quadrant_integrals` evaluates at once. It bounds the
-#: kernel's scratch memory (four arrays of this many doubles, 1 MB) for any
-#: array size and order; a block holds at least one element's order**2
-#: samples. 2**15 measured about 10 % faster than 2**14 or 2**16.
+#: Most samples `_quadrant_integrals` and `spherical_phasors` evaluate at
+#: once. It bounds each kernel's scratch memory (four arrays of this many
+#: doubles, 1 MB) for any array size, order and number of points; a
+#: quadrature block holds at least one element's order**2 samples. For the
+#: quadrature, 2**15 measured about 10 % faster than 2**14 or 2**16.
 _BLOCK_SAMPLES = 1 << 15
+
+
+def _tangent_phasor(t, t2, q, numerator=1.0, denominator=None):
+    """(numerator / denominator) * e^{i phi} from t = tan(phi / 2), in place.
+
+    Returns (re, im) = numerator / (denominator (1 + t^2)) * (1 - t^2, 2t),
+    written over `t2` and `t`; `q` is scratch. One tangent replaces a cosine
+    and a sine, and no complex exponential is taken. `numerator` and
+    `denominator` (default 1) are scalars or arrays that broadcast against
+    `t`; the amplitude takes one division with the 1 + t^2 of the phasor.
+    """
+    np.multiply(t, t, out=t2)
+    np.add(t2, 1.0, out=q)
+    if denominator is not None:
+        q *= denominator
+    np.divide(numerator, q, out=q)
+    re = np.subtract(1.0, t2, out=t2)
+    re *= q
+    im = np.multiply(t, 2.0, out=t)
+    im *= q
+    return re, im
 
 
 def _quadrant_integrals(geom: ArrayGeometry, z: float, order: int) -> np.ndarray:
@@ -74,16 +105,16 @@ def _quadrant_integrals(geom: ArrayGeometry, z: float, order: int) -> np.ndarray
     evaluated in blocks of element rows and columns of at most
     `_BLOCK_SAMPLES` samples. The phase is split as exp(-ikz) exp(-ik(r - z))
     with the cancellation-free r - z = (x^2 + y^2) / (r + z), and
-    exp(-ik(r - z)) is formed from t = tan(-k(r - z) / 2) as
-    (1 - t^2 + 2it) / (1 + t^2), one tangent in place of a cosine and a sine.
+    exp(-ik(r - z)) is formed from t = tan(-k(r - z) / 2) by
+    `_tangent_phasor`.
     """
     m, n = geom.rows, geom.cols
     half = 0.5 * geom.element_side
     k = 2.0 * np.pi / geom.wavelength
-    centers = geom.element_centers().reshape(m, n, 2)
+    x_cols, y_rows = geom.element_axes()
     nodes, weights = leggauss(order)
-    x = (centers[0, n // 2:, 0, None] + half * nodes).ravel()
-    y = (centers[m // 2:, 0, 1, None] + half * nodes).ravel()
+    x = (x_cols[n // 2:, None] + half * nodes).ravel()
+    y = (y_rows[m // 2:, None] + half * nodes).ravel()
     x2 = x * x
     y2 = y * y
     amp_x = np.sqrt(z * (x2 + z * z))
@@ -109,15 +140,9 @@ def _quadrant_integrals(geom: ArrayGeometry, z: float, order: int) -> np.ndarray
             np.tan(t, out=t)
             den = np.sqrt(r, out=c)
             den *= r2  # r^2.5
-            t2 = np.multiply(t, t, out=a)
-            den *= np.add(t2, 1.0, out=b)
             # |E| = sqrt(z (x^2 + z^2)) / (sqrt(4 pi) r^2.5); the constant
             # is applied to the result
-            q = np.divide(amp_x[xs], den, out=c)
-            re = np.subtract(1.0, t2, out=a)
-            re *= q
-            im = np.multiply(t, 2.0, out=t)
-            im *= q
+            re, im = _tangent_phasor(t, a, b, amp_x[xs], den)
             # weighted sums over each element's x nodes, then its y nodes
             block = out[r0:r0 + block_rows, c0:c0 + block_cols]
             for part, dest in ((re, block.real), (im, block.imag)):
@@ -191,39 +216,104 @@ def channel_vector(geom: ArrayGeometry, source_z: float,
                          source_position=(0.0, 0.0, source_z))
 
 
-def spherical_phase(centers: np.ndarray, wavelength: float,
-                    points) -> Tuple[np.ndarray, np.ndarray]:
-    """Spherical per-element phases and distances for a batch of points.
+def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
+                      wavelength: float, points,
+                      per_element_amplitude: bool = False):
+    """Spherical per-element phasors e^{i phi} for a batch of points, in
+    blocks.
 
-    `centers` is the (elements, 2) array of element centers in the z = 0
-    plane and `points` a (points, 3) array of positions, or one position,
-    with finite x, y and z > 0. Returns `(phases, dist)`, each of shape
-    (points, elements), where `dist` is ||e_k - p|| and the phase is
-    -(2 pi / lambda) * ||e_k - p|| up to a whole number of cycles per point.
-    It is accumulated as ||p|| mod lambda plus a cancellation-free
-    ||e_k - p|| - ||p||, so phase *differences* across the aperture stay
-    accurate at arbitrarily large distances. A point at infinite z gives the
-    broadside plane-wave limit: zero phase, infinite distance.
+    The elements sit in the z = 0 plane at (x_cols[c], y_rows[r]), row-major
+    over (r, c). `points` is a (points, 3) array of positions, or one
+    position, with finite x, y and z > 0. The phase is
+    -(2 pi / lambda) ||e_k - p|| up to a whole number of cycles per point:
+    it is -(2 pi / lambda) (||e_k - p|| - rho) for rho = ||p|| minus
+    ||p|| mod lambda, a whole number of wavelengths. That difference is
+    formed without cancellation, as
+    (e_k.(e_k - 2p) + ||p||^2 - rho^2) / (||e_k - p|| + rho), so phase
+    *differences* across the aperture stay accurate at arbitrarily large
+    distances. A point at infinite z gives the broadside plane-wave limit,
+    zero phase. With `per_element_amplitude` the phasors carry the
+    free-space amplitude lambda / (4 pi ||e_k - p||), which is 0 at
+    infinite z.
+
+    Yields `(ps, rs, cs, re, im)`: slices of the points, element rows and
+    element columns, and the real and imaginary parts of that
+    (points, rows, columns) block. A block holds at most `_BLOCK_SAMPLES`
+    samples, and `re` and `im` are views of scratch arrays that the next
+    block overwrites. Squared distances and phase numerators are sums of a
+    row term and a column term, so only those are formed per sample.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if not (np.all(np.isfinite(points[:, :2])) and np.all(points[:, 2] > 0)):
         raise ValueError("points must have finite x, y and z > 0")
-    px, py, pz = points.T[:, :, None]
-    ex, ey = centers.T
-    dist = np.sqrt((ex - px) ** 2 + (ey - py) ** 2 + pz * pz)
-    r = np.sqrt(px * px + py * py + pz * pz)
-    delta = (ex * ex + ey * ey - 2.0 * (ex * px + ey * py)) / (dist + r)
-    with np.errstate(invalid="ignore"):  # fmod(inf) at z = +inf, zeroed below
-        phases = -2.0 * np.pi / wavelength * (np.fmod(r, wavelength) + delta)
-    phases[np.isinf(pz[:, 0])] = 0.0
-    return phases, dist
+    px, py, pz = (v[:, None] for v in points.T)
+    with np.errstate(over="ignore"):
+        r = np.sqrt(px * px + py * py + pz * pz)
+    finite = np.isfinite(r)
+    if np.any(~finite & np.isfinite(pz)):
+        raise ValueError("points must have a norm within the float range")
+    cycles = np.zeros_like(r)  # ||p|| mod lambda
+    np.fmod(r, wavelength, out=cycles, where=finite)
+    rho = r - cycles
+    rho_gap = np.zeros_like(r)  # ||p||^2 - rho^2; 0 at z = +inf
+    np.multiply(cycles, r + rho, out=rho_gap, where=finite)
+    # phases are scaled by -k / 2, the tangent's half angle
+    half_k = -np.pi / wavelength
+    free_space = wavelength / (4.0 * np.pi)
+    count, rows, cols = len(points), len(y_rows), len(x_cols)
+    block_c = min(cols, max(1, _BLOCK_SAMPLES // count))
+    block_r = min(rows, max(1, _BLOCK_SAMPLES // (count * block_c)))
+    block_p = min(count, max(1, _BLOCK_SAMPLES // (block_r * block_c)))
+    # four scratch arrays, reused in place by every block
+    work = np.empty((4, block_p * block_r * block_c))
+    for p0 in range(0, count, block_p):
+        ps = slice(p0, p0 + block_p)
+        for c0 in range(0, cols, block_c):
+            cs = slice(c0, c0 + block_c)
+            x = x_cols[cs]
+            dx2 = (x - px[ps]) ** 2
+            x_num = x * (x - 2.0 * px[ps]) * half_k
+            for r0 in range(0, rows, block_r):
+                rs = slice(r0, r0 + block_r)
+                y = y_rows[rs]
+                dy2 = (y - py[ps]) ** 2 + pz[ps] ** 2
+                y_num = (y * (y - 2.0 * py[ps]) + rho_gap[ps]) * half_k
+                shape = (dx2.shape[0], len(y), len(x))
+                a, b, c, d = (w[:math.prod(shape)].reshape(shape)
+                              for w in work)
+                dist = np.add(dy2[:, :, None], dx2[:, None, :], out=b)
+                np.sqrt(dist, out=dist)
+                t = np.add(y_num[:, :, None], x_num[:, None, :], out=a)
+                t /= np.add(dist, rho[ps, :, None], out=c)
+                np.tan(t, out=t)
+                if per_element_amplitude:  # lambda / (4 pi ||e_k - p||)
+                    re, im = _tangent_phasor(t, c, d, free_space, dist)
+                else:
+                    re, im = _tangent_phasor(t, c, d)
+                yield ps, rs, cs, re, im
+
+
+def phasor_rows(geom: ArrayGeometry, points, per_element_amplitude=False,
+                scale=1.0) -> np.ndarray:
+    """(points, elements) complex array of the phasors of
+    `spherical_phasors` over the whole array, times a per-point `scale`
+    (a scalar or one value per point)."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float),
+                            (len(points),))[:, None, None]
+    out = np.empty((len(points), geom.rows, geom.cols), dtype=complex)
+    x_cols, y_rows = geom.element_axes()
+    for ps, rs, cs, re, im in spherical_phasors(
+            x_cols, y_rows, geom.wavelength, points, per_element_amplitude):
+        block = out[ps, rs, cs]
+        np.multiply(re, scale[ps], out=block.real)
+        np.multiply(im, scale[ps], out=block.imag)
+    return out.reshape(len(points), -1)
 
 
 def fresnel_channel_vector(geom: ArrayGeometry, point) -> ChannelVector:
     """Unit-amplitude channel vector with exact spherical per-element phases
-    (see `spherical_phase`)."""
+    (see `spherical_phasors`)."""
     position = tuple(float(v) for v in point)
-    phases, _ = spherical_phase(geom.element_centers(), geom.wavelength,
-                                position)
-    return ChannelVector(coefficients=np.exp(1j * phases[0]),
+    return ChannelVector(coefficients=phasor_rows(geom, position)[0],
                          geometry=geom, source_position=position)

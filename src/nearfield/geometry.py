@@ -44,12 +44,17 @@ class ArrayGeometry:
         m, n = self.rows, self.cols
         return self.element_diagonal * math.sqrt((m * m + n * n) / 2.0)
 
-    def element_centers(self) -> np.ndarray:
-        """(rows*cols, 2) array of element centers, row-major (m, n) order."""
+    def element_axes(self):
+        """Element center coordinates along x (one per column) and along y
+        (one per row)."""
         m, n, s = self.rows, self.cols, self.element_side
         x = (np.arange(1, n + 1) - (n + 1) / 2.0) * s
         y = (np.arange(1, m + 1) - (m + 1) / 2.0) * s
-        xx, yy = np.meshgrid(x, y)
+        return x, y
+
+    def element_centers(self) -> np.ndarray:
+        """(rows*cols, 2) array of element centers, row-major (m, n) order."""
+        xx, yy = np.meshgrid(*self.element_axes())
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 

@@ -45,10 +45,23 @@ class RadioParams:
         for model in (self.tx_gain_model, self.rx_gain_model):
             if model not in GAIN_MODELS:
                 raise ValueError(f"unknown gain model {model!r}")
+        # these messages start with the field name, which config errors use
+        if not 0.0 < self.power_over_noise < math.inf:
+            raise ValueError(
+                f"power_over_noise_db: {self.power_over_noise_db:g} dB gives "
+                f"the power ratio {self.power_over_noise:g}; it must be "
+                "finite and positive")
+        if not self.bandwidth() < math.inf:
+            raise ValueError(
+                f"bandwidth_fraction: {self.bandwidth_fraction:g} gives an "
+                "infinite bandwidth at the carrier")
 
     @property
     def power_over_noise(self) -> float:
-        return 10.0 ** (self.power_over_noise_db / 10.0)
+        try:
+            return 10.0 ** (self.power_over_noise_db / 10.0)
+        except OverflowError:
+            return math.inf
 
     def wavelength(self, frequency: float | None = None) -> float:
         return SPEED_OF_LIGHT / (frequency or self.carrier_frequency)
@@ -94,6 +107,18 @@ class CapacityResult:
     k_used: int
 
 
+def free_space_gain(wavelength: float, distance: float) -> float:
+    """Friis path gain (lambda / (4 pi d))^2. Raises `ValueError` unless it
+    is a finite positive float."""
+    ratio = wavelength / (4.0 * np.pi * distance)
+    gain = ratio * ratio
+    if not 0.0 < gain < math.inf:
+        raise ValueError(f"distance {distance:g} m puts the path gain "
+                         f"(lambda / (4 pi d))^2 = {gain:g} outside the "
+                         "float range")
+    return gain
+
+
 def pair_distance(m, k, spacing: float, distance: float):
     """Distance between receive antenna m and transmit antenna k."""
     offset = (np.asarray(m) - np.asarray(k)) * spacing
@@ -108,16 +133,22 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
     The exact matrix uses the full propagation phase 2 pi (d_mk - d)/lambda,
     which is the convention consistent with the Fresnel form
     exp(-j pi delta_mk / (d lambda)).
+    Raises `ValueError` if the path gain or an antenna distance leaves the
+    float range.
     """
     if distance <= 0 or spacing <= 0 or wavelength <= 0:
         raise ValueError("distance, spacing, wavelength must be positive")
     k = num_antennas
+    beta = tx_gain * rx_gain * free_space_gain(wavelength, distance)
+    extent = (k - 1) * spacing
+    if not distance * distance + extent * extent < math.inf:
+        raise ValueError(f"antenna distances overflow at distance "
+                         f"{distance:g} m and spacing {spacing:g} m")
     idx = np.arange(1, k + 1)
     d_mk = pair_distance(idx[:, None], idx[None, :], spacing, distance)
     beta_mk = tx_gain * rx_gain * (wavelength / (4.0 * np.pi * d_mk)) ** 2
     h_exact = np.sqrt(beta_mk) * np.exp(
         -2j * np.pi * (d_mk - distance) / wavelength)
-    beta = tx_gain * rx_gain * (wavelength / (4.0 * np.pi * distance)) ** 2
     delta = ((idx[:, None] - idx[None, :]) * spacing) ** 2
     h_fresnel = math.sqrt(beta) * np.exp(
         -1j * np.pi * delta / (distance * wavelength))
@@ -141,7 +172,7 @@ def offdiag_magnitude(num_antennas: int, spacing: float, distance: float,
     if k == l:
         raise ValueError("k and l must differ")
     if beta is None:
-        beta = (wavelength / (4.0 * np.pi * distance)) ** 2
+        beta = free_space_gain(wavelength, distance)
     q = (l - k) * spacing**2 / (wavelength * distance)
     denom = 1.0 - np.exp(2j * np.pi * q)
     if abs(denom) < 1e-12:
@@ -201,11 +232,16 @@ class BandwidthSweep:
 def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
                              bandwidths: Sequence[float]) -> BandwidthSweep:
     """Single-stream rate B log2(1 + P beta/(B N0)) over a bandwidth range,
-    plus the infinite-bandwidth limit and the 80%-of-limit bandwidth."""
+    plus the infinite-bandwidth limit and the 80%-of-limit bandwidth.
+    Raises `ValueError` if P beta is too large or too small for the root
+    bracket [1e-3 P beta, 1e3 P beta] of the 80% bandwidth."""
     b = np.asarray(bandwidths, dtype=float)
     if b.size == 0 or np.any(b <= 0):
         raise ValueError("bandwidths must be positive and non-empty")
     s = power_over_noise * beta  # received power over N0, in Hz
+    if not (0.0 < 1e-3 * s and 1e3 * s < math.inf):
+        raise ValueError(f"received power over noise density P beta = {s:g} "
+                         "Hz is outside the float range of the sweep")
     rates = b * np.log1p(s / b) / math.log(2.0)
     limit = math.log2(math.e) * s
     b80 = solve_scalar_root(
@@ -266,8 +302,7 @@ def capacity_frequency_sweep(area: float, distance: float,
     for f in freqs:
         lam = SPEED_OF_LIGHT / f
         k = num_streams_for_area(area, distance, lam, lam / 2.0)
-        beta = (radio.gain_product(f, area / k)
-                * (lam / (4.0 * np.pi * distance)) ** 2)
+        beta = radio.gain_product(f, area / k) * free_space_gain(lam, distance)
         b = radio.bandwidth(f)
         snr = radio.power_over_noise * beta / b
         points.append(FrequencyPoint(

@@ -372,6 +372,46 @@ class TestCliBehavior:
                           value, drop)
         assert_config_error(capsys, subcommand, cfg, key)
 
+    @pytest.mark.parametrize("config_name,subcommand,key,value,drop", [
+        ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
+         "1e300", None),
+        ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
+         "-1e300", None),
+        ("los_capacity.yaml", "los-capacity", "radio.bandwidth_fraction",
+         "1e300", "bandwidth_hz"),
+        ("los_capacity.yaml", "los-capacity", "experiment.distance_m",
+         "1e-300", None),
+        ("los_capacity.yaml", "los-capacity", "experiment.distance_m",
+         "1e300", None),
+        ("fig11_mode_patterns.yaml", "mode-patterns", "experiment.distance_m",
+         "1e-300", None),
+        ("fig11_mode_patterns.yaml", "mode-patterns", "experiment.distance_m",
+         "1e300", None),
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
+         "experiment.distance_m", "1e-300", None),
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
+         "experiment.distance_m", "1e300", None),
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
+         "experiment.beta", "1e300", "distance_m"),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.distance_m", "1e300", None),
+        ("zf_sinr.yaml", "zf-sinr", "experiment.d_min", '"0.001 dF"', None),
+        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
+         "[[1.0e+200, 0, 1], [0, 0, 5]]", None),
+        ("fig10_depth_plan.yaml", "depth-plan", "experiment.d_min",
+         '"1e-9 m"', None),
+    ])
+    def test_value_beyond_model_range_exit_code(self, tmp_path, capsys,
+                                                config_name, subcommand, key,
+                                                value, drop):
+        # finite values that the kinds accept but the model cannot use:
+        # path gains, power ratios, bandwidths and user distances beyond
+        # the float range, and focal plans with more points than the array
+        # has elements
+        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(), key,
+                          value, drop)
+        assert_config_error(capsys, subcommand, cfg, key)
+
     @pytest.mark.parametrize("case", SCHEMA_CASES,
                              ids=[case[0] for case in SCHEMA_CASES])
     def test_schema_value_exit_code(self, tmp_path, capsys, case):

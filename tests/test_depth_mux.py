@@ -110,6 +110,19 @@ class TestFocalPlan:
         with pytest.raises(ValueError, match="finite and positive"):
             plan_depth_focal_points(half_wave_square(50), d_min=d_min)
 
+    def test_more_focal_points_than_elements(self):
+        # no precoder resolves more users than antennas: a d_min whose plan
+        # outgrows the 100 elements is refused before any point is built
+        g = half_wave_square(10)
+        inv_tau = boundary_distances(g).d_f / (8 * planning_depth_parameter(g))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # d_min below d_B
+            full = plan_depth_focal_points(g, d_min=inv_tau / 198)
+            assert len(full.focal_points) == 100
+            for d_min in (inv_tau / 200, 1e-300, 5e-324):
+                with pytest.raises(ValueError, match="more focal points"):
+                    plan_depth_focal_points(g, d_min=d_min)
+
 
 class TestUserPositions:
     def test_positions_on_axis_inside_intervals(self):
@@ -153,6 +166,17 @@ class TestChannelAndPrecoders:
             expected = (lam / (4 * math.pi * dist)
                         * fresnel_channel_vector(self.geom, (x, y, z)).coefficients)
             np.testing.assert_allclose(h[:, k], expected, rtol=1e-14, atol=0)
+
+    def test_per_element_amplitude_modulus(self):
+        users = [(0.0, 0.0, 0.5), (0.4, -0.3, 2.0), (-1.1, 0.2, 7.5)]
+        h = build_mu_channel(self.geom, users,
+                             per_element_amplitude=True).matrix
+        c = self.geom.element_centers()
+        for k, (x, y, z) in enumerate(users):
+            dist = np.sqrt((c[:, 0] - x) ** 2 + (c[:, 1] - y) ** 2 + z * z)
+            np.testing.assert_allclose(
+                np.abs(h[:, k]), self.geom.wavelength / (4 * math.pi * dist),
+                rtol=1e-14, atol=0)
 
     def test_duplicate_users_warn(self):
         with pytest.warns(UserWarning):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from nearfield import boundary_distances, build_upa, field
+from nearfield import beam, boundary_distances, build_upa, field
+from nearfield.depth_mux import build_mu_channel
 from nearfield.field import (
     ChannelVector,
     _quadrant_integrals,
+    _tangent_phasor,
     channel_vector,
     efield_exact,
     element_field_integrals,
@@ -185,6 +187,8 @@ class TestChannelVectors:
         rel = cv.coefficients * np.conj(cv.coefficients[0])
         rel_direct = direct * np.conj(direct[0])
         np.testing.assert_allclose(rel, rel_direct, atol=1e-9)
+        # the phase itself is exact up to whole cycles
+        np.testing.assert_allclose(cv.coefficients, direct, atol=1e-9)
 
     def test_far_point_tends_to_plane_wave(self):
         g = make_desk_array(8, 8)
@@ -205,10 +209,16 @@ class TestChannelVectors:
         corr = abs(np.vdot(a, b)) / g.num_elements
         assert corr > 1 - 1e-9
 
+    def test_infinite_distance_is_plane_wave(self):
+        g = make_desk_array(5, 7)
+        cv = fresnel_channel_vector(g, (0.3, -0.2, math.inf))
+        np.testing.assert_array_equal(cv.coefficients, np.ones(35))
+
     def test_invalid_point(self):
         g = make_desk_array(2, 2)
         for point in ((0.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, math.nan),
-                      (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0)):
+                      (math.nan, 0.0, 1.0), (0.0, math.inf, 1.0),
+                      (1e200, 0.0, 1.0)):
             with pytest.raises(ValueError):
                 fresnel_channel_vector(g, point)
 
@@ -222,3 +232,76 @@ class TestChannelVectors:
         corr = abs(np.vdot(exact, phase)) / (
             np.linalg.norm(exact) * np.linalg.norm(phase))
         assert corr > 0.9999
+
+
+class TestSphericalPhasors:
+    def test_tangent_phasor_accuracy(self):
+        # cos and sin rebuilt from a 1-ulp tangent, over |phi| <= 1e4 and at
+        # the half-phases 0 and +-pi/2, where t = tan(pi/2) is about 1.6e16
+        rng = np.random.default_rng(7)
+        special = np.array([np.pi / 2, -np.pi / 2, 0.0])
+        half = np.concatenate([special, np.linspace(-5e3, 5e3, 200001),
+                               rng.uniform(-4.0, 4.0, 100000)])
+        t = np.tan(half)
+        re, im = _tangent_phasor(t, np.empty_like(t), np.empty_like(t))
+        np.testing.assert_allclose(re, np.cos(2 * half), rtol=0, atol=4e-16)
+        np.testing.assert_allclose(im, np.sin(2 * half), rtol=0, atol=4e-16)
+        np.testing.assert_array_equal(re[:3], np.cos(2 * special))
+        np.testing.assert_array_equal(im[:3], np.sin(2 * special))
+
+    def test_tangent_phasor_amplitude(self):
+        half = np.linspace(-3.0, 3.0, 7)[:, None]
+        numerator = np.array([[0.5, 2.0, 1e-3]])
+        denominator = np.array([[4.0], [0.1], [1.0], [3.0], [7.0], [2.0],
+                                [1e3]])
+        t = np.tan(half) + np.zeros((1, 3))
+        re, im = _tangent_phasor(t, np.empty_like(t), np.empty_like(t),
+                                 numerator, denominator)
+        np.testing.assert_allclose(
+            re + 1j * im, numerator / denominator * np.exp(2j * half),
+            rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("block", [5, 40])
+    def test_blocks_do_not_change_result(self, monkeypatch, block):
+        # 5-sample blocks split the 11 map points (and 7 users) and take
+        # one element at a time; 40-sample blocks split the element rows
+        # and columns into partial blocks
+        g = make_desk_array(5, 7)
+        x = np.linspace(-0.3, 0.3, 11)
+        z = np.array([0.4, 0.9])
+        users = [(0.1 * i, -0.05 * i, 0.3 + 0.2 * i) for i in range(7)]
+
+        def run():
+            out = [beam.beam_pattern_map(g, (0.13, -0.07, 1.1), x, z)]
+            for per_element in (False, True):
+                out.append(build_mu_channel(g, users, per_element).matrix)
+            return out
+
+        whole = run()
+        monkeypatch.setattr(field, "_BLOCK_SAMPLES", block)
+        blocked = run()
+        for *_, re, im in field.spherical_phasors(*g.element_axes(),
+                                                  g.wavelength, users):
+            assert re.size <= block
+        np.testing.assert_allclose(blocked[0], whole[0], rtol=0, atol=1e-14)
+        for b, w in zip(blocked[1:], whole[1:]):
+            np.testing.assert_allclose(b, w, rtol=1e-14, atol=0)
+
+    def test_map_row_memory_bounded(self):
+        # one row of 3 points over the 500k folded elements of a 1000x1000
+        # array; an unblocked (points, elements) phasor array would take
+        # 12 MB per real copy
+        g = make_desk_array(1000, 1000)
+        x_cols, y_rows = g.element_axes()
+        y_rows = y_rows[500:]
+        weights = np.ones((len(y_rows), len(x_cols), 2))
+        x = np.array([-0.1, 0.0, 0.2])
+        tracemalloc.start()
+        try:
+            row = beam._pattern_row(x_cols, y_rows, g.wavelength, weights,
+                                    x, 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row.shape == (3,) and np.all(np.isfinite(row))
+        assert peak < 3 * 2**20

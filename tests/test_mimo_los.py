@@ -59,6 +59,13 @@ class TestRadioParams:
         with pytest.raises(ValueError):
             RadioParams(carrier_frequency=3e9, power_over_noise_db=90.0,
                         tx_gain_model="horn")
+        # a power ratio or a bandwidth beyond the float range
+        for db in (1e300, -1e300):
+            with pytest.raises(ValueError, match="^power_over_noise_db: "):
+                RadioParams(carrier_frequency=3e9, power_over_noise_db=db)
+        with pytest.raises(ValueError, match="^bandwidth_fraction: "):
+            RadioParams(carrier_frequency=3e9, power_over_noise_db=90.0,
+                        bandwidth_fraction=1e300)
 
 
 class TestChannelConstruction:
@@ -94,6 +101,10 @@ class TestChannelConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
             build_los_mimo(2, 0.0, 1.0, 0.1)
+        # the path gain or the antenna distances leave the float range
+        for spacing, distance in ((0.3, 1e-300), (0.3, 1e300), (1e300, 10.0)):
+            with pytest.raises(ValueError, match="float range|overflow"):
+                build_los_mimo(2, spacing, distance, 0.1)
 
 
 class TestOptimalSpacing:
@@ -232,6 +243,8 @@ class TestBandwidthSweep:
     def test_validation(self):
         with pytest.raises(ValueError):
             capacity_bandwidth_sweep(1e10, 4e-9, [])
+        with pytest.raises(ValueError, match="float range"):
+            capacity_bandwidth_sweep(1e11, 1e300, [1e6])
 
 
 class TestAreaAndDof:
