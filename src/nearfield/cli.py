@@ -357,8 +357,6 @@ def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
                                             exp["distance_m"])
         sweep = mimo_los.capacity_bandwidth_sweep(radio.power_over_noise,
                                                   beta, grid)
-    except BracketError:  # a numeric failure, not a value out of range
-        raise
     except ValueError as exc:  # the path gain or P beta out of range
         raise ConfigError(f"{key}: {exc}") from None
     rows = [[b, r, sweep.rate_limit, sweep.bandwidth_80pct]
@@ -383,7 +381,7 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
         try:
             sweeps[variant] = mimo_los.capacity_frequency_sweep(
                 exp["area_m2"], exp["distance_m"], freqs, r)
-        except ValueError as exc:  # the path gain out of range
+        except ValueError as exc:  # path gain, SNR or stream count out of range
             raise ConfigError(f"experiment.distance_m: {exc}") from None
     header = ["frequency_hz", "streams"] + [f"capacity_{v}_bit_per_s"
                                             for v in variants]
@@ -449,7 +447,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (AccuracyError, BracketError, RankError, np.linalg.LinAlgError) as exc:
+    except (AccuracyError, BracketError, RankError, np.linalg.LinAlgError,
+            MemoryError) as exc:
         print(f"numeric error in {name}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     series.comments[:0] = [f"nearfield {__version__}", f"subcommand: {name}",

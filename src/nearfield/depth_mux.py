@@ -59,15 +59,14 @@ def planning_depth_parameter(geom: ArrayGeometry, exact: bool = False) -> float:
 
 def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
                             a3db: Optional[float] = None) -> FocalPlan:
-    """Greedy far-to-near packing of focal points with contiguous 3 dB
-    depth intervals.
+    """Far-to-near focal points with contiguous 3 dB depth intervals.
 
     The first focal point is at infinity and covers [d_F/(8 a3dB), inf);
-    each subsequent interval's upper endpoint equals the previous lower
-    endpoint. Focal points below d_min are not admitted. d_min defaults to
-    the geometry's d_B bound. Raises `ValueError` if the plan would have
-    more focal points than the array has elements: no precoder resolves
-    more users than antennas.
+    the others are d_F/(16 a3dB j), j = 1, 2, ..., and each interval's
+    upper endpoint equals the previous lower endpoint. Focal points below
+    d_min are not admitted. d_min defaults to the geometry's d_B bound.
+    Raises `ValueError` if the plan would have more focal points than the
+    array has elements: no precoder resolves more users than antennas.
     """
     bounds = boundary_distances(geom)
     if d_min is None:
@@ -77,30 +76,23 @@ def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
     if a3db is None:
         a3db = planning_depth_parameter(geom)
     inv_tau = bounds.d_f / (8.0 * a3db)  # first interval's lower endpoint
-    # the finite focal points are inv_tau / (2j), j = 1, 2, ..., down to
-    # d_min, give or take the rounding tolerance of the loop below
+    # the finite focal points are inv_tau / (2j) for j = 1..n, down to d_min;
+    # the relative 1e-9 keeps a point that lands on d_min despite rounding
     finite_points = inv_tau / (2.0 * d_min * (1.0 - 1e-9))
-    if finite_points >= geom.num_elements:
+    if not finite_points < geom.num_elements:
         raise ValueError(
             f"d_min = {d_min:.6g} m admits more focal points than the "
             f"{geom.num_elements} array elements")
     if d_min < bounds.d_b:
         warnings.warn("d_min below d_B: gain and interval approximations "
                       "degrade close to the array", stacklevel=2)
-
-    focal_points: List[float] = [math.inf]
-    intervals: List[Tuple[float, float]] = [(inv_tau, math.inf)]
-    k = 2
-    while True:
-        f_k = inv_tau / (2.0 * (k - 1))
-        # tolerate rounding when a focal point lands exactly on d_min
-        if f_k < d_min * (1.0 - 1e-9):
-            break
-        focal_points.append(f_k)
-        intervals.append((inv_tau / (2.0 * k - 1), inv_tau / (2.0 * k - 3)))
-        k += 1
-    return FocalPlan(focal_points=tuple(focal_points),
-                     intervals=tuple(intervals), d_min=d_min)
+    # j = 0 is the point at infinity; interval j is bounded by
+    # inv_tau / (2j + 1) below and by interval j - 1's lower end above
+    j = np.arange(int(finite_points) + 1)
+    lower = (inv_tau / (2.0 * j + 1.0)).tolist()
+    return FocalPlan(
+        focal_points=(math.inf, *(inv_tau / (2.0 * j[1:])).tolist()),
+        intervals=tuple(zip(lower, [math.inf] + lower[:-1])), d_min=d_min)
 
 
 def plan_user_positions(plan: FocalPlan,
@@ -133,7 +125,9 @@ def build_mu_channel(geom: ArrayGeometry, users: Sequence[Sequence[float]],
     if per_element_amplitude:
         scale = 1.0
     else:
-        scale = geom.wavelength / (4.0 * np.pi * np.linalg.norm(users, axis=1))
+        # hypot: an overflowing norm is inf, without a warning, and rejected
+        scale = [geom.wavelength / (4.0 * math.pi * math.hypot(*u))
+                 for u in users]
     # (users, elements) rows, returned transposed: the (elements, users)
     # matrix is Fortran-ordered
     rows = phasor_rows(geom, users, per_element_amplitude, scale)

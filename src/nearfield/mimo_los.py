@@ -110,8 +110,8 @@ class CapacityResult:
 def free_space_gain(wavelength: float, distance: float) -> float:
     """Friis path gain (lambda / (4 pi d))^2. Raises `ValueError` unless it
     is a finite positive float."""
-    ratio = wavelength / (4.0 * np.pi * distance)
-    gain = ratio * ratio
+    ratio = float(wavelength) / (4.0 * math.pi * float(distance))
+    gain = ratio * ratio  # Python floats: an overflow gives inf, no warning
     if not 0.0 < gain < math.inf:
         raise ValueError(f"distance {distance:g} m puts the path gain "
                          f"(lambda / (4 pi d))^2 = {gain:g} outside the "
@@ -126,8 +126,7 @@ def pair_distance(m, k, spacing: float, distance: float):
 
 
 def build_los_mimo(num_antennas: int, spacing: float, distance: float,
-                   wavelength: float, tx_gain: float = 1.0,
-                   rx_gain: float = 1.0) -> LosMimoLink:
+                   wavelength: float) -> LosMimoLink:
     """Exact and Fresnel-approximate K x K LOS channel matrices.
 
     The exact matrix uses the full propagation phase 2 pi (d_mk - d)/lambda,
@@ -139,14 +138,14 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
     if distance <= 0 or spacing <= 0 or wavelength <= 0:
         raise ValueError("distance, spacing, wavelength must be positive")
     k = num_antennas
-    beta = tx_gain * rx_gain * free_space_gain(wavelength, distance)
+    beta = free_space_gain(wavelength, distance)
     extent = (k - 1) * spacing
     if not distance * distance + extent * extent < math.inf:
         raise ValueError(f"antenna distances overflow at distance "
                          f"{distance:g} m and spacing {spacing:g} m")
     idx = np.arange(1, k + 1)
     d_mk = pair_distance(idx[:, None], idx[None, :], spacing, distance)
-    beta_mk = tx_gain * rx_gain * (wavelength / (4.0 * np.pi * d_mk)) ** 2
+    beta_mk = (wavelength / (4.0 * np.pi * d_mk)) ** 2
     h_exact = np.sqrt(beta_mk) * np.exp(
         -2j * np.pi * (d_mk - distance) / wavelength)
     delta = ((idx[:, None] - idx[None, :]) * spacing) ** 2
@@ -184,31 +183,22 @@ def offdiag_magnitude(num_antennas: int, spacing: float, distance: float,
 def capacity_waterfilling(eigenvalues: Sequence[float], snr: float,
                           bandwidth: float = 1.0) -> CapacityResult:
     """Waterfilling over channel eigenvalues with unit total (fractional)
-    power: p_i = max(0, mu - 1/(snr * lam_i)), sum p_i = 1."""
+    power: p_i = max(0, mu - 1/(snr * lam_i)), sum p_i = 1. Filling the r
+    strongest streams gives the level mu_r = (1 + sum_{i<=r} 1/(snr lam_i))/r;
+    the streams used are the leading run with mu_r above 1/(snr lam_r)."""
     lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(lam < 0):
+    if not np.all(lam >= 0):
         raise ValueError("eigenvalues must be non-negative")
     if snr <= 0 or bandwidth <= 0:
         raise ValueError("snr and bandwidth must be positive")
-    if np.all(lam == 0):
-        return CapacityResult(0.0, np.zeros_like(lam), lam, 0)
     order = np.argsort(lam)[::-1]
-    lam_sorted = lam[order]
-    inv = np.where(lam_sorted > 0, 1.0 / (snr * np.maximum(lam_sorted, 1e-300)),
-                   np.inf)
-    k_used = 0
-    mu = 0.0
-    for r in range(1, len(lam_sorted) + 1):
-        if not np.isfinite(inv[r - 1]):
-            break
-        mu_r = (1.0 + np.sum(inv[:r])) / r
-        if mu_r - inv[r - 1] > 0:
-            k_used, mu = r, mu_r
-        else:
-            break
-    powers_sorted = np.maximum(0.0, mu - inv[:k_used])
+    with np.errstate(divide="ignore", over="ignore"):
+        floor = 1.0 / (snr * lam[order])
+    levels = (1.0 + np.cumsum(floor)) / np.arange(1, lam.size + 1)
+    k_used = int(np.sum(np.logical_and.accumulate(levels > floor)))
     powers = np.zeros_like(lam)
-    powers[order[:k_used]] = powers_sorted
+    if k_used:
+        powers[order[:k_used]] = levels[k_used - 1] - floor[:k_used]
     capacity = bandwidth * float(
         np.sum(np.log2(1.0 + snr * lam * powers)))
     return CapacityResult(capacity=capacity, powers=powers, eigenvalues=lam,
@@ -232,21 +222,20 @@ class BandwidthSweep:
 def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
                              bandwidths: Sequence[float]) -> BandwidthSweep:
     """Single-stream rate B log2(1 + P beta/(B N0)) over a bandwidth range,
-    plus the infinite-bandwidth limit and the 80%-of-limit bandwidth.
-    Raises `ValueError` if P beta is too large or too small for the root
-    bracket [1e-3 P beta, 1e3 P beta] of the 80% bandwidth."""
+    plus the infinite-bandwidth limit and the 80%-of-limit bandwidth
+    P beta / (N0 y80), where log1p(y80) = 0.8 y80 is solved on [0.1, 10].
+    Raises `ValueError` if P beta or that bandwidth leaves the float range."""
     b = np.asarray(bandwidths, dtype=float)
     if b.size == 0 or np.any(b <= 0):
         raise ValueError("bandwidths must be positive and non-empty")
     s = power_over_noise * beta  # received power over N0, in Hz
-    if not (0.0 < 1e-3 * s and 1e3 * s < math.inf):
+    y80 = solve_scalar_root(lambda y: math.log1p(y) - 0.8 * y, (0.1, 10.0))
+    b80 = s / y80
+    if not (0.0 < s and b80 < math.inf):
         raise ValueError(f"received power over noise density P beta = {s:g} "
                          "Hz is outside the float range of the sweep")
     rates = b * np.log1p(s / b) / math.log(2.0)
     limit = math.log2(math.e) * s
-    b80 = solve_scalar_root(
-        lambda bb: bb * math.log2(1.0 + s / bb) - 0.8 * limit,
-        (1e-3 * s, 1e3 * s), tol=1e-9 * s)
     return BandwidthSweep(bandwidths=b, rates=rates, rate_limit=limit,
                           bandwidth_80pct=b80)
 
@@ -254,18 +243,32 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
 def num_streams_for_area(area: float, distance: float, wavelength: float,
                          antenna_width: float) -> int:
     """Largest K >= 1 whose optimally spaced ULA fits the array side
-    sqrt(area): sqrt(lambda d / K)(K-1) + antenna_width <= sqrt(area)."""
+    sqrt(area): sqrt(lambda d / K)(K-1) + antenna_width <= sqrt(area), that
+    is (K-1)/sqrt(K) <= c = (sqrt(area) - antenna_width)/sqrt(lambda d). So
+    K = floor(((c + sqrt(c^2 + 4))/2)^2) up to rounding, which a few steps
+    correct. Raises `ValueError` beyond 2^53, where a float no longer tells
+    K from K + 1."""
     if area <= 0 or distance <= 0:
         raise ValueError("area and distance must be positive")
     side = math.sqrt(area)
-    k = 1
-    while True:
-        k_next = k + 1
-        extent = math.sqrt(wavelength * distance / k_next) * (k_next - 1)
-        if extent + antenna_width <= side:
-            k = k_next
-        else:
-            return k
+
+    def fits(k: int) -> bool:
+        return math.sqrt(wavelength * distance / k) * (k - 1) \
+            + antenna_width <= side
+
+    c = (side - antenna_width) / (math.sqrt(wavelength) * math.sqrt(distance))
+    root = 0.5 * (c + math.hypot(c, 2.0))  # the largest sqrt(K)
+    k_max = root * root
+    if not k_max <= 2.0**53:
+        raise ValueError(f"distance {distance:g} m and wavelength "
+                         f"{wavelength:g} m fit {k_max:.3g} streams into "
+                         "the area, more than a float counts (2^53)")
+    k = max(1, int(k_max))
+    while k > 1 and not fits(k):
+        k -= 1
+    while fits(k + 1):
+        k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -299,14 +302,16 @@ def capacity_frequency_sweep(area: float, distance: float,
     if freqs.size == 0:
         raise ValueError("frequency range is empty")
     points = []
-    for f in freqs:
+    for f in freqs.tolist():  # Python floats: an overflow gives inf
         lam = SPEED_OF_LIGHT / f
         k = num_streams_for_area(area, distance, lam, lam / 2.0)
         beta = radio.gain_product(f, area / k) * free_space_gain(lam, distance)
         b = radio.bandwidth(f)
         snr = radio.power_over_noise * beta / b
+        if not snr < math.inf:
+            raise ValueError(f"distance {distance:g} m gives an infinite SNR")
         points.append(FrequencyPoint(
-            frequency=float(f), num_streams=k,
+            frequency=f, num_streams=k,
             capacity=equal_eigenvalue_capacity(k, snr, b)))
     return points
 

@@ -1,5 +1,6 @@
 import io
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +413,53 @@ class TestCliBehavior:
                           value, drop)
         assert_config_error(capsys, subcommand, cfg, key)
 
+    @pytest.mark.parametrize("config_name,subcommand,key,edits", [
+        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
+         {"experiment.users": "[[1.0e+200, 0, 1], [0, 0, 5]]"}),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.distance_m", {"experiment.distance_m": "1e-300"}),
+        # the SNR overflows at the first frequency
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.distance_m", {"experiment.distance_m": "1e-150"}),
+        # with a weak transmitter the stream count passes 2^53 instead
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.distance_m", {"experiment.distance_m": "1e-150",
+                                   "radio.power_over_noise_db": "-2000"}),
+        # a finite path gain and stream count, but an infinite SNR
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.distance_m", {"experiment.distance_m": "1e-3",
+                                   "radio.power_over_noise_db": "3070"}),
+    ], ids=["zf-far-user", "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
+            "freq-snr-overflow"])
+    def test_value_beyond_model_range_one_line(self, tmp_path, capsys,
+                                               config_name, subcommand, key,
+                                               edits):
+        # the config error is all that reaches stderr: no numpy warning
+        cfg = CONFIGS / config_name
+        for edit_key, value in edits.items():
+            cfg = config_with(tmp_path, cfg.read_text(), edit_key, value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([subcommand, "--config", str(cfg), "--out", "-"])
+        assert rc == EXIT_CONFIG_ERROR
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"config error: {key}: ")
+        assert captured.out == ""
+
+    def test_result_too_large_for_memory_exit_code(self, tmp_path, capsys):
+        # 10^15 grid points need 7.1 PiB, beyond any 64-bit address space,
+        # so the allocation fails at once
+        cfg = config_with(tmp_path, (CONFIGS / "fig4_gain_sweep.yaml")
+                          .read_text(), "experiment.points", str(10**15))
+        assert main(["gain-sweep", "--config", str(cfg), "--out", "-"]) \
+            == EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("numeric error in gain-sweep: ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("case", SCHEMA_CASES,
                              ids=[case[0] for case in SCHEMA_CASES])
     def test_schema_value_exit_code(self, tmp_path, capsys, case):
@@ -474,7 +522,6 @@ class TestCliBehavior:
             "  element_side: \"0.25 lambda\"\n  frequency: \"3 GHz\"\n"
             "experiment:\n  users: [[0, 0, 1.0], [0, 0, 1.0]]\n"
             "  noise_power: 1.0e-12\n")
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rc = main(["zf-sinr", "--config", str(cfg), "--out", "-"])

@@ -1,0 +1,274 @@
+"""Property tests of the closed forms behind the focal plan, the stream
+count, waterfilling and the 80 % bandwidth.
+
+Each closed form is checked against the loop it replaced, kept here
+verbatim as a reference, and against the invariants its callers rely on.
+Hypothesis runs derandomized with a bounded number of examples, so the
+suite stays deterministic and fast.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from nearfield import boundary_distances, build_upa
+from nearfield.depth_mux import plan_depth_focal_points
+from nearfield.mimo_los import (
+    CapacityResult,
+    capacity_bandwidth_sweep,
+    capacity_waterfilling,
+    num_streams_for_area,
+)
+from nearfield.numerics import solve_scalar_root
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+
+# ---------------------------------------------------------------------------
+# the replaced loops, verbatim
+
+def reference_focal_points(inv_tau, d_min):
+    focal_points = [math.inf]
+    intervals = [(inv_tau, math.inf)]
+    k = 2
+    while True:
+        f_k = inv_tau / (2.0 * (k - 1))
+        # tolerate rounding when a focal point lands exactly on d_min
+        if f_k < d_min * (1.0 - 1e-9):
+            break
+        focal_points.append(f_k)
+        intervals.append((inv_tau / (2.0 * k - 1), inv_tau / (2.0 * k - 3)))
+        k += 1
+    return tuple(focal_points), tuple(intervals)
+
+
+def reference_num_streams_for_area(area, distance, wavelength,
+                                   antenna_width):
+    if area <= 0 or distance <= 0:
+        raise ValueError("area and distance must be positive")
+    side = math.sqrt(area)
+    k = 1
+    while True:
+        k_next = k + 1
+        extent = math.sqrt(wavelength * distance / k_next) * (k_next - 1)
+        if extent + antenna_width <= side:
+            k = k_next
+        else:
+            return k
+
+
+def reference_capacity_waterfilling(eigenvalues, snr, bandwidth=1.0):
+    lam = np.asarray(eigenvalues, dtype=float)
+    if np.any(lam < 0):
+        raise ValueError("eigenvalues must be non-negative")
+    if snr <= 0 or bandwidth <= 0:
+        raise ValueError("snr and bandwidth must be positive")
+    if np.all(lam == 0):
+        return CapacityResult(0.0, np.zeros_like(lam), lam, 0)
+    order = np.argsort(lam)[::-1]
+    lam_sorted = lam[order]
+    inv = np.where(lam_sorted > 0, 1.0 / (snr * np.maximum(lam_sorted, 1e-300)),
+                   np.inf)
+    k_used = 0
+    mu = 0.0
+    for r in range(1, len(lam_sorted) + 1):
+        if not np.isfinite(inv[r - 1]):
+            break
+        mu_r = (1.0 + np.sum(inv[:r])) / r
+        if mu_r - inv[r - 1] > 0:
+            k_used, mu = r, mu_r
+        else:
+            break
+    powers_sorted = np.maximum(0.0, mu - inv[:k_used])
+    powers = np.zeros_like(lam)
+    powers[order[:k_used]] = powers_sorted
+    capacity = bandwidth * float(
+        np.sum(np.log2(1.0 + snr * lam * powers)))
+    return CapacityResult(capacity=capacity, powers=powers, eigenvalues=lam,
+                          k_used=k_used)
+
+
+def reference_bandwidth_80pct(s):
+    limit = math.log2(math.e) * s
+    return solve_scalar_root(
+        lambda bb: bb * math.log2(1.0 + s / bb) - 0.8 * limit,
+        (1e-3 * s, 1e3 * s), tol=1e-9 * s)
+
+
+# ---------------------------------------------------------------------------
+# focal plan
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+arrays = st.builds(lambda rows, cols, side: build_upa(rows, cols, side, 0.1),
+                   st.integers(1, 40), st.integers(1, 40),
+                   log_uniform(0.01, 1.0))
+
+
+def plan_quietly(geom, d_min, a3db):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # d_min below d_B
+        return plan_depth_focal_points(geom, d_min=d_min, a3db=a3db)
+
+
+def check_plan(plan, d_min):
+    points, intervals = plan.focal_points, plan.intervals
+    assert points[0] == math.inf and intervals[0][1] == math.inf
+    assert len(points) == len(intervals)
+    # contiguous: each upper end is the previous lower end, exactly
+    for (lo_prev, _), (_, hi) in zip(intervals, intervals[1:]):
+        assert hi == lo_prev
+    for f, (lo, hi) in zip(points, intervals):
+        assert 0 < lo < hi  # disjoint: the lower ends strictly descend
+        assert lo < f <= hi and (f < hi or f == math.inf)
+    assert all(f >= d_min * (1 - 1e-9) for f in points[1:])
+
+
+class TestFocalPlan:
+    @PROPERTY
+    @given(geom=arrays, a3db=log_uniform(1e-4, 0.1),
+           fraction=st.floats(0.5, 1.5))
+    def test_matches_loop(self, geom, a3db, fraction):
+        # d_min = inv_tau / (2x) admits about x finite points; x runs past
+        # the element count, where the plan must refuse
+        inv_tau = boundary_distances(geom).d_f / (8.0 * a3db)
+        d_min = inv_tau / (2.0 * fraction * geom.num_elements)
+        points, intervals = reference_focal_points(inv_tau, d_min)
+        if len(points) > geom.num_elements:
+            with pytest.raises(ValueError, match="more focal points"):
+                plan_quietly(geom, d_min, a3db)
+            return
+        plan = plan_quietly(geom, d_min, a3db)
+        assert plan.focal_points == points
+        assert plan.intervals == intervals
+        check_plan(plan, d_min)
+
+    @PROPERTY
+    @given(geom=arrays.filter(lambda g: g.num_elements > 1),
+           a3db=log_uniform(1e-4, 0.1), data=st.data())
+    def test_point_on_d_min_is_kept(self, geom, a3db, data):
+        inv_tau = boundary_distances(geom).d_f / (8.0 * a3db)
+        j = data.draw(st.integers(1, geom.num_elements - 1))
+        d_min = inv_tau / (2.0 * j)  # the plan's own j-th point
+        plan = plan_quietly(geom, d_min, a3db)
+        assert len(plan.focal_points) == j + 1
+        assert plan.focal_points[-1] == d_min
+        assert (plan.focal_points, plan.intervals) \
+            == reference_focal_points(inv_tau, d_min)
+        check_plan(plan, d_min)
+
+
+# ---------------------------------------------------------------------------
+# stream count
+
+def fits(k, area, distance, wavelength, width):
+    return math.sqrt(wavelength * distance / k) * (k - 1) + width \
+        <= math.sqrt(area)
+
+
+def stream_case(c_lo, c_hi):
+    """(area, distance, wavelength, width) with the aperture side
+    width + c sqrt(lambda d), which holds about c^2 streams."""
+    def build(wavelength, distance, width, c):
+        side = wavelength * width + c * math.sqrt(wavelength * distance)
+        return side * side, distance, wavelength, wavelength * width
+    return st.builds(build, log_uniform(1e-4, 1.0), log_uniform(1e-2, 1e3),
+                     st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0),
+                     st.floats(c_lo, c_hi, exclude_min=True))
+
+
+class TestStreamCount:
+    @PROPERTY
+    @given(case=stream_case(0.01, 40.0))
+    def test_matches_loop(self, case):
+        k = num_streams_for_area(*case)
+        assert k == reference_num_streams_for_area(*case)
+        assert k == 1 or fits(k, *case)
+        assert not fits(k + 1, *case)
+
+    @PROPERTY
+    @given(case=stream_case(40.0, 9.4e7))
+    def test_fits_and_next_does_not(self, case):
+        # up to K near 2^53, beyond the reach of the loop
+        k = num_streams_for_area(*case)
+        assert fits(k, *case)
+        assert not fits(k + 1, *case)
+        assert k <= 2**53 + 16
+
+    @PROPERTY
+    @given(case=stream_case(1e8, 1e150))
+    @example(case=(0.01, 1e-200, 1e-200, 0.0))  # lambda d underflows to 0
+    def test_beyond_float_count_raises(self, case):
+        with pytest.raises(ValueError, match="2\\^53"):
+            num_streams_for_area(*case)
+
+
+# ---------------------------------------------------------------------------
+# waterfilling
+
+eigenvalue_sets = st.lists(st.just(0.0) | log_uniform(1e-3, 1e2),
+                           min_size=1, max_size=40)
+
+
+class TestWaterfilling:
+    @PROPERTY
+    @given(lam=eigenvalue_sets, snr=log_uniform(1.0, 1e3))
+    def test_matches_loop(self, lam, snr):
+        res = capacity_waterfilling(lam, snr)
+        ref = reference_capacity_waterfilling(lam, snr)
+        assert res.k_used == ref.k_used
+        # the level's sum now runs in another order: n terms of a sum
+        # 1 + S round to n eps (1 + S), and dC/dp_i = 1 / (mu ln 2)
+        n, eps = len(lam), np.finfo(float).eps
+        floors = 1.0 / (snr * np.asarray(lam)[ref.powers > 0])
+        np.testing.assert_allclose(res.powers, ref.powers, rtol=0,
+                                   atol=n * eps * (1.0 + np.sum(floors)))
+        assert res.capacity == pytest.approx(ref.capacity, rel=0,
+                                             abs=2 * n**3 * eps)
+
+    @PROPERTY
+    @given(lam=eigenvalue_sets, snr=log_uniform(1e-3, 1e3),
+           gain=st.floats(1.0, 10.0))
+    def test_powers_and_monotone_capacity(self, lam, snr, gain):
+        res = capacity_waterfilling(lam, snr)
+        assert np.all(res.powers >= 0)
+        if max(lam) > 0:
+            assert res.k_used >= 1
+            # p_i = mu - 1/(snr lam_i) rounds to a few ulps of the level mu
+            used = res.powers > 0
+            level = np.max(res.powers[used]
+                           + 1.0 / (snr * np.asarray(lam)[used]))
+            assert abs(np.sum(res.powers) - 1.0) <= 1e-15 * len(lam) * level
+        else:
+            assert res.k_used == 0 and res.capacity == 0.0
+        # zero eigenvalues get no power
+        assert np.all(res.powers[np.asarray(lam) == 0] == 0)
+        assert capacity_waterfilling(lam, snr * gain).capacity \
+            >= res.capacity * (1 - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# 80 % bandwidth
+
+class TestBandwidth80:
+    @PROPERTY
+    @given(s=log_uniform(1e-300, 1e300))
+    def test_reaches_80_percent(self, s):
+        sweep = capacity_bandwidth_sweep(s, 1.0, [1.0])
+        b80 = sweep.bandwidth_80pct
+        assert b80 * math.log2(1.0 + s / b80) \
+            == pytest.approx(0.8 * sweep.rate_limit, rel=1e-11)
+
+    @PROPERTY
+    @given(s=log_uniform(1e-150, 1e300))
+    def test_matches_bracketed_root(self, s):
+        # the old root was solved to 1e-9 s < 1e-9 b80 on the bracket
+        # [1e-3 s, 1e3 s]; below about s = 1e-161 it did not converge
+        b80 = capacity_bandwidth_sweep(s, 1.0, [1.0]).bandwidth_80pct
+        assert b80 == pytest.approx(reference_bandwidth_80pct(s), rel=1e-9)

@@ -95,8 +95,12 @@ class TestChannelConstruction:
         assert np.abs(err).max() < 0.02
 
     def test_beta(self):
-        link = build_los_mimo(2, 0.3, 10.0, 0.1, tx_gain=2.0, rx_gain=3.0)
-        assert link.beta == pytest.approx(6 * (0.1 / (4 * np.pi * 10)) ** 2)
+        # unit antenna gains: beta is the Friis path gain; directive gain
+        # enters only through RadioParams.gain_product
+        link = build_los_mimo(2, 0.3, 10.0, 0.1)
+        assert link.beta == pytest.approx((0.1 / (4 * np.pi * 10)) ** 2)
+        np.testing.assert_allclose(np.abs(link.h_fresnel),
+                                   math.sqrt(link.beta), rtol=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
