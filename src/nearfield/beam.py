@@ -70,10 +70,13 @@ def g_of_x(rows: int, cols: int, x):
     out = np.ones_like(ax)
     nz = ax > 0
     root = np.sqrt(ax[nz])
-    cm, sm = fresnel_cs(rows * root)
-    cn, sn = (cm, sm) if cols == rows else fresnel_cs(cols * root)
-    out[nz] = ((cm**2 + sm**2) * (cn**2 + sn**2)
-               / (rows * cols * ax[nz]) ** 2)
+    # g is the product of the per-axis ratios |F(m sqrt x)|^2 / (m^2 x) for
+    # F = C + iS; each is at most 1, so no finite x overflows g or makes 0/0
+    ratio = {}
+    for m in {rows, cols}:
+        c, s = fresnel_cs(m * root)
+        ratio[m] = (c**2 + s**2) / (m * m) / ax[nz]
+    out[nz] = ratio[rows] * ratio[cols]
     if out.ndim == 0:
         return float(out)
     return out
@@ -100,19 +103,14 @@ def gain_axial(geom: ArrayGeometry, focal_distance: float, z_r: float) -> float:
 def solve_a3db(rows: int, cols: int) -> float:
     """Half-gain value of x = d_F/(8 z_eff), found numerically.
 
-    For a square array rows^2 * a3dB = 1.2422 (often rounded to 1.25).
+    With s = 2/(rows^2 + cols^2), a3dB/s lies in [0.869, 1.2422] for every
+    shape: 1.2422 for a square array (rows^2 * a3dB = 1.2422, often rounded
+    to 1.25) and 0.869 in the 1:inf limit. So the root is searched on the
+    fixed bracket [s/2, 2 s], which holds the one half-gain crossing.
     """
     scale = 2.0 / (rows**2 + cols**2)
-    x_lo = 1e-6 * scale
-    if g_of_x(rows, cols, x_lo) <= 0.5:
-        raise ValueError("bracket assumption violated at the lower end")
-    x_hi = 0.1 * scale
-    while g_of_x(rows, cols, x_hi) >= 0.25:
-        x_hi *= 1.3
-        if x_hi > 1e6 * scale:
-            raise ValueError("failed to bracket the half-gain point")
-    return solve_scalar_root(
-        lambda x: g_of_x(rows, cols, x) - 0.5, (x_lo, x_hi), tol=1e-18)
+    return solve_scalar_root(lambda x: g_of_x(rows, cols, x) - 0.5,
+                             (0.5 * scale, 2.0 * scale), tol=1e-18)
 
 
 def beam_depth_3db(geom: ArrayGeometry, focal_distance: float,

@@ -134,16 +134,6 @@ def subcommand(name: str, needs: Optional[str] = None, one_of=(), **keys):
     return register
 
 
-def _need_isotropic(radio) -> None:
-    """Reject a directive gain model where the subcommand defines no
-    aperture area for `RadioParams.gain_product`."""
-    for key in ("tx_gain_model", "rx_gain_model"):
-        if getattr(radio, key) != "isotropic":
-            raise ConfigError(f"radio.{key}: a directive gain needs an "
-                              "aperture area, which this subcommand does not "
-                              "define; use isotropic")
-
-
 def _log_grid(lo: float, hi: float, points: int, where: str) -> np.ndarray:
     if not lo < hi or points < 2:
         raise ConfigError(f"{where}: need min < max and at least 2 points")
@@ -209,8 +199,15 @@ def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     x_grid = np.linspace(-exp["x_max"], exp["x_max"], exp["x_points"])
     z_grid = np.linspace(exp["z_min"], exp["z_max"], exp["z_points"])
-    gains = beam.beam_pattern_map(cfg.geometry, (0.0, 0.0, exp["focal_distance"]),
-                                  x_grid, z_grid)
+    try:
+        gains = beam.beam_pattern_map(
+            cfg.geometry, (0.0, 0.0, exp["focal_distance"]), x_grid, z_grid)
+    except ValueError as exc:  # a point whose norm leaves the float range
+        # the focus, else the largest coordinate of the farthest grid point
+        f = exp["focal_distance"]
+        key = ("focal_distance" if f * f == math.inf
+               else max(["x_max", "z_min", "z_max"], key=exp.get))
+        raise ConfigError(f"experiment.{key}: {exc}") from None
     rows = [[x, z, gains[i, j]] for i, z in enumerate(z_grid)
             for j, x in enumerate(x_grid)]
     return CsvSeries(["x_m", "z_m", "gain"], rows)
@@ -312,7 +309,6 @@ def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
             model=(enum("fresnel", "exact"), "fresnel"), **_LINK)
 def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     radio = cfg.radio
-    _need_isotropic(radio)
     link = _los_link(cfg, exp)
     h = link.h_fresnel if exp["model"] == "fresnel" else link.h_exact
     eigenvalues, _ = hermitian_eig(h.conj().T @ h)
@@ -346,7 +342,6 @@ def run_mode_patterns(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             distance_m=(positive, None))
 def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     radio = cfg.radio
-    _need_isotropic(radio)
     beta, key = exp["beta"], "experiment.beta"
     grid = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"],
                      "experiment")

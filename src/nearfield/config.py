@@ -6,13 +6,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import yaml
 
 from .geometry import ArrayGeometry, build_upa
-from .mimo_los import GAIN_MODELS, SPEED_OF_LIGHT, RadioParams
+from .mimo_los import SPEED_OF_LIGHT, RadioParams
 from .regions import RegionBounds, boundary_distances
 
 
@@ -259,8 +259,6 @@ RADIO = Schema({
     "power_over_noise_db": (number, REQUIRED),
     "bandwidth_fraction": (positive, RadioParams.bandwidth_fraction),
     "bandwidth_hz": (frequency, None),
-    "tx_gain_model": (enum(*GAIN_MODELS), RadioParams.tx_gain_model),
-    "rx_gain_model": (enum(*GAIN_MODELS), RadioParams.rx_gain_model),
 }, one_of=(("bandwidth_fraction", "bandwidth_hz"),))
 
 
@@ -272,10 +270,21 @@ def _wavelength(values: Mapping[str, Any]) -> Optional[float]:
 
 
 def _geometry(node: Any, where: str, units: Units) -> ArrayGeometry:
-    """The geometry block; its `lambda` unit is its own wavelength."""
+    """The geometry block; its `lambda` unit is its own wavelength, and its
+    region bounds must be finite and positive."""
     g = GEOMETRY.validate(node, where,
                           lambda parsed: Units(wavelength=_wavelength(parsed)))
-    return build_upa(g["rows"], g["cols"], g["element_side"], _wavelength(g))
+    geom = build_upa(g["rows"], g["cols"], g["element_side"], _wavelength(g))
+    try:
+        bounds = astuple(boundary_distances(geom))
+    except OverflowError:  # a bound beyond the float range
+        bounds = (math.inf,)
+    if not all(0.0 < d < math.inf for d in bounds):
+        raise ConfigError(f"{where}: element_side {geom.element_side:g} m and "
+                          f"wavelength {geom.wavelength:g} m put a region "
+                          "bound (d_N, d_F, d_B or d_FA) outside the finite "
+                          "positive floats")
+    return geom
 
 
 def _radio(node: Any, where: str, units: Units) -> RadioParams:

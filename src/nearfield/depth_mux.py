@@ -39,8 +39,6 @@ class MultiUserChannel:
     """Downlink channel matrix; column k is user k's channel vector."""
 
     matrix: np.ndarray  # (num_elements, K)
-    user_positions: Tuple[Tuple[float, float, float], ...]
-    geometry: ArrayGeometry
 
 
 def planning_depth_parameter(geom: ArrayGeometry, exact: bool = False) -> float:
@@ -131,8 +129,7 @@ def build_mu_channel(geom: ArrayGeometry, users: Sequence[Sequence[float]],
     # (users, elements) rows, returned transposed: the (elements, users)
     # matrix is Fortran-ordered
     rows = phasor_rows(geom, users, per_element_amplitude, scale)
-    return MultiUserChannel(matrix=rows.T, user_positions=tuple(users),
-                            geometry=geom)
+    return MultiUserChannel(matrix=rows.T)
 
 
 def zf_precoder(h: np.ndarray, total_power: float = 1.0) -> np.ndarray:

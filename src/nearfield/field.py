@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -54,8 +53,6 @@ class ChannelVector:
     """Per-element complex channel coefficients, row-major (m, n) order."""
 
     coefficients: np.ndarray
-    geometry: ArrayGeometry
-    source_position: Tuple[float, float, float]
 
     @property
     def norm_squared(self) -> float:
@@ -212,8 +209,7 @@ def channel_vector(geom: ArrayGeometry, source_z: float,
     """Exact patch-integrated channel vector for an on-axis source."""
     integrals, _ = element_field_integrals(geom, source_z, tol=tol)
     coeffs = integrals / math.sqrt(geom.element_area)
-    return ChannelVector(coefficients=coeffs, geometry=geom,
-                         source_position=(0.0, 0.0, source_z))
+    return ChannelVector(coefficients=coeffs)
 
 
 def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
@@ -314,6 +310,4 @@ def phasor_rows(geom: ArrayGeometry, points, per_element_amplitude=False,
 def fresnel_channel_vector(geom: ArrayGeometry, point) -> ChannelVector:
     """Unit-amplitude channel vector with exact spherical per-element phases
     (see `spherical_phasors`)."""
-    position = tuple(float(v) for v in point)
-    return ChannelVector(coefficients=phasor_rows(geom, position)[0],
-                         geometry=geom, source_position=position)
+    return ChannelVector(coefficients=phasor_rows(geom, point)[0])

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .numerics import hermitian_eig, solve_scalar_root, svd
+from .numerics import solve_scalar_root
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -224,7 +224,9 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
     """Single-stream rate B log2(1 + P beta/(B N0)) over a bandwidth range,
     plus the infinite-bandwidth limit and the 80%-of-limit bandwidth
     P beta / (N0 y80), where log1p(y80) = 0.8 y80 is solved on [0.1, 10].
-    Raises `ValueError` if P beta or that bandwidth leaves the float range."""
+    A bandwidth so narrow that P beta/(B N0) overflows still gets a finite
+    rate. Raises `ValueError` if P beta or that bandwidth leaves the float
+    range."""
     b = np.asarray(bandwidths, dtype=float)
     if b.size == 0 or np.any(b <= 0):
         raise ValueError("bandwidths must be positive and non-empty")
@@ -234,7 +236,14 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
     if not (0.0 < s and b80 < math.inf):
         raise ValueError(f"received power over noise density P beta = {s:g} "
                          "Hz is outside the float range of the sweep")
-    rates = b * np.log1p(s / b) / math.log(2.0)
+    with np.errstate(over="ignore"):
+        snr = s / b
+    rates = b * np.log1p(snr) / math.log(2.0)
+    # where s/B overflows, log1p(s/B) = log(s) - log(B) + log1p(B/s)
+    big = np.isinf(snr)
+    narrow = b[big]
+    rates[big] = narrow * (math.log(s) - np.log(narrow)
+                           + np.log1p(narrow / s)) / math.log(2.0)
     limit = math.log2(math.e) * s
     return BandwidthSweep(bandwidths=b, rates=rates, rate_limit=limit,
                           bandwidth_80pct=b80)
@@ -273,7 +282,6 @@ def num_streams_for_area(area: float, distance: float, wavelength: float,
 
 @dataclass(frozen=True)
 class FrequencyPoint:
-    frequency: float
     num_streams: int
     capacity: float
 
@@ -311,8 +319,7 @@ def capacity_frequency_sweep(area: float, distance: float,
         if not snr < math.inf:
             raise ValueError(f"distance {distance:g} m gives an infinite SNR")
         points.append(FrequencyPoint(
-            frequency=f, num_streams=k,
-            capacity=equal_eigenvalue_capacity(k, snr, b)))
+            num_streams=k, capacity=equal_eigenvalue_capacity(k, snr, b)))
     return points
 
 
@@ -332,16 +339,15 @@ class ModeAnalysis:
 
 def mode_analysis(link: LosMimoLink, num_angles: int = 2048) -> ModeAnalysis:
     """Eigenvalue split of H^H H and far-field patterns of the right
-    singular vectors (transmit beamforming modes)."""
-    gram = link.h_exact.conj().T @ link.h_exact
-    eigenvalues, _ = hermitian_eig(gram)
-    fractions = eigenvalues / np.sum(eigenvalues)
-    _, _, v = svd(link.h_exact)
+    singular vectors (transmit beamforming modes). The eigenvalues of H^H H
+    are the squared singular values of H, so one SVD gives both."""
+    _, s, vh = np.linalg.svd(link.h_exact, full_matrices=False)
+    fractions = s**2 / np.sum(s**2)
     angles = np.linspace(-np.pi / 2.0, np.pi / 2.0, num_angles)
     k = link.num_antennas
     positions = np.arange(k) * link.spacing
     steering = np.exp(-2j * np.pi / link.wavelength
                       * np.outer(np.sin(angles), positions)) / math.sqrt(k)
-    patterns = np.abs(steering.conj() @ v) ** 2  # (angles, modes)
+    patterns = np.abs(steering.conj() @ vh.conj().T) ** 2  # (angles, modes)
     return ModeAnalysis(eigenvalue_fractions=fractions, angles=angles,
                         patterns=patterns.T)

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: Fresnel integrals, root finding, dense complex
-linear algebra.
+"""Shared numerical kernels: Fresnel integrals, root finding and the
+Hermitian eigendecomposition of the LOS capacity.
 
 numpy and the standard library only. The Fresnel integrals follow the power
 series and continued fraction of Press et al., *Numerical Recipes*, 3rd ed.,
@@ -193,12 +193,3 @@ def hermitian_eig(m: np.ndarray, atol: float = 1e-10):
     w, v = np.linalg.eigh(m)
     idx = np.argsort(w)[::-1]
     return w[idx], v[:, idx]
-
-
-def svd(m: np.ndarray):
-    """Full SVD (U, singular values descending, V)."""
-    m = np.asarray(m)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh.conj().T

@@ -299,21 +299,25 @@ class TestCliBehavior:
 
     @pytest.mark.parametrize("config_name,subcommand", [
         ("los_capacity.yaml", "los-capacity"),
+        ("fig11_mode_patterns.yaml", "mode-patterns"),
         ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth"),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency"),
     ])
     @pytest.mark.parametrize("key", ["tx_gain_model", "rx_gain_model"])
-    def test_directive_without_aperture_exit_code(self, tmp_path, capsys,
-                                                  config_name, subcommand,
-                                                  key):
-        # these subcommands define no aperture area for a directive gain
+    @pytest.mark.parametrize("model", ["directive", "isotropic"])
+    def test_radio_gain_model_key_exit_code(self, tmp_path, capsys,
+                                            config_name, subcommand, key,
+                                            model):
+        # no radio subcommand reads a gain model from the radio block;
+        # capacity-vs-frequency takes it from experiment.gain_model
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text((CONFIGS / config_name).read_text().replace(
-            "radio:\n", f"radio:\n  {key}: directive\n", 1))
+            "radio:\n", f"radio:\n  {key}: {model}\n", 1))
         assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
             == EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
-        assert f"radio.{key}" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() \
+            == [f"config error: radio: unknown keys ['{key}']"]
         assert captured.out == ""
 
     @pytest.mark.parametrize("config_name,subcommand,key,value", [
@@ -429,8 +433,29 @@ class TestCliBehavior:
         ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
          "experiment.distance_m", {"experiment.distance_m": "1e-3",
                                    "radio.power_over_noise_db": "3070"}),
+        # region bounds beyond the float range: d_N overflows at D^3, and
+        # d_F and d_FA underflow to 0
+        ("regions.yaml", "regions", "geometry",
+         {"geometry.element_side": "1.0e+300"}),
+        ("fig4_gain_sweep.yaml", "gain-sweep", "geometry",
+         {"geometry.element_side": "1.0e+300"}),
+        ("regions.yaml", "regions", "geometry",
+         {"geometry.element_side": "1.0e-300"}),
+        ("zf_sinr.yaml", "zf-sinr", "geometry",
+         {"geometry.element_side": "1.0e-300"}),
+        # heatmap points whose norm overflows
+        ("fig6_heatmap.yaml", "heatmap", "experiment.focal_distance",
+         {"experiment.focal_distance": "1.0e+300"}),
+        ("fig6_heatmap.yaml", "heatmap", "experiment.x_max",
+         {"experiment.x_max": "1.0e+300"}),
+        ("fig6_heatmap.yaml", "heatmap", "experiment.z_min",
+         {"experiment.z_min": "1.0e+300"}),
+        ("fig6_heatmap.yaml", "heatmap", "experiment.z_max",
+         {"experiment.z_max": "1.0e+300"}),
     ], ids=["zf-far-user", "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
-            "freq-snr-overflow"])
+            "freq-snr-overflow", "regions-side-1e300", "sweep-side-1e300",
+            "regions-side-1e-300", "zf-side-1e-300", "heatmap-focal-1e300",
+            "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300"])
     def test_value_beyond_model_range_one_line(self, tmp_path, capsys,
                                                config_name, subcommand, key,
                                                edits):
@@ -447,6 +472,42 @@ class TestCliBehavior:
         [line] = captured.err.splitlines()
         assert line.startswith(f"config error: {key}: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("config_name,subcommand,edits,drop", [
+        # P beta / B overflows at the narrowest bandwidth
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
+         {"experiment.beta": "1e290", "experiment.b_min_hz": '"1e-10 Hz"'},
+         "distance_m"),
+        # g and the axial gains at x near the ends of the float range
+        ("fig9_g_of_x.yaml", "g-of-x", {"experiment.x_max": "1.0e-300"},
+         None),
+        ("fig9_g_of_x.yaml", "g-of-x", {"experiment.x_max": "1.0e+300"},
+         None),
+        ("fig7_depth_plan_gains.yaml", "depth-plan",
+         {"experiment.gain_grid.z_min": "1.0e-300"}, None),
+        ("fig7_depth_plan_gains.yaml", "depth-plan",
+         {"experiment.gain_grid.z_max": "1.0e+300"}, None),
+    ], ids=["bandwidth-overflow", "g-1e-300", "g-1e300", "plan-z-min-1e-300",
+            "plan-z-max-1e300"])
+    def test_value_near_model_range_finite_csv(self, tmp_path, capsys,
+                                               config_name, subcommand,
+                                               edits, drop):
+        # extreme values the model can still evaluate: a CSV of finite
+        # numbers, with nothing on stderr
+        cfg = CONFIGS / config_name
+        for edit_key, value in edits.items():
+            cfg = config_with(tmp_path, cfg.read_text(), edit_key, value, drop)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([subcommand, "--config", str(cfg), "--out", "-"])
+        assert rc == 0
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _, *rows = [line for line in captured.out.splitlines()
+                    if not line.startswith("#")]
+        values = np.array([line.split(",") for line in rows], dtype=float)
+        assert values.size and np.all(np.isfinite(values))
 
     def test_result_too_large_for_memory_exit_code(self, tmp_path, capsys):
         # 10^15 grid points need 7.1 PiB, beyond any 64-bit address space,

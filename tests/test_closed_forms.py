@@ -1,5 +1,6 @@
 """Property tests of the closed forms behind the focal plan, the stream
-count, waterfilling and the 80 % bandwidth.
+count, waterfilling, the 80 % bandwidth, the half-gain parameter a3dB and
+the LOS mode spectrum, and of the golden comparison.
 
 Each closed form is checked against the loop it replaced, kept here
 verbatim as a reference, and against the invariants its callers rely on.
@@ -8,18 +9,24 @@ suite stays deterministic and fast.
 """
 
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nearfield import boundary_distances, build_upa
+from nearfield.beam import g_of_x, solve_a3db
+from nearfield.cli import compare_golden
 from nearfield.depth_mux import plan_depth_focal_points
 from nearfield.mimo_los import (
     CapacityResult,
+    build_los_mimo,
     capacity_bandwidth_sweep,
     capacity_waterfilling,
+    mode_analysis,
     num_streams_for_area,
 )
 from nearfield.numerics import solve_scalar_root
@@ -97,6 +104,20 @@ def reference_bandwidth_80pct(s):
     return solve_scalar_root(
         lambda bb: bb * math.log2(1.0 + s / bb) - 0.8 * limit,
         (1e-3 * s, 1e3 * s), tol=1e-9 * s)
+
+
+def reference_solve_a3db(rows: int, cols: int) -> float:
+    scale = 2.0 / (rows**2 + cols**2)
+    x_lo = 1e-6 * scale
+    if g_of_x(rows, cols, x_lo) <= 0.5:
+        raise ValueError("bracket assumption violated at the lower end")
+    x_hi = 0.1 * scale
+    while g_of_x(rows, cols, x_hi) >= 0.25:
+        x_hi *= 1.3
+        if x_hi > 1e6 * scale:
+            raise ValueError("failed to bracket the half-gain point")
+    return solve_scalar_root(
+        lambda x: g_of_x(rows, cols, x) - 0.5, (x_lo, x_hi), tol=1e-18)
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +293,77 @@ class TestBandwidth80:
         # [1e-3 s, 1e3 s]; below about s = 1e-161 it did not converge
         b80 = capacity_bandwidth_sweep(s, 1.0, [1.0]).bandwidth_80pct
         assert b80 == pytest.approx(reference_bandwidth_80pct(s), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# half-gain parameter a3dB
+
+class TestHalfGain:
+    @PROPERTY
+    @given(rows=st.integers(1, 4000), cols=st.integers(1, 4000))
+    @example(rows=1, cols=1)
+    @example(rows=5, cols=4000)
+    def test_matches_bracket_search(self, rows, cols):
+        # each root is within Brent's tolerance 1e-18 + 4 eps |x| of the
+        # true one, the absolute part ruling for all but the smallest arrays
+        scale = 2.0 / (rows**2 + cols**2)
+        a3db = solve_a3db(rows, cols)
+        reference = reference_solve_a3db(rows, cols)
+        eps = np.finfo(float).eps
+        assert abs(a3db - reference) <= 2.0 * (1e-18 + 4.0 * eps * reference)
+        assert 0.5 * scale <= a3db <= 2.0 * scale
+
+
+# ---------------------------------------------------------------------------
+# LOS mode spectrum
+
+class TestModeSpectrum:
+    @PROPERTY
+    @given(k=st.integers(1, 24), distance=log_uniform(1.0, 1e3),
+           wavelength=log_uniform(1e-3, 0.1), stretch=st.floats(0.2, 3.0))
+    def test_fractions_are_gram_eigenvalues(self, k, distance, wavelength,
+                                            stretch):
+        # the eigenvalues of H^H H, from a second decomposition
+        spacing = stretch * math.sqrt(wavelength * distance / k)
+        link = build_los_mimo(k, spacing, distance, wavelength)
+        fractions = mode_analysis(link, num_angles=8).eigenvalue_fractions
+        h = link.h_exact
+        eigenvalues = np.linalg.eigvalsh(h.conj().T @ h)[::-1]
+        np.testing.assert_allclose(fractions,
+                                   eigenvalues / np.sum(eigenvalues),
+                                   rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# golden comparison
+
+cells = (st.floats(allow_nan=False, width=32)
+         | st.sampled_from(["0", "-0", "inf", "-inf", "1e-300", "x", "True"]))
+
+
+def write_csv(directory, name, header, rows):
+    path = Path(directory) / name
+    path.write_text("\n".join([",".join(header)]
+                              + [",".join(map(str, row)) for row in rows])
+                    + "\n")
+    return str(path)
+
+
+class TestCompareGolden:
+    @PROPERTY
+    @given(data=st.data(), columns=st.integers(1, 4),
+           rows=st.integers(0, 6), tol=st.sampled_from([0.0, 1e-6, 0.5]))
+    def test_symmetric(self, data, columns, rows, tol):
+        table = st.lists(st.lists(cells, min_size=columns,
+                                  max_size=columns),
+                         min_size=rows, max_size=rows)
+        a, b = data.draw(table), data.draw(table)
+        header = [f"c{j}" for j in range(columns)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path_a = write_csv(tmp, "a.csv", header, a)
+            path_b = write_csv(tmp, "b.csv", header, b)
+            passed_ab, report_ab = compare_golden(path_a, path_b, tol)
+            passed_ba, report_ba = compare_golden(path_b, path_a, tol)
+        assert passed_ab == passed_ba
+        deviations = [line for line in report_ab if "max rel" in line]
+        assert deviations == [line for line in report_ba if "max rel" in line]

@@ -18,7 +18,6 @@ from nearfield.numerics import (
     fresnel_cs,
     hermitian_eig,
     solve_scalar_root,
-    svd,
 )
 from patch_quadrature import Rect, integrate_patch
 
@@ -212,17 +211,6 @@ class TestDenseLinalg:
         assert np.linalg.norm(recon - m) / np.linalg.norm(m) < 1e-9
         assert abs(w.sum() - np.trace(m).real) < 1e-9 * abs(np.trace(m).real)
         assert np.all(np.diff(w) <= 1e-12)
-
-    def test_svd_properties(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
-        u, s, v = svd(m)
-        assert np.all(s >= 0)
-        assert np.all(np.diff(s) <= 0)
-        recon = (u * s) @ v.conj().T
-        assert np.linalg.norm(recon - m) / np.linalg.norm(m) < 1e-9
-        assert abs(np.sum(s**2) - np.linalg.norm(m) ** 2) \
-            < 1e-9 * np.linalg.norm(m) ** 2
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
