@@ -159,16 +159,18 @@ def beam_depth_square(geom: ArrayGeometry, focal_distance: float) -> float:
 
 def _pattern_row(x_cols: np.ndarray, y_rows: np.ndarray, wavelength: float,
                  weights: np.ndarray, x_grid: np.ndarray,
-                 z: float) -> np.ndarray:
-    """|sum_k w_k h_k(p)|^2 for p = (x, 0, z) over the x grid, where the
-    elements are the grid of `x_cols` by `y_rows` and `weights` is a
-    (rows, cols, 2) array of [Re w, Im w].
+                 z_grid: np.ndarray) -> np.ndarray:
+    """|sum_k w_k h_k(p)|^2 for p = (x, 0, z) over the whole (z, x) grid, as
+    a (len(z_grid), len(x_grid)) array, where the elements are the grid of
+    `x_cols` by `y_rows` and `weights` is a (rows, cols, 2) array of
+    [Re w, Im w].
 
-    The sum runs block by block over the phasors of `spherical_phasors`, as
-    real matrix products of their real and imaginary parts with `weights`.
+    All grid points go to one `spherical_phasors` pass, and the sum runs
+    block by block over its phasors, as real matrix products of their real
+    and imaginary parts with `weights`.
     """
-    points = np.column_stack([x_grid, np.zeros_like(x_grid),
-                              np.full_like(x_grid, z)])
+    xs, zs = np.meshgrid(x_grid, z_grid)
+    points = np.column_stack([xs.ravel(), np.zeros(xs.size), zs.ravel()])
     cos_w = np.zeros((len(points), 2))  # sum of cos * [Re w, Im w]
     sin_w = np.zeros((len(points), 2))  # sum of sin * [Re w, Im w]
     for ps, rs, cs, re, im in spherical_phasors(x_cols, y_rows, wavelength,
@@ -176,8 +178,9 @@ def _pattern_row(x_cols: np.ndarray, y_rows: np.ndarray, wavelength: float,
         w = weights[rs, cs].reshape(-1, 2)
         cos_w[ps] += re.reshape(len(re), -1) @ w
         sin_w[ps] += im.reshape(len(im), -1) @ w
-    return ((cos_w[:, 0] - sin_w[:, 1]) ** 2
+    gain = ((cos_w[:, 0] - sin_w[:, 1]) ** 2
             + (cos_w[:, 1] + sin_w[:, 0]) ** 2)
+    return gain.reshape(xs.shape)
 
 
 def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
@@ -185,11 +188,17 @@ def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
     """Normalized gain |h(F)^H h(p)|^2 / (||h(F)||^2 ||h(p)||^2) on an
     (x, z) grid, using the per-element spherical-phase channel model.
 
-    Returns an array of shape (len(z_grid), len(x_grid)). Every grid point
-    lies in the y = 0 plane, where the elements at +y and -y see the same
+    Returns an array of shape (len(z_grid), len(x_grid)), from one blocked
+    kernel pass (`_pattern_row`) over the whole grid. Every grid point lies
+    in the y = 0 plane, where the elements at +y and -y see the same
     response, so the conjugate focus weights are folded onto the y >= 0
     element rows and only those rows are evaluated. This holds for any
     focal point, including one off the y = 0 plane.
+
+    A focus at x = 0 (any y and z) makes the gain even in x over the centred
+    aperture. If the grid is then symmetric, x = -x[::-1] to within four
+    ulps of max |x|, only its x >= 0 half, x_grid[n // 2:], is evaluated
+    and mirrored onto the other columns.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     z_grid = np.asarray(z_grid, dtype=float)
@@ -204,7 +213,14 @@ def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
     folded = folded[m // 2:]
     weights = np.stack([folded.real, folded.imag], axis=-1)
     x_cols, y_rows = geom.element_axes()
-    rows = [_pattern_row(x_cols, y_rows[m // 2:], geom.wavelength, weights,
-                         x_grid, z)
-            for z in z_grid]
-    return np.vstack(rows) / geom.num_elements**2
+    count = len(x_grid)
+    mirror = (focal_point[0] == 0.0 and np.all(
+        np.abs(x_grid + x_grid[::-1])
+        <= 4.0 * np.spacing(np.abs(x_grid).max(initial=0.0))))
+    half = count // 2 if mirror else 0
+    gains = _pattern_row(x_cols, y_rows[m // 2:], geom.wavelength, weights,
+                         x_grid[half:], z_grid)
+    if mirror:  # column j takes the gain at x_grid[count - 1 - j] for j < half
+        j = np.arange(count)
+        gains = gains[:, np.maximum(j, count - 1 - j) - half]
+    return gains / geom.num_elements**2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -25,6 +26,10 @@ EXIT_NUMERIC_ERROR = 3
 # ---------------------------------------------------------------------------
 # CSV emission and golden comparison
 
+class NanCellError(ValueError):
+    """A CSV cell that would be written as `nan`."""
+
+
 @dataclass
 class CsvSeries:
     """Rectangular CSV payload with deterministic `#` metadata comments."""
@@ -34,13 +39,19 @@ class CsvSeries:
     comments: List[str] = field(default_factory=list)
 
     def write(self, fh) -> None:
-        for line in self.comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(self.header) + "\n")
-        for row in self.rows:
+        """Write the comments, header and rows. A ragged row or a `nan`
+        cell raises before any byte is written."""
+        lines = [f"# {line}" for line in self.comments]
+        lines.append(",".join(self.header))
+        for i, row in enumerate(self.rows):
             if len(row) != len(self.header):
                 raise ValueError("ragged CSV row")
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            cells = [_fmt(v) for v in row]
+            if "nan" in cells:
+                column = self.header[cells.index("nan")]
+                raise NanCellError(f"column {column} row {i} is nan")
+            lines.append(",".join(cells))
+        fh.write("\n".join(lines) + "\n")
 
 
 def _fmt(value: Any) -> str:
@@ -78,7 +89,9 @@ def compare_golden(csv_path: str, golden_path: str, rel_tol: float):
     """Compare a CSV against a golden fixture column by column.
 
     Numeric cells are compared by relative deviation, everything else by
-    string equality. Returns (passed, report_lines).
+    string equality. A non-finite cell matches only the same signed
+    infinity; a `nan` matches nothing, and either mismatch fails with its
+    row named. Returns (passed, report_lines).
     """
     header_a, rows_a = _read_csv(csv_path)
     header_b, rows_b = _read_csv(golden_path)
@@ -101,10 +114,15 @@ def compare_golden(csv_path: str, golden_path: str, rel_tol: float):
                     report.append(f"column {name}: text mismatch at row {i}: "
                                   f"{a_txt!r} vs {b_txt!r}")
                 continue
-            if a == b or (math.isinf(a) and math.isinf(b) and a * b > 0):
+            if a == b:  # equal floats, or the same signed infinity
                 dev = 0.0
-            else:
+            elif math.isfinite(a) and math.isfinite(b):
                 dev = abs(a - b) / max(abs(a), abs(b))
+            else:  # a nan, or a non-finite cell against another value
+                passed = False
+                report.append(f"column {name}: non-finite mismatch at row "
+                              f"{i}: {a_txt!r} vs {b_txt!r}")
+                continue
             if dev > worst:
                 worst, worst_row = dev, i
         report.append(f"column {name}: max rel deviation {worst:.3e}"
@@ -439,21 +457,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"{name} requires a {needs} block")
         exp = schema.validate(cfg.experiment, "experiment", cfg.units)
         series = RUNNERS[name](cfg, exp)
+        series.comments[:0] = [f"nearfield {__version__}",
+                               f"subcommand: {name}",
+                               f"config-sha256: {cfg.config_hash()}"]
+        text = io.StringIO()  # no output file unless every cell is written
+        series.write(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (AccuracyError, BracketError, RankError, np.linalg.LinAlgError,
-            MemoryError) as exc:
+    except (AccuracyError, BracketError, RankError, NanCellError,
+            np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numeric error in {name}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
-    series.comments[:0] = [f"nearfield {__version__}", f"subcommand: {name}",
-                           f"config-sha256: {cfg.config_hash()}"]
     target = args.out if args.out is not None else cfg.output
     if target in (None, "-"):
-        series.write(sys.stdout)
+        sys.stdout.write(text.getvalue())
     else:
         with open(target, "w") as fh:
-            series.write(fh)
+            fh.write(text.getvalue())
     return 0
 
 

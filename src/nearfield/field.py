@@ -8,8 +8,9 @@ The spherical-phase model is evaluated by one blocked kernel,
 `spherical_phasors`. It walks (points x elements) blocks of at most
 `_BLOCK_SAMPLES` samples in reused scratch arrays, so its memory is bounded
 for any array size and number of points. Channel vectors and multi-user
-channel matrices (`phasor_rows`) write its blocks into their output, and
-beam maps reduce them against the focus weights.
+channel matrices (`phasor_rows`) write its blocks into their output. A beam
+map reduces them against the focus weights in one pass over its whole grid;
+for an on-axis focus on a symmetric grid that grid is only the x >= 0 half.
 
 The exact model integrates the field of `efield_exact` over each element
 by Gauss-Legendre quadrature (`element_field_integrals`), with its own
@@ -235,9 +236,12 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
     Yields `(ps, rs, cs, re, im)`: slices of the points, element rows and
     element columns, and the real and imaginary parts of that
     (points, rows, columns) block. A block holds at most `_BLOCK_SAMPLES`
-    samples, and `re` and `im` are views of scratch arrays that the next
-    block overwrites. Squared distances and phase numerators are sums of a
-    row term and a column term, so only those are formed per sample.
+    samples: whole element rows where they fit, then as many rows and
+    points as fit, so the innermost axis stays long however many points
+    there are. `re` and `im` are views of scratch arrays that the next
+    block overwrites; no points yield no blocks. Squared distances and
+    phase numerators are sums of a row term and a column term, so only
+    those are formed per sample.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if not (np.all(np.isfinite(points[:, :2])) and np.all(points[:, 2] > 0)):
@@ -257,7 +261,9 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
     half_k = -np.pi / wavelength
     free_space = wavelength / (4.0 * np.pi)
     count, rows, cols = len(points), len(y_rows), len(x_cols)
-    block_c = min(cols, max(1, _BLOCK_SAMPLES // count))
+    if count == 0:
+        return
+    block_c = min(cols, _BLOCK_SAMPLES)
     block_r = min(rows, max(1, _BLOCK_SAMPLES // (count * block_c)))
     block_p = min(count, max(1, _BLOCK_SAMPLES // (block_r * block_c)))
     # four scratch arrays, reused in place by every block
@@ -304,7 +310,7 @@ def phasor_rows(geom: ArrayGeometry, points, per_element_amplitude=False,
         block = out[ps, rs, cs]
         np.multiply(re, scale[ps], out=block.real)
         np.multiply(im, scale[ps], out=block.imag)
-    return out.reshape(len(points), -1)
+    return out.reshape(len(points), geom.num_elements)
 
 
 def fresnel_channel_vector(geom: ArrayGeometry, point) -> ChannelVector:

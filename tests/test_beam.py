@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nearfield import boundary_distances, build_upa
+from nearfield import beam
 from nearfield.beam import (
     BeamMetrics,
     array_gain_exact,
@@ -21,6 +22,19 @@ from nearfield.beam import (
 def make_desk_array(rows=30, cols=40, freq=3e9):
     lam = 299792458.0 / freq
     return build_upa(rows, cols, lam / 4.0, lam)
+
+
+def direct_map(geom, focus, x, z):
+    """abs(h(F)^H h(p))^2 / N^2 for p = (x, 0, z) over the (z, x) grid, with
+    the spherical phase written out from raw distances."""
+    c = geom.element_centers()
+    k = 2 * np.pi / geom.wavelength
+    h_f = np.exp(-1j * k * np.sqrt((c[:, 0] - focus[0]) ** 2
+                                   + (c[:, 1] - focus[1]) ** 2 + focus[2] ** 2))
+    dist = np.sqrt((c[:, 0, None, None] - x) ** 2
+                   + c[:, 1, None, None] ** 2 + z[:, None] ** 2)
+    dots = np.einsum("e,ezx->zx", np.conj(h_f), np.exp(-1j * k * dist))
+    return np.abs(dots) ** 2 / geom.num_elements**2
 
 
 class TestExactGain:
@@ -231,25 +245,58 @@ class TestBeamPatternMap:
         np.testing.assert_allclose(pattern[0], closed, atol=0.02)
 
     def test_matches_direct_evaluation(self):
-        # odd and single element rows, on- and off-axis foci (also y != 0),
-        # against the spherical phase written out from raw distances
+        # odd and single element rows, on- and off-axis foci (also y != 0)
         x = np.linspace(-0.3, 0.3, 11)
         z = np.array([0.4, 0.9, 2.5])
         for rows, cols in ((5, 7), (1, 9), (4, 6)):
             g = make_desk_array(rows, cols)
-            c = g.element_centers()
-            k = 2 * np.pi / g.wavelength
             for focus in ((0.0, 0.0, 0.8), (0.13, -0.07, 1.1), (0.0, 0.05, 0.6)):
-                h_f = np.exp(-1j * k * np.sqrt((c[:, 0] - focus[0]) ** 2
-                                               + (c[:, 1] - focus[1]) ** 2
-                                               + focus[2] ** 2))
-                dist = np.sqrt((c[:, 0, None, None] - x) ** 2
-                               + c[:, 1, None, None] ** 2 + z[:, None] ** 2)
-                dots = np.einsum("e,ezx->zx", np.conj(h_f),
-                                 np.exp(-1j * k * dist))
-                direct = np.abs(dots) ** 2 / g.num_elements**2
-                pattern = beam_pattern_map(g, focus, x, z)
-                np.testing.assert_allclose(pattern, direct, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(beam_pattern_map(g, focus, x, z),
+                                           direct_map(g, focus, x, z),
+                                           rtol=0, atol=1e-12)
+
+    # grids and foci of the x-mirror cases, and the x columns each evaluates;
+    # the two linspace grids are asymmetric by one ulp, within the 4 ulps
+    # allowed, and the last grid moves its end point 8 ulps out
+    MIRROR_CASES = (
+        (np.linspace(-0.3, 0.3, 21), (0.0, 0.0, 0.8), 11),
+        (np.linspace(-0.3, 0.3, 20), (0.0, 0.0, 0.8), 10),
+        (np.linspace(-0.3, 0.3, 21), (0.0, 0.05, 0.6), 11),
+        (np.linspace(-0.3, 0.3, 20), (0.0, -0.05, 0.6), 10),
+        (np.linspace(-0.3, 0.3, 21), (0.13, -0.07, 1.1), 21),
+        (np.linspace(-0.3, 0.5, 11), (0.0, 0.0, 0.8), 11),
+        (np.append(np.linspace(-0.3, 0.3, 21)[:-1],
+                   0.3 + 8 * np.spacing(0.3)), (0.0, 0.0, 0.8), 21),
+    )
+
+    @pytest.mark.parametrize("x, focus, evaluated", MIRROR_CASES)
+    def test_x_mirror(self, monkeypatch, x, focus, evaluated):
+        # an on-axis focus on a symmetric grid evaluates ceil(n / 2) x
+        # columns, in one kernel call; any other case evaluates all n
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[4]))
+            return row(*args)
+
+        row = beam._pattern_row
+        monkeypatch.setattr(beam, "_pattern_row", counting)
+        z = np.array([0.4, 0.9, 2.5])
+        for rows, cols in ((5, 7), (4, 6)):
+            g = make_desk_array(rows, cols)
+            pattern = beam_pattern_map(g, focus, x, z)
+            np.testing.assert_allclose(pattern, direct_map(g, focus, x, z),
+                                       rtol=0, atol=1e-12)
+            if evaluated < len(x):
+                assert np.array_equal(pattern, pattern[:, ::-1])
+        assert calls == [evaluated, evaluated]
+
+    def test_empty_grid(self):
+        g = make_desk_array(4, 4)
+        for focus in ((0.0, 0.0, 1.0), (0.1, 0.0, 1.0)):
+            assert beam_pattern_map(g, focus, [], [1.0, 2.0]).shape == (2, 0)
+            assert beam_pattern_map(g, focus, [0.0, 0.1], []).shape == (0, 2)
+            assert beam_pattern_map(g, focus, [], []).shape == (0, 0)
 
     def test_invalid_grid(self):
         g = make_desk_array(4, 4)

@@ -13,6 +13,8 @@ from nearfield.cli import (
     CsvSeries,
     EXIT_CONFIG_ERROR,
     EXIT_NUMERIC_ERROR,
+    RUNNERS,
+    NanCellError,
     compare_golden,
     main,
 )
@@ -159,6 +161,27 @@ class TestCsvSeries:
         s.write(buf)
         assert "0.333333333333" in buf.getvalue()
 
+    def test_nan_cell_refused_before_writing(self):
+        s = CsvSeries(["a", "b"], [[1, 2.0], [3, float("nan")]],
+                      comments=["hello"])
+        buf = io.StringIO()
+        with pytest.raises(NanCellError, match="column b row 1 is nan"):
+            s.write(buf)
+        assert buf.getvalue() == ""
+
+    def test_nan_cell_exits_numeric_without_output(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def nan_runner(cfg, exp):
+            return CsvSeries(["x_m", "gain"], [[0.0, 1.0], [0.5, np.nan]])
+
+        monkeypatch.setitem(RUNNERS, "heatmap", nan_runner)
+        out = tmp_path / "heatmap.csv"
+        code = run_subcommand(CONFIGS / "fig6_heatmap.yaml", "heatmap", out)
+        assert code == EXIT_NUMERIC_ERROR
+        assert capsys.readouterr().err == (
+            "numeric error in heatmap: column gain row 1 is nan\n")
+        assert not out.exists()
+
 
 class TestCompareGolden:
     def write_csv(self, path, text):
@@ -200,6 +223,20 @@ class TestCompareGolden:
         a = self.write_csv(tmp_path / "a.csv", "# one\nx\n1\n")
         b = self.write_csv(tmp_path / "b.csv", "# another comment\nx\n1\n")
         assert compare_golden(a, b, 1e-9)[0]
+
+    @pytest.mark.parametrize("csv, golden", [
+        ("nan", "2"), ("inf", "2"), ("-inf", "2"), ("inf", "1e-300"),
+        ("-inf", "1e-300"), ("-inf", "inf"), ("inf", "-inf"), ("0", "inf"),
+        ("0", "-inf"), ("nan", "nan"),
+    ])
+    def test_non_finite_mismatch_fails(self, tmp_path, csv, golden):
+        a = self.write_csv(tmp_path / "a.csv", f"x,y\n1,5\n{csv},6\n")
+        b = self.write_csv(tmp_path / "b.csv", f"x,y\n1,5\n{golden},6\n")
+        for first, second in ((a, b), (b, a)):
+            passed, report = compare_golden(first, second, 1e-6)
+            assert not passed and report[-1] == "FAIL"
+            assert any(line.startswith("column x: non-finite mismatch at "
+                                       "row 1") for line in report)
 
 
 class TestGoldenRegeneration:

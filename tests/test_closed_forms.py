@@ -338,7 +338,21 @@ class TestModeSpectrum:
 # golden comparison
 
 cells = (st.floats(allow_nan=False, width=32)
-         | st.sampled_from(["0", "-0", "inf", "-inf", "1e-300", "x", "True"]))
+         | st.sampled_from(["0", "-0", "inf", "-inf", "nan", "1e-300", "x",
+                            "True"]))
+
+
+def cells_match(a_txt, b_txt, rel_tol):
+    """Whether two CSV cells match: equal text if either is no number; else
+    equal floats or the same infinity, or finite and within `rel_tol`. A
+    nan matches nothing."""
+    try:
+        a, b = float(a_txt), float(b_txt)
+    except ValueError:
+        return a_txt == b_txt
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a == b
+    return a == b or abs(a - b) / max(abs(a), abs(b)) <= rel_tol
 
 
 def write_csv(directory, name, header, rows):
@@ -367,3 +381,16 @@ class TestCompareGolden:
         assert passed_ab == passed_ba
         deviations = [line for line in report_ab if "max rel" in line]
         assert deviations == [line for line in report_ba if "max rel" in line]
+
+    @PROPERTY
+    @given(a=cells, b=cells, nudge=st.none() | st.floats(-2e-6, 2e-6),
+           tol=st.sampled_from([0.0, 1e-6, 0.5]))
+    def test_passes_exactly_on_matching_cells(self, a, b, nudge, tol):
+        # a nudge makes a nearby finite pair, on either side of 1e-6
+        if nudge is not None and isinstance(a, float):
+            b = a * (1.0 + nudge)
+        with tempfile.TemporaryDirectory() as tmp:
+            path_a = write_csv(tmp, "a.csv", ["c"], [[a]])
+            path_b = write_csv(tmp, "b.csv", ["c"], [[b]])
+            passed = compare_golden(path_a, path_b, tol)[0]
+        assert passed == cells_match(str(a), str(b), tol)

@@ -263,9 +263,9 @@ class TestSphericalPhasors:
 
     @pytest.mark.parametrize("block", [5, 40])
     def test_blocks_do_not_change_result(self, monkeypatch, block):
-        # 5-sample blocks split the 11 map points (and 7 users) and take
-        # one element at a time; 40-sample blocks split the element rows
-        # and columns into partial blocks
+        # 5-sample blocks split the element columns and take one point
+        # and one element row at a time; 40-sample blocks split the 22 map
+        # points (and 7 users) and take one element row at a time
         g = make_desk_array(5, 7)
         x = np.linspace(-0.3, 0.3, 11)
         z = np.array([0.4, 0.9])
@@ -288,20 +288,29 @@ class TestSphericalPhasors:
             np.testing.assert_allclose(b, w, rtol=1e-14, atol=0)
 
     def test_map_row_memory_bounded(self):
-        # one row of 3 points over the 500k folded elements of a 1000x1000
-        # array; an unblocked (points, elements) phasor array would take
-        # 12 MB per real copy
+        # one pass over a 3x3 (z, x) grid and the 500k folded elements of a
+        # 1000x1000 array; an unblocked (points, elements) phasor array
+        # would take 36 MB per real copy
         g = make_desk_array(1000, 1000)
         x_cols, y_rows = g.element_axes()
         y_rows = y_rows[500:]
         weights = np.ones((len(y_rows), len(x_cols), 2))
         x = np.array([-0.1, 0.0, 0.2])
+        z = np.array([2.0, 5.0, 9.0])
         tracemalloc.start()
         try:
-            row = beam._pattern_row(x_cols, y_rows, g.wavelength, weights,
-                                    x, 5.0)
+            gains = beam._pattern_row(x_cols, y_rows, g.wavelength, weights,
+                                      x, z)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert row.shape == (3,) and np.all(np.isfinite(row))
+        assert gains.shape == (3, 3) and np.all(np.isfinite(gains))
         assert peak < 3 * 2**20
+
+    def test_no_points(self):
+        g = make_desk_array(3, 4)
+        assert list(field.spherical_phasors(*g.element_axes(), g.wavelength,
+                                            np.empty((0, 3)))) == []
+        for per_element in (False, True):
+            rows = field.phasor_rows(g, np.empty((0, 3)), per_element)
+            assert rows.shape == (0, 12) and rows.dtype == complex
