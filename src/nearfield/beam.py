@@ -27,7 +27,6 @@ class BeamMetrics:
     bw_3db: float
     bd_3db: float
     bd_interval: Tuple[float, float]
-    a_3db: float
 
 
 def array_gain_exact(geom: ArrayGeometry, z: float, tol: float = 1e-6) -> float:
@@ -140,7 +139,7 @@ def beam_depth_3db(geom: ArrayGeometry, focal_distance: float,
             z_hi = math.inf
             bd = math.inf
         bw = beam_width_3db(geom, f)
-    return BeamMetrics(bw_3db=bw, bd_3db=bd, bd_interval=(z_lo, z_hi), a_3db=a3db)
+    return BeamMetrics(bw_3db=bw, bd_3db=bd, bd_interval=(z_lo, z_hi))
 
 
 def beam_depth_square(geom: ArrayGeometry, focal_distance: float) -> float:
@@ -205,8 +204,7 @@ def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
     if not np.all(z_grid > 0):
         raise ValueError("grid must satisfy z > 0")
     m, n = geom.rows, geom.cols
-    h_f = fresnel_channel_vector(geom, focal_point).coefficients
-    w = np.conj(h_f).reshape(m, n)
+    w = np.conj(fresnel_channel_vector(geom, focal_point)).reshape(m, n)
     folded = w + w[::-1]
     if m % 2:
         folded[m // 2] *= 0.5  # the y = 0 row is its own mirror

@@ -17,7 +17,7 @@ from .config import (REQUIRED, ConfigError, RunConfig, Schema, count,
                      either, enum, frequency, length, list_of, load_config,
                      non_negative, position, positive)
 from . import beam, depth_mux, mimo_los, regions
-from .numerics import AccuracyError, BracketError, RankError, hermitian_eig
+from .numerics import AccuracyError, BracketError, RankError
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
@@ -68,6 +68,9 @@ def _fmt(value: Any) -> str:
 
 
 def _read_csv(path: str):
+    """Header and data rows of a CSV file, skipping `#` comments. Raises
+    `ValueError` if there is no header or a row's cell count differs from
+    the header's."""
     header = None
     rows = []
     with open(path) as fh:
@@ -78,6 +81,9 @@ def _read_csv(path: str):
             cells = line.split(",")
             if header is None:
                 header = cells
+            elif len(cells) != len(header):
+                raise ValueError(f"{path}: row {len(rows)} has {len(cells)} "
+                                 f"cells, the header has {len(header)}")
             else:
                 rows.append(cells)
     if header is None:
@@ -91,8 +97,12 @@ def compare_golden(csv_path: str, golden_path: str, rel_tol: float):
     Numeric cells are compared by relative deviation, everything else by
     string equality. A non-finite cell matches only the same signed
     infinity; a `nan` matches nothing, and either mismatch fails with its
-    row named. Returns (passed, report_lines).
+    row named. Returns (passed, report_lines). Raises `ValueError` unless
+    `rel_tol` is finite and non-negative, or if a file is not a rectangular
+    CSV.
     """
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {rel_tol}")
     header_a, rows_a = _read_csv(csv_path)
     header_b, rows_b = _read_csv(golden_path)
     report = []
@@ -206,7 +216,7 @@ def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     for f in exp["focal_distances"]:
         metrics = beam.beam_depth_3db(geom, f, a3db=a3db)
         rows.append([f, metrics.bd_interval[0], metrics.bd_interval[1],
-                     metrics.bd_3db, metrics.bw_3db, metrics.a_3db])
+                     metrics.bd_3db, metrics.bw_3db, a3db])
     return CsvSeries(
         ["focal_m", "z_lo_m", "z_hi_m", "bd_3db_m", "bw_3db_m", "a_3db"], rows)
 
@@ -329,12 +339,12 @@ def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     radio = cfg.radio
     link = _los_link(cfg, exp)
     h = link.h_fresnel if exp["model"] == "fresnel" else link.h_exact
-    eigenvalues, _ = hermitian_eig(h.conj().T @ h)
-    eigenvalues = np.maximum(eigenvalues, 0.0)
+    # the eigenvalues of H^H H, descending: the squared singular values of H
+    eigenvalues = np.linalg.svd(h, compute_uv=False) ** 2
     b = radio.bandwidth()
     snr = radio.power_over_noise / b
     result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
-    rows = [[i + 1, result.eigenvalues[i], result.powers[i], result.capacity]
+    rows = [[i + 1, eigenvalues[i], result.powers[i], result.capacity]
             for i in range(exp["num_antennas"])]
     return CsvSeries(
         ["stream", "eigenvalue", "power_fraction", "capacity_bit_per_s"], rows)
@@ -373,7 +383,7 @@ def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     except ValueError as exc:  # the path gain or P beta out of range
         raise ConfigError(f"{key}: {exc}") from None
     rows = [[b, r, sweep.rate_limit, sweep.bandwidth_80pct]
-            for b, r in zip(sweep.bandwidths, sweep.rates)]
+            for b, r in zip(grid, sweep.rates)]
     return CsvSeries(
         ["bandwidth_hz", "rate_bit_per_s", "rate_limit_bit_per_s",
          "bandwidth_80pct_hz"], rows)

@@ -28,7 +28,6 @@ and a sine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -47,17 +46,6 @@ def efield_exact(x, y, z, wavelength: float):
     r2 = x * x + y * y + z * z
     amplitude = np.sqrt(z * (x * x + z * z)) / (np.sqrt(4.0 * np.pi) * r2**1.25)
     return amplitude * np.exp(-2j * np.pi / wavelength * np.sqrt(r2))
-
-
-@dataclass(frozen=True)
-class ChannelVector:
-    """Per-element complex channel coefficients, row-major (m, n) order."""
-
-    coefficients: np.ndarray
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.coefficients, self.coefficients).real)
 
 
 #: Highest Gauss-Legendre order per axis that `element_field_integrals` tries.
@@ -206,11 +194,11 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
 
 
 def channel_vector(geom: ArrayGeometry, source_z: float,
-                   tol: float = 1e-8) -> ChannelVector:
-    """Exact patch-integrated channel vector for an on-axis source."""
+                   tol: float = 1e-8) -> np.ndarray:
+    """Exact patch-integrated channel vector for an on-axis source: one
+    complex coefficient per element, row-major over (row, column)."""
     integrals, _ = element_field_integrals(geom, source_z, tol=tol)
-    coeffs = integrals / math.sqrt(geom.element_area)
-    return ChannelVector(coefficients=coeffs)
+    return integrals / math.sqrt(geom.element_area)
 
 
 def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
@@ -313,7 +301,7 @@ def phasor_rows(geom: ArrayGeometry, points, per_element_amplitude=False,
     return out.reshape(len(points), geom.num_elements)
 
 
-def fresnel_channel_vector(geom: ArrayGeometry, point) -> ChannelVector:
+def fresnel_channel_vector(geom: ArrayGeometry, point) -> np.ndarray:
     """Unit-amplitude channel vector with exact spherical per-element phases
-    (see `spherical_phasors`)."""
-    return ChannelVector(coefficients=phasor_rows(geom, point)[0])
+    (see `spherical_phasors`), row-major over (row, column)."""
+    return phasor_rows(geom, point)[0]

@@ -92,7 +92,6 @@ class LosMimoLink:
 
     num_antennas: int
     spacing: float
-    distance: float
     wavelength: float
     h_exact: np.ndarray
     h_fresnel: np.ndarray
@@ -103,7 +102,6 @@ class LosMimoLink:
 class CapacityResult:
     capacity: float
     powers: np.ndarray
-    eigenvalues: np.ndarray
     k_used: int
 
 
@@ -151,9 +149,8 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
     delta = ((idx[:, None] - idx[None, :]) * spacing) ** 2
     h_fresnel = math.sqrt(beta) * np.exp(
         -1j * np.pi * delta / (distance * wavelength))
-    return LosMimoLink(num_antennas=k, spacing=spacing, distance=distance,
-                       wavelength=wavelength, h_exact=h_exact,
-                       h_fresnel=h_fresnel, beta=beta)
+    return LosMimoLink(num_antennas=k, spacing=spacing, wavelength=wavelength,
+                       h_exact=h_exact, h_fresnel=h_fresnel, beta=beta)
 
 
 def optimal_spacing(num_antennas: int, distance: float, wavelength: float) -> float:
@@ -201,8 +198,7 @@ def capacity_waterfilling(eigenvalues: Sequence[float], snr: float,
         powers[order[:k_used]] = levels[k_used - 1] - floor[:k_used]
     capacity = bandwidth * float(
         np.sum(np.log2(1.0 + snr * lam * powers)))
-    return CapacityResult(capacity=capacity, powers=powers, eigenvalues=lam,
-                          k_used=k_used)
+    return CapacityResult(capacity=capacity, powers=powers, k_used=k_used)
 
 
 def equal_eigenvalue_capacity(num_streams: int, snr: float,
@@ -213,7 +209,6 @@ def equal_eigenvalue_capacity(num_streams: int, snr: float,
 
 @dataclass(frozen=True)
 class BandwidthSweep:
-    bandwidths: np.ndarray
     rates: np.ndarray
     rate_limit: float
     bandwidth_80pct: float
@@ -245,8 +240,7 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
     rates[big] = narrow * (math.log(s) - np.log(narrow)
                            + np.log1p(narrow / s)) / math.log(2.0)
     limit = math.log2(math.e) * s
-    return BandwidthSweep(bandwidths=b, rates=rates, rate_limit=limit,
-                          bandwidth_80pct=b80)
+    return BandwidthSweep(rates=rates, rate_limit=limit, bandwidth_80pct=b80)
 
 
 def num_streams_for_area(area: float, distance: float, wavelength: float,

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: Fresnel integrals, root finding and the
-Hermitian eigendecomposition of the LOS capacity.
+"""Shared numerical kernels: Fresnel integrals, root finding and a Hermitian
+eigendecomposition.
 
 numpy and the standard library only. The Fresnel integrals follow the power
 series and continued fraction of Press et al., *Numerical Recipes*, 3rd ed.,
@@ -183,7 +183,8 @@ def _brentq(g, xpre: float, xcur: float, fpre: float, fcur: float,
 
 
 def hermitian_eig(m: np.ndarray, atol: float = 1e-10):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    No pipeline calls it; `perfbench/tracing.py` still traces it by name."""
     m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")

@@ -238,6 +238,26 @@ class TestCompareGolden:
             assert any(line.startswith("column x: non-finite mismatch at "
                                        "row 1") for line in report)
 
+    @pytest.mark.parametrize("row", ["3", "3,4,5"])
+    def test_ragged_row_exit_code(self, tmp_path, capsys, row):
+        ragged = self.write_csv(tmp_path / "ragged.csv", f"x,y\n1,2\n{row}\n")
+        whole = self.write_csv(tmp_path / "whole.csv", "x,y\n1,2\n3,4\n")
+        for args in ((ragged, whole), (whole, ragged)):
+            assert main(["compare-golden", *args]) == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert f"{ragged}: row 1 has {len(row.split(','))} cells" in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_tol_must_be_finite_non_negative(self, tmp_path, capsys, tol):
+        a = self.write_csv(tmp_path / "a.csv", "x\n1\n")
+        b = self.write_csv(tmp_path / "b.csv", "x\n5\n")  # 80 % deviation
+        for args in ((a, a), (a, b)):
+            assert main(["compare-golden", *args, f"--tol={tol}"]) \
+                == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert "tol must be finite and non-negative" in err
+
 
 class TestGoldenRegeneration:
     @pytest.mark.parametrize("config_name", sorted(CASES))

@@ -164,7 +164,7 @@ class TestChannelAndPrecoders:
         for k, (x, y, z) in enumerate(users):
             dist = np.sqrt((c[:, 0] - x) ** 2 + (c[:, 1] - y) ** 2 + z * z)
             expected = (lam / (4 * math.pi * dist)
-                        * fresnel_channel_vector(self.geom, (x, y, z)).coefficients)
+                        * fresnel_channel_vector(self.geom, (x, y, z)))
             np.testing.assert_allclose(h[:, k], expected, rtol=1e-14, atol=0)
 
     def test_per_element_amplitude_modulus(self):
