@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .field import (element_field_integrals, fresnel_channel_vector,
+from .field import (_fold, element_field_integrals, fresnel_channel_vector,
                     spherical_phasors)
 from .geometry import ArrayGeometry
 from .numerics import fresnel_cs, solve_scalar_root
@@ -219,6 +219,5 @@ def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
     gains = _pattern_row(x_cols, y_rows[m // 2:], geom.wavelength, weights,
                          x_grid[half:], z_grid)
     if mirror:  # column j takes the gain at x_grid[count - 1 - j] for j < half
-        j = np.arange(count)
-        gains = gains[:, np.maximum(j, count - 1 - j) - half]
+        gains = gains[:, _fold(count)]
     return gains / geom.num_elements**2

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import math
 import sys
@@ -399,11 +398,10 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     variants = ["isotropic", "directive"] if model == "both" else [model]
     sweeps = {}
     for variant in variants:
-        r = dataclasses.replace(cfg.radio, tx_gain_model=variant,
-                                rx_gain_model=variant)
         try:
             sweeps[variant] = mimo_los.capacity_frequency_sweep(
-                exp["area_m2"], exp["distance_m"], freqs, r)
+                exp["area_m2"], exp["distance_m"], freqs, cfg.radio,
+                directive=variant == "directive")
         except ValueError as exc:  # path gain, SNR or stream count out of range
             raise ConfigError(f"experiment.distance_m: {exc}") from None
     header = ["frequency_hz", "streams"] + [f"capacity_{v}_bit_per_s"
@@ -418,12 +416,17 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             wavelengths_m=(list_of(positive), ()),
             frequencies=(list_of(frequency), ()))
 def run_dof(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
-    wavelengths = list(exp["wavelengths_m"]) + [
-        mimo_los.SPEED_OF_LIGHT / f for f in exp["frequencies"]]
+    wavelengths = [(lam, "wavelengths_m") for lam in exp["wavelengths_m"]] + [
+        (mimo_los.SPEED_OF_LIGHT / f, "frequencies") for f in exp["frequencies"]]
     if not wavelengths:
         raise ConfigError("experiment: need wavelengths_m or frequencies")
     area = exp["area_m2"]
-    rows = [[lam, area, mimo_los.spatial_dof(area, lam)] for lam in wavelengths]
+    rows = []
+    for lam, key in wavelengths:
+        try:
+            rows.append([lam, area, mimo_los.spatial_dof(area, lam)])
+        except ValueError as exc:  # pi A / lambda^2 out of range
+            raise ConfigError(f"experiment.{key}: {exc}") from None
     return CsvSeries(["wavelength_m", "area_m2", "dof"], rows)
 
 

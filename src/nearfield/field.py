@@ -138,12 +138,16 @@ def _quadrant_integrals(geom: ArrayGeometry, z: float, order: int) -> np.ndarray
     return out * (scale * np.exp(-2j * np.pi / geom.wavelength * z))
 
 
+def _fold(count: int) -> np.ndarray:
+    """For each of `count` centred positions, the index of its mirror image
+    within the upper half, positions count // 2 onwards."""
+    i = np.arange(count)
+    return np.maximum(i, count - 1 - i) - count // 2
+
+
 def _mirror(geom: ArrayGeometry, quadrant: np.ndarray) -> np.ndarray:
     """Row-major per-element vector from its x >= 0, y >= 0 quadrant."""
-    def fold(count):
-        i = np.arange(count)
-        return np.maximum(i, count - 1 - i) - count // 2
-    return quadrant[np.ix_(fold(geom.rows), fold(geom.cols))].ravel()
+    return quadrant[np.ix_(_fold(geom.rows), _fold(geom.cols))].ravel()
 
 
 def _reference_power(geom: ArrayGeometry, z: float) -> float:

@@ -13,38 +13,26 @@ from .numerics import solve_scalar_root
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
-GAIN_MODELS = ("isotropic", "directive")
-
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Link-level radio assumptions for the capacity experiments.
+    """The radio block: link-level assumptions for the capacity experiments.
 
     bandwidth_fraction gives B = fraction * carrier frequency; set
-    bandwidth_hz instead for a fixed bandwidth. Gain models: "isotropic"
-    (G = 1) or "directive": an aperture of effective area A_e, with the
-    standard aperture gain G = 4 pi A_e / lambda^2. That is the receive
-    model of `field.channel_vector`, where an element of area A collects
-    A/(4 pi d^2) = (lambda/(4 pi d))^2 * 4 pi A/lambda^2 far out. The gain is
-    a far-field one: it holds beyond the Fraunhofer distance 2 D^2/lambda of
-    the aperture diagonal D, and is an approximation closer in.
+    bandwidth_hz instead for a fixed bandwidth. The ends are isotropic; the
+    one directive variant is an argument of `capacity_frequency_sweep`.
     """
 
     carrier_frequency: float
     power_over_noise_db: float
     bandwidth_fraction: float | None = 0.03
     bandwidth_hz: float | None = None
-    tx_gain_model: str = "isotropic"
-    rx_gain_model: str = "isotropic"
 
     def __post_init__(self):
         if self.carrier_frequency <= 0:
             raise ValueError("carrier_frequency must be positive")
         if (self.bandwidth_fraction is None) == (self.bandwidth_hz is None):
             raise ValueError("set exactly one of bandwidth_fraction / bandwidth_hz")
-        for model in (self.tx_gain_model, self.rx_gain_model):
-            if model not in GAIN_MODELS:
-                raise ValueError(f"unknown gain model {model!r}")
         # these messages start with the field name, which config errors use
         if not 0.0 < self.power_over_noise < math.inf:
             raise ValueError(
@@ -63,27 +51,13 @@ class RadioParams:
         except OverflowError:
             return math.inf
 
-    def wavelength(self, frequency: float | None = None) -> float:
-        return SPEED_OF_LIGHT / (frequency or self.carrier_frequency)
+    def wavelength(self) -> float:
+        return SPEED_OF_LIGHT / self.carrier_frequency
 
     def bandwidth(self, frequency: float | None = None) -> float:
         if self.bandwidth_hz is not None:
             return self.bandwidth_hz
         return self.bandwidth_fraction * (frequency or self.carrier_frequency)
-
-    def gain_product(self, frequency: float | None = None,
-                     area: float | None = None) -> float:
-        """G_tx * G_rx at `frequency`; `area` (m^2) is the effective
-        aperture of each directive end and is required if either is."""
-        lam = self.wavelength(frequency)
-        gain = 1.0
-        for model in (self.tx_gain_model, self.rx_gain_model):
-            if model == "directive":
-                if area is None or not area > 0:
-                    raise ValueError("a directive gain model needs a positive "
-                                     "aperture area")
-                gain *= 4.0 * math.pi * area / lam**2
-        return gain
 
 
 @dataclass(frozen=True)
@@ -117,12 +91,6 @@ def free_space_gain(wavelength: float, distance: float) -> float:
     return gain
 
 
-def pair_distance(m, k, spacing: float, distance: float):
-    """Distance between receive antenna m and transmit antenna k."""
-    offset = (np.asarray(m) - np.asarray(k)) * spacing
-    return np.sqrt(distance**2 + offset**2)
-
-
 def build_los_mimo(num_antennas: int, spacing: float, distance: float,
                    wavelength: float) -> LosMimoLink:
     """Exact and Fresnel-approximate K x K LOS channel matrices.
@@ -142,11 +110,11 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
         raise ValueError(f"antenna distances overflow at distance "
                          f"{distance:g} m and spacing {spacing:g} m")
     idx = np.arange(1, k + 1)
-    d_mk = pair_distance(idx[:, None], idx[None, :], spacing, distance)
+    delta = ((idx[:, None] - idx[None, :]) * spacing) ** 2
+    d_mk = np.sqrt(distance**2 + delta)  # receive m to transmit k
     beta_mk = (wavelength / (4.0 * np.pi * d_mk)) ** 2
     h_exact = np.sqrt(beta_mk) * np.exp(
         -2j * np.pi * (d_mk - distance) / wavelength)
-    delta = ((idx[:, None] - idx[None, :]) * spacing) ** 2
     h_fresnel = math.sqrt(beta) * np.exp(
         -1j * np.pi * delta / (distance * wavelength))
     return LosMimoLink(num_antennas=k, spacing=spacing, wavelength=wavelength,
@@ -281,24 +249,32 @@ class FrequencyPoint:
 
 
 def capacity_frequency_sweep(area: float, distance: float,
-                             frequencies: Sequence[float],
-                             radio: RadioParams) -> list[FrequencyPoint]:
+                             frequencies: Sequence[float], radio: RadioParams,
+                             directive: bool = False) -> list[FrequencyPoint]:
     """Capacity vs carrier frequency at fixed array area and distance.
 
     Per frequency: lambda = c/f, antenna width lambda/2, K from the area
     constraint, optimal spacing, B from the radio bandwidth rule, and
-    capacity B K log2(1 + P beta/(B N0)), with
-    beta = G_tx G_rx (lambda/(4 pi d))^2.
+    capacity B K log2(1 + P beta/(B N0)), with beta = G^2 (lambda/(4 pi d))^2.
+    Isotropic ends have G = 1.
 
-    A directive end gets the aperture gain of area / K: the K antennas share
-    the fixed area, so the total aperture stays the same at every frequency.
-    That split is a modelling choice; the package's sources do not fix it.
-    For the shipped geometry (0.01 m^2 at 10 m), K = 1 below about 153 GHz,
-    so there beta = area^2/(lambda d)^2, Friis' A_t A_r/(lambda d)^2. The
-    aperture gain is a far-field approximation: 10 m is inside the
-    Fraunhofer distance 2 D^2/lambda of the 0.1 m square's diagonal above
-    about 75 GHz (9.34 m at 70 GHz, 13.3 m at 100 GHz), and this sweep does
-    not model the near-field loss of gain there.
+    `directive` makes both ends apertures. An aperture of effective area A_e
+    has the standard gain G = 4 pi A_e / lambda^2. That is the receive model
+    of `field.channel_vector`, where an element of area A collects
+    A/(4 pi d^2) = (lambda/(4 pi d))^2 * 4 pi A/lambda^2 far out. Each
+    antenna gets A_e = area / K: the K antennas share the fixed area, so the
+    total aperture stays the same at every frequency. That split is a
+    modelling choice; the package's sources do not fix it. For the shipped
+    geometry (0.01 m^2 at 10 m), K = 1 below about 153 GHz, so there
+    beta = area^2/(lambda d)^2, Friis' A_t A_r/(lambda d)^2.
+
+    The aperture gain is a far-field one: it holds beyond the Fraunhofer
+    distance 2 D^2/lambda of the aperture diagonal D, and is an
+    approximation closer in. 10 m is inside that distance for the 0.1 m
+    square above about 75 GHz (9.34 m at 70 GHz, 13.3 m at 100 GHz), and
+    this sweep does not model the near-field loss of gain there.
+    Raises `ValueError` if the path gain, the stream count or the SNR
+    leaves the float range.
     """
     freqs = np.asarray(frequencies, dtype=float)
     if freqs.size == 0:
@@ -307,7 +283,11 @@ def capacity_frequency_sweep(area: float, distance: float,
     for f in freqs.tolist():  # Python floats: an overflow gives inf
         lam = SPEED_OF_LIGHT / f
         k = num_streams_for_area(area, distance, lam, lam / 2.0)
-        beta = radio.gain_product(f, area / k) * free_space_gain(lam, distance)
+        beta = free_space_gain(lam, distance)
+        if directive:
+            lam2 = lam * lam
+            gain = 4.0 * math.pi * (area / k) / lam2 if lam2 else math.inf
+            beta *= gain * gain
         b = radio.bandwidth(f)
         snr = radio.power_over_noise * beta / b
         if not snr < math.inf:
@@ -318,10 +298,17 @@ def capacity_frequency_sweep(area: float, distance: float,
 
 
 def spatial_dof(area: float, wavelength: float) -> float:
-    """Orthogonal spatial channels resolvable by a planar aperture."""
+    """Orthogonal spatial channels pi A / lambda^2 resolvable by a planar
+    aperture. Raises `ValueError` unless that is a finite positive float."""
     if area <= 0 or wavelength <= 0:
         raise ValueError("area and wavelength must be positive")
-    return math.pi * area / wavelength**2
+    lam2 = float(wavelength) * float(wavelength)  # an overflow gives inf
+    dof = math.pi * float(area) / lam2 if lam2 else math.inf
+    if not 0.0 < dof < math.inf:
+        raise ValueError(f"area {area:g} m^2 at wavelength {wavelength:g} m "
+                         f"gives pi A / lambda^2 = {dof:g} degrees of "
+                         "freedom, outside the float range")
+    return dof
 
 
 @dataclass(frozen=True)

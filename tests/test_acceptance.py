@@ -229,9 +229,6 @@ def test_criterion_09_capacity_vs_frequency():
     # variant at 70 GHz is at least 8x the isotropic one
     area, dist = 0.01, 10.0
     iso = RadioParams(carrier_frequency=3e9, power_over_noise_db=189.03)
-    directive = RadioParams(carrier_frequency=3e9, power_over_noise_db=189.03,
-                            tx_gain_model="directive",
-                            rx_gain_model="directive")
     freqs = np.linspace(1e9, 100e9, 1000)
     caps = np.array([p.capacity for p in
                      capacity_frequency_sweep(area, dist, freqs, iso)])
@@ -243,7 +240,7 @@ def test_criterion_09_capacity_vs_frequency():
     assert np.all(np.diff(caps[i_peak:]) < 0)
 
     [c_iso] = capacity_frequency_sweep(area, dist, [70e9], iso)
-    [c_dir] = capacity_frequency_sweep(area, dist, [70e9], directive)
+    [c_dir] = capacity_frequency_sweep(area, dist, [70e9], iso, directive=True)
     assert c_dir.capacity >= 8.0 * c_iso.capacity
 
 

@@ -304,6 +304,26 @@ class TestCliBehavior:
                 if l and not l.startswith("#")]
         assert len(rows) - 1 == 6  # header + six focal points
 
+    @pytest.mark.parametrize("model", ["isotropic", "directive"])
+    def test_single_gain_model_matches_both(self, tmp_path, capsys, model):
+        # one gain model writes, as strings, the cells of its columns in the
+        # run with both
+        def table(cfg):
+            assert main(["capacity-vs-frequency", "--config", str(cfg),
+                         "--out", "-"]) == 0
+            header, *rows = [line.split(",") for line in
+                             capsys.readouterr().out.splitlines()
+                             if not line.startswith("#")]
+            return [dict(zip(header, row)) for row in rows]
+
+        base = CONFIGS / "fig13_capacity_vs_frequency.yaml"
+        both = table(base)
+        single = table(config_with(tmp_path, base.read_text(),
+                                   "experiment.gain_model", model))
+        columns = ["frequency_hz", "streams", f"capacity_{model}_bit_per_s"]
+        assert list(single[0]) == columns
+        assert single == [{c: row[c] for c in columns} for row in both]
+
     def test_stdout_output(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("experiment:\n  area_m2: 0.5\n"
@@ -462,14 +482,19 @@ class TestCliBehavior:
          "[[1.0e+200, 0, 1], [0, 0, 5]]", None),
         ("fig10_depth_plan.yaml", "depth-plan", "experiment.d_min",
          '"1e-9 m"', None),
+        ("dof.yaml", "dof", "experiment.wavelengths_m", "[1.0e-200]", None),
+        ("dof.yaml", "dof", "experiment.wavelengths_m", "[1.0e-160]", None),
+        ("dof.yaml", "dof", "experiment.wavelengths_m", "[1.0e+300]", None),
+        ("dof.yaml", "dof", "experiment.frequencies", '["1.0e+300 Hz"]',
+         None),
     ])
     def test_value_beyond_model_range_exit_code(self, tmp_path, capsys,
                                                 config_name, subcommand, key,
                                                 value, drop):
         # finite values that the kinds accept but the model cannot use:
-        # path gains, power ratios, bandwidths and user distances beyond
-        # the float range, and focal plans with more points than the array
-        # has elements
+        # path gains, power ratios, bandwidths, user distances and degrees
+        # of freedom beyond the float range, and focal plans with more
+        # points than the array has elements
         cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(), key,
                           value, drop)
         assert_config_error(capsys, subcommand, cfg, key)
@@ -490,6 +515,14 @@ class TestCliBehavior:
         ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
          "experiment.distance_m", {"experiment.distance_m": "1e-3",
                                    "radio.power_over_noise_db": "3070"}),
+        # lambda^2 underflows to 0 in the directive aperture gain
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.distance_m", {"experiment.distance_m": "1.0e-140",
+                                   "experiment.area_m2": "1.0e-296",
+                                   "experiment.f_min": '"3.0e+171 Hz"',
+                                   "experiment.f_max": '"3.1e+171 Hz"',
+                                   "experiment.points": "2",
+                                   "experiment.gain_model": "directive"}),
         # region bounds beyond the float range: d_N overflows at D^3, and
         # d_F and d_FA underflow to 0
         ("regions.yaml", "regions", "geometry",
@@ -510,7 +543,7 @@ class TestCliBehavior:
         ("fig6_heatmap.yaml", "heatmap", "experiment.z_max",
          {"experiment.z_max": "1.0e+300"}),
     ], ids=["zf-far-user", "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
-            "freq-snr-overflow", "regions-side-1e300", "sweep-side-1e300",
+            "freq-snr-overflow", "freq-lambda2-underflow", "regions-side-1e300", "sweep-side-1e300",
             "regions-side-1e-300", "zf-side-1e-300", "heatmap-focal-1e300",
             "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300"])
     def test_value_beyond_model_range_one_line(self, tmp_path, capsys,

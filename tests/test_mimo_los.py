@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from nearfield.config import RADIO
 from nearfield.mimo_los import (
     RadioParams,
     SPEED_OF_LIGHT,
@@ -15,7 +17,6 @@ from nearfield.mimo_los import (
     num_streams_for_area,
     offdiag_magnitude,
     optimal_spacing,
-    pair_distance,
     spatial_dof,
 )
 
@@ -27,7 +28,6 @@ class TestRadioParams:
         assert r.wavelength() == pytest.approx(SPEED_OF_LIGHT / 3e9)
         assert r.bandwidth() == pytest.approx(0.03 * 3e9)
         assert r.bandwidth(10e9) == pytest.approx(0.03 * 10e9)
-        assert r.gain_product() == 1.0
 
     def test_fixed_bandwidth(self):
         r = RadioParams(carrier_frequency=3e9, power_over_noise_db=90.0,
@@ -35,20 +35,12 @@ class TestRadioParams:
         assert r.bandwidth() == 20e6
         assert r.bandwidth(50e9) == 20e6
 
-    def test_directive_gain(self):
-        # aperture gain 4 pi A / lambda^2 per directive end
-        r = RadioParams(carrier_frequency=3e9, power_over_noise_db=90.0,
-                        tx_gain_model="directive", rx_gain_model="directive")
-        lam = r.wavelength()
-        area = 0.01
-        assert r.gain_product(area=area) == pytest.approx(
-            (4 * math.pi * area / lam**2) ** 2, rel=1e-12)
-        # dimensionless: it depends on area / lambda^2 only
-        s = 7.0
-        assert r.gain_product(3e9 * s, area / s**2) == pytest.approx(
-            r.gain_product(3e9, area), rel=1e-12)
-        with pytest.raises(ValueError):
-            r.gain_product()
+    def test_fields_are_the_radio_block(self):
+        # one field per key of the radio block, whose `frequency` is the
+        # carrier
+        keys = ["carrier_frequency" if key == "frequency" else key
+                for key in RADIO.keys]
+        assert [f.name for f in dataclasses.fields(RadioParams)] == keys
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,9 +48,6 @@ class TestRadioParams:
         with pytest.raises(ValueError):
             RadioParams(carrier_frequency=3e9, power_over_noise_db=90.0,
                         bandwidth_fraction=0.03, bandwidth_hz=1e6)
-        with pytest.raises(ValueError):
-            RadioParams(carrier_frequency=3e9, power_over_noise_db=90.0,
-                        tx_gain_model="horn")
         # a power ratio or a bandwidth beyond the float range
         for db in (1e300, -1e300):
             with pytest.raises(ValueError, match="^power_over_noise_db: "):
@@ -69,11 +58,6 @@ class TestRadioParams:
 
 
 class TestChannelConstruction:
-    def test_pair_distance(self):
-        assert pair_distance(1, 1, 0.3, 5.0) == pytest.approx(5.0)
-        assert pair_distance(4, 1, 0.3, 5.0) == pytest.approx(
-            math.hypot(5.0, 0.9))
-
     def test_exact_matrix_entries(self):
         lam = 0.1
         link = build_los_mimo(3, 0.25, 8.0, lam)
@@ -96,7 +80,7 @@ class TestChannelConstruction:
 
     def test_beta(self):
         # unit antenna gains: beta is the Friis path gain; directive gain
-        # enters only through RadioParams.gain_product
+        # enters only through capacity_frequency_sweep
         link = build_los_mimo(2, 0.3, 10.0, 0.1)
         assert link.beta == pytest.approx((0.1 / (4 * np.pi * 10)) ** 2)
         np.testing.assert_allclose(np.abs(link.h_fresnel),
@@ -278,6 +262,10 @@ class TestAreaAndDof:
     def test_validation(self):
         with pytest.raises(ValueError):
             spatial_dof(0.0, 0.1)
+        # pi A / lambda^2 beyond the float range, or underflowing to 0
+        for lam in (1e-200, 1e-160, 1e300):
+            with pytest.raises(ValueError, match="float range"):
+                spatial_dof(0.5, lam)
         with pytest.raises(ValueError):
             num_streams_for_area(1.0, -1.0, 0.1, 0.05)
 
@@ -311,15 +299,12 @@ class TestFrequencySweep:
         assert 30e9 < f_peak < 50e9
 
     def test_directive_gain_grows_with_frequency(self):
-        iso = RadioParams(carrier_frequency=3e9, power_over_noise_db=PN0_DB)
-        directive = RadioParams(carrier_frequency=3e9, power_over_noise_db=PN0_DB,
-                                tx_gain_model="directive",
-                                rx_gain_model="directive")
+        radio = RadioParams(carrier_frequency=3e9, power_over_noise_db=PN0_DB)
         freqs = np.linspace(1e9, 100e9, 50)
         c_iso = [p.capacity for p in
-                 capacity_frequency_sweep(AREA, DIST, freqs, iso)]
-        c_dir = [p.capacity for p in
-                 capacity_frequency_sweep(AREA, DIST, freqs, directive)]
+                 capacity_frequency_sweep(AREA, DIST, freqs, radio)]
+        c_dir = [p.capacity for p in capacity_frequency_sweep(
+            AREA, DIST, freqs, radio, directive=True)]
         assert all(d > i for d, i in zip(c_dir, c_iso))
         ratio = np.array(c_dir) / np.array(c_iso)
         assert np.all(np.diff(ratio) > 0)  # directivity pays off more at high f
@@ -337,15 +322,31 @@ class TestFrequencySweep:
     def test_directive_point_value(self, f):
         # K = 1 and aperture gain 4 pi AREA / lambda^2 per end: Friis'
         # beta = AREA^2 / (lambda d)^2
-        radio = RadioParams(carrier_frequency=3e9, power_over_noise_db=PN0_DB,
-                            tx_gain_model="directive",
-                            rx_gain_model="directive")
-        [point] = capacity_frequency_sweep(AREA, DIST, [f], radio)
+        radio = RadioParams(carrier_frequency=3e9, power_over_noise_db=PN0_DB)
+        [point] = capacity_frequency_sweep(AREA, DIST, [f], radio,
+                                           directive=True)
         assert point.num_streams == 1
         lam = SPEED_OF_LIGHT / f
         b = 0.03 * f
         expected = b * math.log2(
             1 + radio.power_over_noise * AREA**2 / (lam * DIST) ** 2 / b)
+        assert point.capacity == pytest.approx(expected, rel=1e-12)
+
+    def test_directive_aperture_split(self):
+        # at 300 GHz two streams share the area, so each end has the
+        # aperture gain of AREA / 2, and beta is a quarter of Friis' value
+        radio = RadioParams(carrier_frequency=3e9, power_over_noise_db=PN0_DB)
+        f = 300e9
+        [point] = capacity_frequency_sweep(AREA, DIST, [f], radio,
+                                           directive=True)
+        assert point.num_streams == 2
+        lam = SPEED_OF_LIGHT / f
+        gain = 4 * math.pi * (AREA / 2) / lam**2
+        beta = gain**2 * (lam / (4 * math.pi * DIST)) ** 2
+        assert beta == pytest.approx(AREA**2 / (lam * DIST) ** 2 / 4,
+                                     rel=1e-12)
+        b = 0.03 * f
+        expected = 2 * b * math.log2(1 + radio.power_over_noise * beta / b)
         assert point.capacity == pytest.approx(expected, rel=1e-12)
 
 
