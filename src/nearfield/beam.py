@@ -81,22 +81,20 @@ def g_of_x(rows: int, cols: int, x):
     return out
 
 
-def gain_axial(geom: ArrayGeometry, focal_distance: float, z_r: float) -> float:
-    """Normalized gain on the beam axis at distance z_r when focused at F.
+def gain_axial(geom: ArrayGeometry, focal_distance: float, z_r):
+    """Normalized gain on the beam axis at distance(s) z_r when focused at F:
+    g(x) at x = |x_F - x_z| with x_p = d_F/(8p), so (d_F/8)|1/F - 1/z_r|.
 
-    An infinite focal distance uses z_eff = z_r; z_r = F is the removable
-    singularity with gain 1.
+    F = inf gives x_F = 0, and z_r = F gives x = 0, g = 1; where x_z
+    overflows, so does x, and g is 0. Takes a scalar or an array of z_r.
     """
-    if z_r <= 0:
+    z = np.asarray(z_r, dtype=float)
+    if not np.all(z > 0):
         raise ValueError("z_r must be positive")
-    d_f = boundary_distances(geom).d_f
-    if math.isinf(focal_distance):
-        z_eff = z_r
-    elif z_r == focal_distance:
-        return 1.0
-    else:
-        z_eff = z_r * focal_distance / abs(z_r - focal_distance)
-    return float(g_of_x(geom.rows, geom.cols, d_f / (8.0 * z_eff)))
+    q = boundary_distances(geom).d_f / 8.0
+    with np.errstate(over="ignore"):
+        x = np.abs(q / focal_distance - q / z)
+    return g_of_x(geom.rows, geom.cols, x)
 
 
 def solve_a3db(rows: int, cols: int) -> float:
@@ -116,29 +114,29 @@ def beam_depth_3db(geom: ArrayGeometry, focal_distance: float,
                    a3db: Optional[float] = None) -> BeamMetrics:
     """3 dB depth interval and length for a beam focused at F.
 
-    The depth is finite only for F < d_F / (8 a3dB). `a3db` defaults to the
-    numerically exact half-gain parameter of this array shape.
+    The half-gain points have x_z = x_F -+ a3dB, with x_p = d_F/(8p) as in
+    `gain_axial`. The far one, and so the depth, is finite only for
+    x_F > a3dB, that is F < d_F / (8 a3dB). `a3db` defaults to the
+    numerically exact half-gain parameter of this array shape. Raises
+    `ValueError` for an F so small that x_F overflows.
     """
     if focal_distance <= 0:
         raise ValueError("focal distance must be positive")
+    q = boundary_distances(geom).d_f / 8.0
+    x_f = q / focal_distance  # 0 for F = inf
+    if x_f == math.inf:
+        raise ValueError(f"focal distance {focal_distance:g} m puts d_F/(8F) "
+                         "beyond the float range")
     if a3db is None:
         a3db = solve_a3db(geom.rows, geom.cols)
-    d_f = boundary_distances(geom).d_f
-    f = focal_distance
-    if math.isinf(f):
-        z_lo = d_f / (8.0 * a3db)
-        z_hi = math.inf
-        bd = math.inf
-        bw = math.inf
+    z_lo = q / (x_f + a3db)
+    if x_f > a3db:
+        z_hi = q / (x_f - a3db)
+        bd = 2.0 * a3db * q / ((x_f - a3db) * (x_f + a3db))
     else:
-        z_lo = d_f * f / (d_f + 8.0 * a3db * f)
-        if f < d_f / (8.0 * a3db):
-            z_hi = d_f * f / (d_f - 8.0 * a3db * f)
-            bd = 16.0 * a3db * d_f * f**2 / (d_f**2 - 64.0 * a3db**2 * f**2)
-        else:
-            z_hi = math.inf
-            bd = math.inf
-        bw = beam_width_3db(geom, f)
+        z_hi = bd = math.inf
+    bw = (beam_width_3db(geom, focal_distance)
+          if math.isfinite(focal_distance) else math.inf)
     return BeamMetrics(bw_3db=bw, bd_3db=bd, bd_interval=(z_lo, z_hi))
 
 
@@ -151,7 +149,7 @@ def beam_depth_square(geom: ArrayGeometry, focal_distance: float) -> float:
     d_fa = boundary_distances(geom).d_fa
     f = focal_distance
     c = SQUARE_DEPTH_CONSTANT
-    if math.isinf(f) or f >= d_fa / c:
+    if f >= d_fa / c:  # inf included
         return math.inf
     return 2.0 * c * d_fa * f**2 / (d_fa**2 - c**2 * f**2)
 

@@ -167,6 +167,13 @@ def _log_grid(lo: float, hi: float, points: int, where: str) -> np.ndarray:
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
+def _symmetric_grid(x_max: float, points: int, where: str) -> np.ndarray:
+    if not math.isfinite(2.0 * x_max):  # the span, which linspace forms
+        raise ConfigError(f"{where}: {x_max:g} is beyond the float range of "
+                          "a grid from -x_max to x_max")
+    return np.linspace(-x_max, x_max, points)
+
+
 @subcommand("regions", "geometry", classify=(list_of(length), ()))
 def run_regions(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     bounds = cfg.bounds
@@ -195,7 +202,7 @@ def run_gain_sweep(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             x_max=(length, REQUIRED), points=(count, 201))
 def run_beam_width(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     geom = cfg.geometry
-    x = np.linspace(-exp["x_max"], exp["x_max"], exp["points"])
+    x = _symmetric_grid(exp["x_max"], exp["points"], "experiment.x_max")
     columns = [x]
     header = ["x_m"]
     comments = []
@@ -213,7 +220,10 @@ def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     rows = []
     a3db = beam.solve_a3db(geom.rows, geom.cols)
     for f in exp["focal_distances"]:
-        metrics = beam.beam_depth_3db(geom, f, a3db=a3db)
+        try:
+            metrics = beam.beam_depth_3db(geom, f, a3db=a3db)
+        except ValueError as exc:  # d_F / (8F) beyond the float range
+            raise ConfigError(f"experiment.focal_distances: {exc}") from None
         rows.append([f, metrics.bd_interval[0], metrics.bd_interval[1],
                      metrics.bd_3db, metrics.bw_3db, a3db])
     return CsvSeries(
@@ -224,7 +234,7 @@ def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             x_max=(length, REQUIRED), z_min=(length, REQUIRED),
             z_max=(length, REQUIRED), x_points=(count, 81), z_points=(count, 81))
 def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
-    x_grid = np.linspace(-exp["x_max"], exp["x_max"], exp["x_points"])
+    x_grid = _symmetric_grid(exp["x_max"], exp["x_points"], "experiment.x_max")
     z_grid = np.linspace(exp["z_min"], exp["z_max"], exp["z_points"])
     try:
         gains = beam.beam_pattern_map(
@@ -243,7 +253,7 @@ def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 @subcommand("g-of-x", shapes=(list_of(list_of(count, 2)), REQUIRED),
             x_max=(positive, REQUIRED), points=(count, 401))
 def run_g_of_x(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
-    x = np.linspace(-exp["x_max"], exp["x_max"], exp["points"])
+    x = _symmetric_grid(exp["x_max"], exp["points"], "experiment.x_max")
     header = ["x"]
     columns = [x]
     comments = []
@@ -281,9 +291,9 @@ def run_depth_plan(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
         z = _log_grid(grid["z_min"], grid["z_max"], grid["points"],
                       "experiment.gain_grid")
         header = ["z_m"] + [f"gain_f{i}" for i in range(1, len(plan.focal_points) + 1)]
-        rows = [[zi] + [beam.gain_axial(cfg.geometry, f, zi)
-                        for f in plan.focal_points] for zi in z]
-        return CsvSeries(header, rows, comments)
+        columns = [z] + [beam.gain_axial(cfg.geometry, f, z)
+                         for f in plan.focal_points]
+        return CsvSeries(header, list(zip(*columns)), comments)
     rows = [[i, f, lo, hi] for i, (f, (lo, hi))
             in enumerate(zip(plan.focal_points, plan.intervals), start=1)]
     return CsvSeries(["index", "focal_m", "z_lo_m", "z_hi_m"], rows, comments)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import astuple, dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -271,7 +272,8 @@ def _wavelength(values: Mapping[str, Any]) -> Optional[float]:
 
 def _geometry(node: Any, where: str, units: Units) -> ArrayGeometry:
     """The geometry block; its `lambda` unit is its own wavelength, and its
-    region bounds must be finite and positive."""
+    region bounds must be finite positive normal floats: as a subnormal, a
+    bound has too few digits for the gains scaled by it."""
     g = GEOMETRY.validate(node, where,
                           lambda parsed: Units(wavelength=_wavelength(parsed)))
     geom = build_upa(g["rows"], g["cols"], g["element_side"], _wavelength(g))
@@ -279,11 +281,11 @@ def _geometry(node: Any, where: str, units: Units) -> ArrayGeometry:
         bounds = astuple(boundary_distances(geom))
     except OverflowError:  # a bound beyond the float range
         bounds = (math.inf,)
-    if not all(0.0 < d < math.inf for d in bounds):
+    if not all(sys.float_info.min <= d < math.inf for d in bounds):
         raise ConfigError(f"{where}: element_side {geom.element_side:g} m and "
                           f"wavelength {geom.wavelength:g} m put a region "
                           "bound (d_N, d_F, d_B or d_FA) outside the finite "
-                          "positive floats")
+                          "positive normal floats")
     return geom
 
 

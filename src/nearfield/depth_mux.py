@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beam import solve_a3db
+from .beam import SQUARE_DEPTH_CONSTANT, solve_a3db
 from .field import phasor_rows
 from .geometry import ArrayGeometry
 from .numerics import RankError
@@ -44,15 +44,16 @@ class MultiUserChannel:
 def planning_depth_parameter(geom: ArrayGeometry, exact: bool = False) -> float:
     """Half-gain depth parameter used by the focal-point planner.
 
-    The default is the rounded square-array convention, 2.5/(rows^2+cols^2),
-    equivalent to 8*a3dB = 10*d_F/d_FA. It generates the canonical focal
-    sequence d_FA/20, d_FA/40, ... With exact=True the numerically solved
+    The default is the rounded square-array convention 8*a3dB =
+    SQUARE_DEPTH_CONSTANT*d_F/d_FA, that is 2.5/(rows^2+cols^2) for the
+    constant 10. It generates the canonical focal sequence d_FA/20,
+    d_FA/40, ... With exact=True the numerically solved
     shape-dependent value is used instead (about 0.6% smaller for squares,
     substantially smaller for elongated arrays).
     """
     if exact:
         return solve_a3db(geom.rows, geom.cols)
-    return 2.5 / (geom.rows**2 + geom.cols**2)
+    return SQUARE_DEPTH_CONSTANT / (4.0 * (geom.rows**2 + geom.cols**2))
 
 
 def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
@@ -170,7 +171,7 @@ def evaluate_sinr(h: np.ndarray, w: np.ndarray, noise_power: float,
     signal = np.abs(np.diag(cross)) ** 2
     interference = np.sum(np.abs(cross) ** 2, axis=1) - signal
     denom = interference + noise_power
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         sinr = np.where(denom > 0, signal / np.where(denom > 0, denom, 1.0),
                         SINR_CAP)
     sinr = np.minimum(sinr, SINR_CAP)

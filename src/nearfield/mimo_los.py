@@ -4,6 +4,7 @@ waterfilling capacity, sweep experiments, spatial degrees of freedom."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,14 +166,15 @@ def capacity_waterfilling(eigenvalues: Sequence[float], snr: float,
     if k_used:
         powers[order[:k_used]] = levels[k_used - 1] - floor[:k_used]
     capacity = bandwidth * float(
-        np.sum(np.log2(1.0 + snr * lam * powers)))
+        np.sum(np.log1p(snr * lam * powers))) / math.log(2.0)
     return CapacityResult(capacity=capacity, powers=powers, k_used=k_used)
 
 
 def equal_eigenvalue_capacity(num_streams: int, snr: float,
                               bandwidth: float = 1.0) -> float:
     """Capacity with equal eigenvalues and equal power split (closed form)."""
-    return bandwidth * num_streams * math.log2(1.0 + snr)
+    # log1p keeps the rate of an snr below eps, where 1 + snr rounds to 1
+    return bandwidth * num_streams * (math.log1p(snr) / math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,8 @@ def num_streams_for_area(area: float, distance: float, wavelength: float,
     is (K-1)/sqrt(K) <= c = (sqrt(area) - antenna_width)/sqrt(lambda d). So
     K = floor(((c + sqrt(c^2 + 4))/2)^2) up to rounding, which a few steps
     correct. Raises `ValueError` beyond 2^53, where a float no longer tells
-    K from K + 1."""
+    K from K + 1, and where lambda d / K underflows, so the fit test cannot
+    tell them either."""
     if area <= 0 or distance <= 0:
         raise ValueError("area and distance must be positive")
     side = math.sqrt(area)
@@ -234,6 +237,12 @@ def num_streams_for_area(area: float, distance: float, wavelength: float,
         raise ValueError(f"distance {distance:g} m and wavelength "
                          f"{wavelength:g} m fit {k_max:.3g} streams into "
                          "the area, more than a float counts (2^53)")
+    # the fit test divides lambda d by K; as a subnormal the quotient is too
+    # coarse to tell K from K + 1, and the steps below would not end
+    if wavelength * distance / (k_max + 1.0) < sys.float_info.min:
+        raise ValueError(f"distance {distance:g} m times wavelength "
+                         f"{wavelength:g} m per stream underflows the float "
+                         "range")
     k = max(1, int(k_max))
     while k > 1 and not fits(k):
         k -= 1

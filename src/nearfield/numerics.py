@@ -103,13 +103,15 @@ def _fresnel(x: float) -> Tuple[float, float]:
 def fresnel_cs(x):
     """Fresnel integrals C(x) = int_0^x cos(pi t^2/2) dt and the sine analog.
 
-    Accepts scalars or arrays; odd in x. Agrees with scipy.special.fresnel
-    to about 1e-12 absolute. A 0-d input gives a pair of Python floats.
+    Accepts scalars or arrays; odd in x, with the limits C(+-inf) =
+    S(+-inf) = +-1/2. Agrees with scipy.special.fresnel to about 1e-12
+    absolute. A 0-d input gives a pair of Python floats. Raises
+    `ValueError` on `nan`.
     """
     x = np.asarray(x, dtype=float)
     values = x.ravel().tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValueError("fresnel_cs requires finite input")
+    if any(map(math.isnan, values)):
+        raise ValueError("fresnel_cs requires input that is not nan")
     if x.ndim == 0:
         return _fresnel(values[0])
     cs = np.array([_fresnel(v) for v in values], dtype=float)

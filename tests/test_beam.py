@@ -137,6 +137,38 @@ class TestAxialGain:
         assert gain_axial(g, math.inf, z) == pytest.approx(
             g_of_x(30, 40, 0.001))
 
+    def test_array_matches_scalar_calls(self):
+        g = make_desk_array()
+        f = boundary_distances(g).d_fa / 25.0
+        z = np.geomspace(0.2 * f, 20 * f, 31)
+        for focus in (f, math.inf):
+            gains = gain_axial(g, focus, z)
+            assert gains.shape == z.shape
+            np.testing.assert_array_equal(
+                gains, [gain_axial(g, focus, zz) for zz in z])
+
+    def test_farthest_float_distance(self):
+        # x_z = d_F/(8z) is a subnormal beside x_F, so g is that of
+        # z = inf, far from 1
+        g = make_desk_array()
+        d_f = boundary_distances(g).d_f
+        f = boundary_distances(g).d_fa / 25.0
+        assert gain_axial(g, f, 1.7e308) == pytest.approx(
+            g_of_x(g.rows, g.cols, d_f / (8 * f)), rel=1e-13, abs=0)
+
+    def test_nearest_float_distance(self, recwarn):
+        # x_z = d_F/(8z) overflows, so x = inf and g = 0, without a warning
+        g = make_desk_array()
+        assert gain_axial(g, 1.0, 5e-324) == 0.0
+        assert gain_axial(g, math.inf, np.array([5e-324]))[0] == 0.0
+        assert len(recwarn) == 0
+
+    def test_non_positive_distance_rejected(self):
+        g = make_desk_array()
+        for z in (0.0, -1.0, np.array([1.0, 0.0]), math.nan):
+            with pytest.raises(ValueError, match="positive"):
+                gain_axial(g, 1.0, z)
+
     def test_against_quadrature_oracle(self):
         # Fresnel-field matched-filter gain computed by brute-force
         # quadrature of the paraxial aperture integral
@@ -191,6 +223,15 @@ class TestBeamDepth:
         assert m.bd_interval[1] == math.inf
         assert gain_axial(g, math.inf, m.bd_interval[0]) \
             == pytest.approx(0.5, abs=1e-6)
+
+    def test_tiny_focus(self):
+        # a focus far inside d_F / (8 a3dB) has an interval of about [F, F]
+        g = make_desk_array()
+        lo, hi = beam_depth_3db(g, 1e-300).bd_interval
+        assert lo == pytest.approx(1e-300, rel=1e-12, abs=0)
+        assert hi == pytest.approx(1e-300, rel=1e-12, abs=0)
+        with pytest.raises(ValueError, match="float range"):
+            beam_depth_3db(g, 5e-324)  # d_F / (8F) overflows
 
     def test_square_closed_form(self):
         g = make_desk_array(30, 30)

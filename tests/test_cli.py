@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from nearfield import config
+from nearfield import beam, config
+from nearfield.beam import gain_axial
 from nearfield.cli import (
     SCHEMAS,
     CsvSeries,
@@ -296,6 +297,38 @@ class TestCliBehavior:
         last = out.read_text().strip().splitlines()[-1]
         assert float(last.split(",")[2]) >= 0.995
 
+    def test_depth_plan_gain_one_call_per_focal_point(self, tmp_path,
+                                                      monkeypatch):
+        # each focal beam's gain column comes from one call over the z grid
+        calls = []
+
+        def counting(geom, focal_distance, z):
+            calls.append(np.shape(z))
+            return gain_axial(geom, focal_distance, z)
+
+        monkeypatch.setattr(beam, "gain_axial", counting)
+        assert run_subcommand(CONFIGS / "fig7_depth_plan_gains.yaml",
+                              "depth-plan", tmp_path / "gains.csv") == 0
+        assert calls == [(120,)] * 6  # 120 grid points, six focal points
+
+    def test_capacity_at_low_snr(self, tmp_path, capsys):
+        # far below eps the rate is linear in the SNR: 10 dB less power
+        # gives a tenth of the capacity, not 0
+        def capacities(power_db):
+            cfg = config_with(tmp_path, (CONFIGS / "fig13_capacity_vs_"
+                                         "frequency.yaml").read_text(),
+                              "radio.power_over_noise_db", power_db)
+            assert main(["capacity-vs-frequency", "--config", str(cfg),
+                         "--out", "-"]) == 0
+            _, *rows = [line.split(",") for line in
+                        capsys.readouterr().out.splitlines()
+                        if not line.startswith("#")]
+            return np.array(rows, dtype=float)[:, 2:]
+
+        low, lower = capacities("-290"), capacities("-300")
+        assert np.all(lower > 0)
+        np.testing.assert_allclose(lower, low / 10.0, rtol=1e-9)
+
     def test_depth_plan_row_count(self, tmp_path):
         out = tmp_path / "plan.csv"
         assert run_subcommand(CONFIGS / "fig10_depth_plan.yaml",
@@ -487,6 +520,11 @@ class TestCliBehavior:
         ("dof.yaml", "dof", "experiment.wavelengths_m", "[1.0e+300]", None),
         ("dof.yaml", "dof", "experiment.frequencies", '["1.0e+300 Hz"]',
          None),
+        # the span 2 x_max of a grid from -x_max to x_max overflows
+        ("fig5_beam_width.yaml", "beam-width", "experiment.x_max", "1.0e+308",
+         None),
+        ("fig9_g_of_x.yaml", "g-of-x", "experiment.x_max", "1.0e+308", None),
+        ("fig6_heatmap.yaml", "heatmap", "experiment.x_max", "1.0e+308", None),
     ])
     def test_value_beyond_model_range_exit_code(self, tmp_path, capsys,
                                                 config_name, subcommand, key,
@@ -533,6 +571,9 @@ class TestCliBehavior:
          {"geometry.element_side": "1.0e-300"}),
         ("zf_sinr.yaml", "zf-sinr", "geometry",
          {"geometry.element_side": "1.0e-300"}),
+        # d_F is a subnormal, too coarse for the axial gains scaled by it
+        ("fig7_depth_plan_gains.yaml", "depth-plan", "geometry",
+         {"geometry.element_side": "1.0e-160"}),
         # heatmap points whose norm overflows
         ("fig6_heatmap.yaml", "heatmap", "experiment.focal_distance",
          {"experiment.focal_distance": "1.0e+300"}),
@@ -544,7 +585,8 @@ class TestCliBehavior:
          {"experiment.z_max": "1.0e+300"}),
     ], ids=["zf-far-user", "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
             "freq-snr-overflow", "freq-lambda2-underflow", "regions-side-1e300", "sweep-side-1e300",
-            "regions-side-1e-300", "zf-side-1e-300", "heatmap-focal-1e300",
+            "regions-side-1e-300", "zf-side-1e-300", "plan-side-1e-160",
+            "heatmap-focal-1e300",
             "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300"])
     def test_value_beyond_model_range_one_line(self, tmp_path, capsys,
                                                config_name, subcommand, key,
@@ -577,8 +619,19 @@ class TestCliBehavior:
          {"experiment.gain_grid.z_min": "1.0e-300"}, None),
         ("fig7_depth_plan_gains.yaml", "depth-plan",
          {"experiment.gain_grid.z_max": "1.0e+300"}, None),
+        # 1/z overflows to inf (g = 0), or is a subnormal beside 1/F
+        ("fig7_depth_plan_gains.yaml", "depth-plan",
+         {"experiment.gain_grid.z_min": "5.0e-324"}, None),
+        ("fig7_depth_plan_gains.yaml", "depth-plan",
+         {"experiment.gain_grid.z_max": "1.7e+308"}, None),
+        # signal / (interference + noise) overflows to the SINR cap
+        ("zf_sinr.yaml", "zf-sinr", {"experiment.noise_power": "5.0e-324"},
+         None),
+        ("zf_sinr.yaml", "zf-sinr", {"experiment.total_power": "1.7e+308"},
+         None),
     ], ids=["bandwidth-overflow", "g-1e-300", "g-1e300", "plan-z-min-1e-300",
-            "plan-z-max-1e300"])
+            "plan-z-max-1e300", "plan-z-min-5e-324", "plan-z-max-1.7e308",
+            "zf-noise-5e-324", "zf-power-1.7e308"])
     def test_value_near_model_range_finite_csv(self, tmp_path, capsys,
                                                config_name, subcommand,
                                                edits, drop):
@@ -598,6 +651,20 @@ class TestCliBehavior:
                     if not line.startswith("#")]
         values = np.array([line.split(",") for line in rows], dtype=float)
         assert values.size and np.all(np.isfinite(values))
+
+    def test_stream_count_underflow_exit_code(self, tmp_path, capsys,
+                                              time_limit):
+        # lambda d underflows, so the stream-count fit test cannot tell K
+        # from K + 1; the count stepped for ever before this exited
+        cfg = CONFIGS / "fig13_capacity_vs_frequency.yaml"
+        for key, value in {"experiment.f_min": '"1.5e170 Hz"',
+                           "experiment.f_max": '"1.6e170 Hz"',
+                           "experiment.distance_m": "1.0e-162",
+                           "experiment.area_m2": "1.0e-310"}.items():
+            cfg = config_with(tmp_path, cfg.read_text(), key, value)
+        with time_limit(10):
+            assert_config_error(capsys, "capacity-vs-frequency", cfg,
+                                "experiment.distance_m")
 
     def test_result_too_large_for_memory_exit_code(self, tmp_path, capsys):
         # 10^15 grid points need 7.1 PiB, beyond any 64-bit address space,
@@ -645,10 +712,12 @@ class TestCliBehavior:
                  if not l.startswith("#")]
         assert lines[0] == "focal_m,z_lo_m,z_hi_m,bd_3db_m,bw_3db_m,a_3db"
         assert len(lines) == 2
-        cfg = config_with(tmp_path, BEAM_DEPTH_BASE,
-                          "experiment.focal_distances", "[-1]")
-        assert_config_error(capsys, "beam-depth", cfg,
-                            "experiment.focal_distances")
+        # at 5e-324, d_F / (8F) overflows and the interval would read [0, 0]
+        for focal_distances in ("[-1]", "[5.0e-324]"):
+            cfg = config_with(tmp_path, BEAM_DEPTH_BASE,
+                              "experiment.focal_distances", focal_distances)
+            assert_config_error(capsys, "beam-depth", cfg,
+                                "experiment.focal_distances")
 
     def test_quadrature_not_converged_exit_code(self, tmp_path, capsys):
         # a 20 lambda element within two wavelengths needs more than order 64

@@ -100,7 +100,7 @@ def reference_capacity_waterfilling(eigenvalues, snr, bandwidth=1.0):
     powers = np.zeros_like(lam)
     powers[order[:k_used]] = powers_sorted
     capacity = bandwidth * float(
-        np.sum(np.log2(1.0 + snr * lam * powers)))
+        np.sum(np.log1p(snr * lam * powers))) / math.log(2.0)
     return CapacityResult(capacity=capacity, powers=powers, k_used=k_used)
 
 

@@ -38,6 +38,13 @@ class TestPlanningParameter:
         g = half_wave_square(200)
         assert planning_depth_parameter(g) == pytest.approx(2.5 / 80000)
 
+    @pytest.mark.parametrize("rows,cols", [(30, 40), (200, 200), (1, 1),
+                                           (7, 1000)])
+    def test_canonical_bits(self, rows, cols):
+        # 10 / (4 s) and 2.5 / s round the same real number: 4 s is exact
+        g = build_upa(rows, cols, 0.025, 0.1)
+        assert planning_depth_parameter(g) == 2.5 / (rows**2 + cols**2)
+
     def test_exact_differs_slightly_for_squares(self):
         g = half_wave_square(50)
         canonical = planning_depth_parameter(g)

@@ -160,6 +160,21 @@ class TestWaterfilling:
         closed = equal_eigenvalue_capacity(k, p_over_n0 * beta / b, b)
         assert res.capacity == pytest.approx(closed, rel=1e-12)
 
+    @pytest.mark.parametrize("snr", [1e-10, 1e-20, 1e-300])
+    def test_rate_below_eps(self, snr):
+        # log2(1 + x) rounds 1 + x, so it lost x below eps: 0 at snr 1e-20,
+        # a relative error near 1e-7 at 1e-10; ln(1 + x) = x (1 - x/2) to x^3
+        rate = snr * (1.0 - 0.5 * snr) / math.log(2.0)
+        assert equal_eigenvalue_capacity(3, snr, 2.0) \
+            == pytest.approx(6.0 * rate, rel=1e-15, abs=0)
+
+    def test_waterfilling_rate_at_low_snr(self):
+        # two equal streams at half power each: x = 5e-11 per stream
+        res = capacity_waterfilling([1.0, 1.0], snr=1e-10)
+        x = 5e-11
+        assert res.capacity == pytest.approx(
+            2.0 * x * (1.0 - 0.5 * x) / math.log(2.0), rel=1e-15, abs=0)
+
     def test_against_grid_search_oracle(self):
         rng = np.random.default_rng(3)
         lam = np.sort(rng.uniform(0.1, 5.0, 4))[::-1]
@@ -252,6 +267,21 @@ class TestAreaAndDof:
         assert math.sqrt(lam * 5.0 / k) * (k - 1) + lam / 2 <= side
         k1 = k + 1
         assert math.sqrt(lam * 5.0 / k1) * (k1 - 1) + lam / 2 > side
+
+    @pytest.mark.parametrize("area,distance,wavelength", [
+        # lambda d is a subnormal
+        (1e-310, 1e-162, SPEED_OF_LIGHT / 1.5e170),
+        # lambda d is normal, but lambda d / K, with K near 1e12, is not
+        (1e-296, 3e-154, 1e-154),
+    ], ids=["lambda-d", "lambda-d-per-stream"])
+    def test_num_streams_underflow_raises(self, time_limit, area, distance,
+                                          wavelength):
+        # the fit test cannot tell K from K + 1 there; it stepped for
+        # seconds, or for ever, before these raised
+        with time_limit(10):
+            with pytest.raises(ValueError, match="underflows"):
+                num_streams_for_area(area, distance, wavelength,
+                                     wavelength / 2)
 
     def test_spatial_dof(self):
         assert spatial_dof(1.0, 0.1) == pytest.approx(math.pi * 100)

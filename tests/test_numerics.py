@@ -79,6 +79,14 @@ class TestFresnel:
         assert fresnel_cs(1e300) == (0.5, 0.5)
         assert fresnel_cs(-1e200) == (-0.5, -0.5)
 
+    def test_infinite_limits(self):
+        # C and S tend to 1/2 as x -> inf, and are odd
+        assert fresnel_cs(math.inf) == (0.5, 0.5)
+        assert fresnel_cs(-math.inf) == (-0.5, -0.5)
+        c, s = fresnel_cs(np.array([-math.inf, 0.0, math.inf]))
+        np.testing.assert_array_equal(c, [-0.5, 0.0, 0.5])
+        np.testing.assert_array_equal(s, [-0.5, 0.0, 0.5])
+
     def test_scalar_gives_python_floats(self):
         for x in (0.3, np.float64(2.5), np.array(-7.0)):
             c, s = fresnel_cs(x)
