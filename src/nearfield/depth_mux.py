@@ -1,5 +1,12 @@
 """Depth-domain multi-user multiplexing: focal planning, channels,
-zero-forcing, SINR."""
+zero-forcing, SINR.
+
+The channel matrix comes from one blocked kernel pass that writes each
+user's scaled phasors straight into it (`field.phasor_rows`). Beyond the
+zero-forcing Gram product, the precoders make no temporary of the
+channel's size: W is their only array of that size, and it is scaled in
+place or formed in one multiply.
+"""
 
 from __future__ import annotations
 
@@ -135,7 +142,11 @@ def build_mu_channel(geom: ArrayGeometry, users: Sequence[Sequence[float]],
 
 def zf_precoder(h: np.ndarray, total_power: float = 1.0) -> np.ndarray:
     """Zero-forcing precoder W = alpha H (H^H H)^-1, scaled to the total
-    power budget tr(W^H W) = total_power."""
+    power budget tr(W^H W) = total_power.
+
+    tr(W^H W) is one inner product over W's memory, and W is scaled in
+    place, so no temporary of H's size is made after the Gram product.
+    """
     h = np.asarray(h)
     if total_power <= 0:
         raise ValueError("total_power must be positive")
@@ -145,16 +156,22 @@ def zf_precoder(h: np.ndarray, total_power: float = 1.0) -> np.ndarray:
         raise RankError(
             f"channel matrix is not full rank (Gram condition {cond:.3e})")
     w = h @ np.linalg.inv(gram)
-    alpha = math.sqrt(total_power / float(np.sum(np.abs(w) ** 2)))
-    return alpha * w
+    flat = w.ravel(order="K")  # a view: w is a new contiguous array
+    w *= math.sqrt(total_power / np.vdot(flat, flat).real)
+    return w
 
 
 def matched_filter_precoder(h: np.ndarray, total_power: float = 1.0) -> np.ndarray:
-    """Per-user matched filter (conjugate beamforming) with equal power."""
+    """Per-user matched filter (conjugate beamforming) with equal power.
+
+    The column norms are one reduction over the real view of H^T, which
+    reads H in place in any memory order, and W is one multiply.
+    """
     h = np.asarray(h)
     k = h.shape[1]
-    w = h / np.linalg.norm(h, axis=0, keepdims=True)
-    return math.sqrt(total_power / k) * w
+    parts = h.T[..., None].view(h.real.dtype)  # (K, elements, 2): [Re, Im]
+    norms = np.sqrt(np.einsum("knc,knc->k", parts, parts))
+    return h * (math.sqrt(total_power / k) / norms)
 
 
 def evaluate_sinr(h: np.ndarray, w: np.ndarray, noise_power: float,

@@ -8,17 +8,21 @@ The spherical-phase model is evaluated by one blocked kernel,
 `spherical_phasors`. It walks (points x elements) blocks of at most
 `_BLOCK_SAMPLES` samples in reused scratch arrays, so its memory is bounded
 for any array size and number of points. Channel vectors and multi-user
-channel matrices (`phasor_rows`) write its blocks into their output. A beam
+channel matrices (`phasor_rows`) have it write each block straight into the
+real and imaginary planes of their output, with each point's scale as the
+numerator of the phasor amplitude. A beam
 map reduces them against the focus weights in one pass over its whole grid;
 for an on-axis focus on a symmetric grid that grid is only the x >= 0 half.
 
-The exact model integrates the field of `efield_exact` over each element
-by Gauss-Legendre quadrature (`element_field_integrals`), with its own
-blocked evaluation of that field; tests compare the two. The on-axis field
-is even in x and in y over the centred grid, so only the quadrant x >= 0,
-y >= 0 is integrated and then mirrored, and the node grid is evaluated in
-the same fixed-size blocks. The reference |E|^2 integral over one element
-has a closed form.
+The exact model integrates the field of an on-axis source at (0, 0, z),
+E = sqrt(z (x^2 + z^2)) / (sqrt(4 pi) r^2.5) e^{-ikr} at (x, y, 0) with
+r^2 = x^2 + y^2 + z^2, over each element by Gauss-Legendre quadrature
+(`element_field_integrals`). The tests check it against a direct
+evaluation of that field and a generic adaptive quadrature
+(`tests/patch_quadrature.py`). The on-axis field is even in x and in y over
+the centred grid, so only the quadrant x >= 0, y >= 0 is integrated and
+then mirrored, and the node grid is evaluated in the same fixed-size
+blocks. The reference |E|^2 integral over one element has a closed form.
 
 Both kernels form e^{i phi} from t = tan(phi / 2) in `_tangent_phasor`:
 one tangent per sample, where a complex exponential would cost a cosine
@@ -36,18 +40,6 @@ from .geometry import ArrayGeometry
 from .numerics import AccuracyError
 
 
-def efield_exact(x, y, z, wavelength: float):
-    """Exact scalar field of an on-axis source at (0, 0, z), observed at
-    (x, y, 0); normalized so the far-field on-axis amplitude is 1/(sqrt(4 pi) z)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(np.asarray(z) <= 0):
-        raise ValueError("z must be positive")
-    r2 = x * x + y * y + z * z
-    amplitude = np.sqrt(z * (x * x + z * z)) / (np.sqrt(4.0 * np.pi) * r2**1.25)
-    return amplitude * np.exp(-2j * np.pi / wavelength * np.sqrt(r2))
-
-
 #: Highest Gauss-Legendre order per axis that `element_field_integrals` tries.
 _MAX_GAUSS_ORDER = 64
 
@@ -59,24 +51,25 @@ _MAX_GAUSS_ORDER = 64
 _BLOCK_SAMPLES = 1 << 15
 
 
-def _tangent_phasor(t, t2, q, numerator=1.0, denominator=None):
+def _tangent_phasor(t, t2, q, numerator=1.0, denominator=None, out=None):
     """(numerator / denominator) * e^{i phi} from t = tan(phi / 2), in place.
 
     Returns (re, im) = numerator / (denominator (1 + t^2)) * (1 - t^2, 2t),
-    written over `t2` and `t`; `q` is scratch. One tangent replaces a cosine
-    and a sine, and no complex exponential is taken. `numerator` and
-    `denominator` (default 1) are scalars or arrays that broadcast against
-    `t`; the amplitude takes one division with the 1 + t^2 of the phasor.
+    written over `t2` and `t`, or into the pair of arrays `out`; `q` is
+    scratch, and `t` and `t2` are overwritten either way. One tangent
+    replaces a cosine and a sine, and no complex exponential is taken.
+    `numerator` and `denominator` (default 1) are scalars or arrays that
+    broadcast against `t`; the amplitude takes one division with the
+    1 + t^2 of the phasor.
     """
     np.multiply(t, t, out=t2)
     np.add(t2, 1.0, out=q)
     if denominator is not None:
         q *= denominator
     np.divide(numerator, q, out=q)
-    re = np.subtract(1.0, t2, out=t2)
-    re *= q
-    im = np.multiply(t, 2.0, out=t)
-    im *= q
+    re_out, im_out = (t2, t) if out is None else out
+    re = np.multiply(np.subtract(1.0, t2, out=t2), q, out=re_out)
+    im = np.multiply(np.multiply(t, 2.0, out=t), q, out=im_out)
     return re, im
 
 
@@ -197,17 +190,10 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
         f"order {_MAX_GAUSS_ORDER}", best_estimate=_mirror(geom, prev))
 
 
-def channel_vector(geom: ArrayGeometry, source_z: float,
-                   tol: float = 1e-8) -> np.ndarray:
-    """Exact patch-integrated channel vector for an on-axis source: one
-    complex coefficient per element, row-major over (row, column)."""
-    integrals, _ = element_field_integrals(geom, source_z, tol=tol)
-    return integrals / math.sqrt(geom.element_area)
-
-
 def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
                       wavelength: float, points,
-                      per_element_amplitude: bool = False):
+                      per_element_amplitude: bool = False, scale=1.0,
+                      out=None):
     """Spherical per-element phasors e^{i phi} for a batch of points, in
     blocks.
 
@@ -223,7 +209,8 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
     distances. A point at infinite z gives the broadside plane-wave limit,
     zero phase. With `per_element_amplitude` the phasors carry the
     free-space amplitude lambda / (4 pi ||e_k - p||), which is 0 at
-    infinite z.
+    infinite z. `scale`, a scalar or one value per point, multiplies the
+    phasors as the numerator of their amplitude.
 
     Yields `(ps, rs, cs, re, im)`: slices of the points, element rows and
     element columns, and the real and imaginary parts of that
@@ -231,9 +218,10 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
     samples: whole element rows where they fit, then as many rows and
     points as fit, so the innermost axis stays long however many points
     there are. `re` and `im` are views of scratch arrays that the next
-    block overwrites; no points yield no blocks. Squared distances and
-    phase numerators are sums of a row term and a column term, so only
-    those are formed per sample.
+    block overwrites or, with `out` a complex (points, rows, columns)
+    array, of that block's real and imaginary planes in `out`; no points
+    yield no blocks. Squared distances and phase numerators are sums of a
+    row term and a column term, so only those are formed per sample.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if not (np.all(np.isfinite(points[:, :2])) and np.all(points[:, 2] > 0)):
@@ -251,7 +239,11 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
     np.multiply(cycles, r + rho, out=rho_gap, where=finite)
     # phases are scaled by -k / 2, the tangent's half angle
     half_k = -np.pi / wavelength
-    free_space = wavelength / (4.0 * np.pi)
+    scale = np.asarray(scale, dtype=float)
+    if scale.ndim:  # one value per point
+        scale = np.broadcast_to(scale, (len(points),))[:, None, None]
+    if per_element_amplitude:
+        scale = scale * (wavelength / (4.0 * np.pi))
     count, rows, cols = len(points), len(y_rows), len(x_cols)
     if count == 0:
         return
@@ -280,10 +272,15 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
                 t = np.add(y_num[:, :, None], x_num[:, None, :], out=a)
                 t /= np.add(dist, rho[ps, :, None], out=c)
                 np.tan(t, out=t)
-                if per_element_amplitude:  # lambda / (4 pi ||e_k - p||)
-                    re, im = _tangent_phasor(t, c, d, free_space, dist)
-                else:
-                    re, im = _tangent_phasor(t, c, d)
+                numerator = scale[ps] if scale.ndim else scale
+                # lambda / (4 pi ||e_k - p||) per element, or per point
+                denominator = dist if per_element_amplitude else None
+                dest = None
+                if out is not None:
+                    block = out[ps, rs, cs]
+                    dest = (block.real, block.imag)
+                re, im = _tangent_phasor(t, c, d, numerator, denominator,
+                                         dest)
                 yield ps, rs, cs, re, im
 
 
@@ -291,17 +288,13 @@ def phasor_rows(geom: ArrayGeometry, points, per_element_amplitude=False,
                 scale=1.0) -> np.ndarray:
     """(points, elements) complex array of the phasors of
     `spherical_phasors` over the whole array, times a per-point `scale`
-    (a scalar or one value per point)."""
+    (a scalar or one value per point). The kernel writes each block
+    straight into the output's real and imaginary planes."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    scale = np.broadcast_to(np.asarray(scale, dtype=float),
-                            (len(points),))[:, None, None]
     out = np.empty((len(points), geom.rows, geom.cols), dtype=complex)
-    x_cols, y_rows = geom.element_axes()
-    for ps, rs, cs, re, im in spherical_phasors(
-            x_cols, y_rows, geom.wavelength, points, per_element_amplitude):
-        block = out[ps, rs, cs]
-        np.multiply(re, scale[ps], out=block.real)
-        np.multiply(im, scale[ps], out=block.imag)
+    for _ in spherical_phasors(*geom.element_axes(), geom.wavelength, points,
+                               per_element_amplitude, scale, out):
+        pass
     return out.reshape(len(points), geom.num_elements)
 
 

@@ -149,22 +149,33 @@ def offdiag_magnitude(num_antennas: int, spacing: float, distance: float,
 def capacity_waterfilling(eigenvalues: Sequence[float], snr: float,
                           bandwidth: float = 1.0) -> CapacityResult:
     """Waterfilling over channel eigenvalues with unit total (fractional)
-    power: p_i = max(0, mu - 1/(snr * lam_i)), sum p_i = 1. Filling the r
-    strongest streams gives the level mu_r = (1 + sum_{i<=r} 1/(snr lam_i))/r;
-    the streams used are the leading run with mu_r above 1/(snr lam_r)."""
+    power: p_i = max(0, mu - f_i), sum p_i = 1, with the floors
+    f_i = 1/(snr lam_i) ascending. The streams used are the leading run
+    with 1 + sum_{i<=r} (f_i - f_r) > 0, the level mu above f_r, and the k
+    of them get p_i = (1 - sum_{j<=k} (f_i - f_j)) / k.
+
+    Both sums are taken relative to the floors, so no 1 is lost against a
+    floor above 1/eps: D_r = sum_{i<=r} (f_r - f_i) accumulates the
+    non-negative steps (r - 1)(f_r - f_{r-1}), and
+    p_i = (1 - D_k) / k + (f_k - f_i).
+    """
     lam = np.asarray(eigenvalues, dtype=float)
     if not np.all(lam >= 0):
         raise ValueError("eigenvalues must be non-negative")
     if snr <= 0 or bandwidth <= 0:
         raise ValueError("snr and bandwidth must be positive")
     order = np.argsort(lam)[::-1]
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         floor = 1.0 / (snr * lam[order])
-    levels = (1.0 + np.cumsum(floor)) / np.arange(1, lam.size + 1)
-    k_used = int(np.sum(np.logical_and.accumulate(levels > floor)))
+        # D_r; an infinite floor (lam = 0) makes it inf or nan from there on
+        deficit = np.concatenate(
+            ([0.0], np.cumsum(np.arange(1, lam.size) * np.diff(floor))))
+    k_used = int(np.sum(np.logical_and.accumulate(
+        (deficit < 1.0) & np.isfinite(floor))))
     powers = np.zeros_like(lam)
     if k_used:
-        powers[order[:k_used]] = levels[k_used - 1] - floor[:k_used]
+        powers[order[:k_used]] = ((1.0 - deficit[k_used - 1]) / k_used
+                                  + (floor[k_used - 1] - floor[:k_used]))
     capacity = bandwidth * float(
         np.sum(np.log1p(snr * lam * powers))) / math.log(2.0)
     return CapacityResult(capacity=capacity, powers=powers, k_used=k_used)
@@ -269,7 +280,8 @@ def capacity_frequency_sweep(area: float, distance: float,
 
     `directive` makes both ends apertures. An aperture of effective area A_e
     has the standard gain G = 4 pi A_e / lambda^2. That is the receive model
-    of `field.channel_vector`, where an element of area A collects
+    of the exact channel (`field.element_field_integrals` over sqrt(A)),
+    where an element of area A collects
     A/(4 pi d^2) = (lambda/(4 pi d))^2 * 4 pi A/lambda^2 far out. Each
     antenna gets A_e = area / K: the K antennas share the fixed area, so the
     total aperture stays the same at every frequency. That split is a

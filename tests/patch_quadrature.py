@@ -1,15 +1,40 @@
-"""Generic adaptive 2-D quadrature over a rectangle: a test-only oracle for
-the library's specialised field kernels."""
+"""Test-only oracles for the library's specialised field kernels: the exact
+on-axis field evaluated directly, the exact channel vector built from the
+library's element integrals, and a generic adaptive 2-D quadrature over a
+rectangle."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from nearfield.field import element_field_integrals
+from nearfield.geometry import ArrayGeometry
 from nearfield.numerics import AccuracyError
+
+
+def efield_exact(x, y, z, wavelength: float):
+    """Exact scalar field of an on-axis source at (0, 0, z), observed at
+    (x, y, 0); normalized so the far-field on-axis amplitude is 1/(sqrt(4 pi) z)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(np.asarray(z) <= 0):
+        raise ValueError("z must be positive")
+    r2 = x * x + y * y + z * z
+    amplitude = np.sqrt(z * (x * x + z * z)) / (np.sqrt(4.0 * np.pi) * r2**1.25)
+    return amplitude * np.exp(-2j * np.pi / wavelength * np.sqrt(r2))
+
+
+def channel_vector(geom: ArrayGeometry, source_z: float,
+                   tol: float = 1e-8) -> np.ndarray:
+    """Exact patch-integrated channel vector for an on-axis source: one
+    complex coefficient per element, row-major over (row, column)."""
+    integrals, _ = element_field_integrals(geom, source_z, tol=tol)
+    return integrals / math.sqrt(geom.element_area)
 
 
 @dataclass(frozen=True)

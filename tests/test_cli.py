@@ -329,6 +329,34 @@ class TestCliBehavior:
         assert np.all(lower > 0)
         np.testing.assert_allclose(lower, low / 10.0, rtol=1e-9)
 
+    def test_los_capacity_at_low_snr(self, tmp_path, capsys):
+        # at -300 dB every waterfilling floor 1/(snr lam) is far above
+        # 1/eps; the streams still share the whole power, and the rate is
+        # linear in it: P/N0 lam / ln 2 for the four (near) equal lam
+        cfg = config_with(tmp_path, (CONFIGS / "los_capacity.yaml")
+                          .read_text(), "radio.power_over_noise_db", "-300")
+        assert main(["los-capacity", "--config", str(cfg), "--out", "-"]) == 0
+        _, *rows = [line.split(",") for line in
+                    capsys.readouterr().out.splitlines()
+                    if not line.startswith("#")]
+        _, eigenvalues, powers, capacity = np.array(rows, dtype=float).T
+        assert np.sum(powers) == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert np.all(capacity > 0)
+        np.testing.assert_allclose(
+            capacity, 1e-30 * eigenvalues[0] / np.log(2.0), rtol=1e-9, atol=0)
+
+    def test_capacity_vs_bandwidth_b80(self, tmp_path):
+        # fig1's 80 % bandwidth is P beta / y80 = 117422.38863309955 Hz
+        # (y80 to 40 digits with mpmath), written as 117422.388633. The
+        # golden's 117422.388637 is the old bracketed root (see
+        # test_closed_forms.py), within compare-golden's 1e-6
+        out = tmp_path / "fig1.csv"
+        assert run_subcommand(CONFIGS / "fig1_capacity_vs_bandwidth.yaml",
+                              "capacity-vs-bandwidth", out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if line and not line.startswith("#")]
+        assert {row[-1] for row in rows[1:]} == {"117422.388633"}
+
     def test_depth_plan_row_count(self, tmp_path):
         out = tmp_path / "plan.csv"
         assert run_subcommand(CONFIGS / "fig10_depth_plan.yaml",

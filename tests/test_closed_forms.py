@@ -1,6 +1,7 @@
 """Property tests of the closed forms behind the focal plan, the stream
 count, waterfilling, the 80 % bandwidth, the half-gain parameter a3dB and
-the LOS mode spectrum, of the zero-forcing precoder's accuracy, and of the
+the LOS mode spectrum, of the zero-forcing precoder's accuracy, of the
+precoders and multi-user channels on every memory layout, and of the
 golden comparison.
 
 Each closed form is checked against the loop it replaced, kept here
@@ -11,6 +12,7 @@ suite stays deterministic and fast.
 
 import math
 import tempfile
+from fractions import Fraction
 import warnings
 from pathlib import Path
 
@@ -24,14 +26,18 @@ from nearfield.cli import compare_golden
 from nearfield.depth_mux import (
     GRAM_CONDITION_LIMIT,
     build_mu_channel,
+    matched_filter_precoder,
     plan_depth_focal_points,
     zf_precoder,
 )
+from nearfield.field import phasor_rows
 from nearfield.mimo_los import (
     CapacityResult,
+    RadioParams,
     build_los_mimo,
     capacity_bandwidth_sweep,
     capacity_waterfilling,
+    free_space_gain,
     mode_analysis,
     num_streams_for_area,
 )
@@ -279,6 +285,42 @@ class TestWaterfilling:
             >= res.capacity * (1 - 1e-12)
 
 
+def exact_waterfilling(floors):
+    """Stream count and powers of waterfilling over ascending floors, in
+    exact rational arithmetic on the given floats."""
+    f = [Fraction(v) for v in floors if math.isfinite(v)]
+    k = 0
+    while k < len(f) and 1 + sum(fi - f[k] for fi in f[:k + 1]) > 0:
+        k += 1
+    level = (1 + sum(f[:k])) / k if k else Fraction(0)
+    return k, [level - fi for fi in f[:k]]
+
+
+class TestWaterfillingExact:
+    @PROPERTY
+    @given(lam=eigenvalue_sets, snr=log_uniform(1e-300, 1e3))
+    @example(lam=[1.0], snr=1e-17)
+    @example(lam=[2.0, 1.0, 1.0], snr=1e-20)
+    # floors 2^54 and 2^54 + 4, above the level 2^54 + 2.5
+    @example(lam=[1.0, 2.0**54 / (2.0**54 + 4.0)], snr=2.0**-54)
+    def test_matches_exact_arithmetic(self, lam, snr):
+        # the same float floors, filled exactly: the stream count agrees, and
+        # each power is within a few eps in absolute terms, however far the
+        # floors lie above 1/eps
+        res = capacity_waterfilling(lam, snr)
+        order = np.argsort(lam)[::-1]
+        with np.errstate(divide="ignore", over="ignore"):
+            floors = 1.0 / (snr * np.asarray(lam)[order])
+        k, powers = exact_waterfilling(floors)
+        assert res.k_used == k
+        assert res.capacity > 0 or k == 0
+        n, eps = len(lam), np.finfo(float).eps
+        np.testing.assert_allclose(res.powers[order[:k]],
+                                   [float(p) for p in powers], rtol=0,
+                                   atol=4 * n * eps)
+        assert np.all(res.powers[order[k:]] == 0)
+
+
 # ---------------------------------------------------------------------------
 # 80 % bandwidth
 
@@ -290,6 +332,15 @@ class TestBandwidth80:
         b80 = sweep.bandwidth_80pct
         assert b80 * math.log2(1.0 + s / b80) \
             == pytest.approx(0.8 * sweep.rate_limit, rel=1e-11)
+
+    def test_fig1_golden_is_the_bracketed_root(self):
+        # fig1: 110 dB and the Friis gain at 10 m and 3 GHz. The closed form
+        # gives P beta / y80 = 117422.38863309955 Hz (y80 to 40 digits with
+        # mpmath); the golden's 117422.388637 is the old root, solved only
+        # to 1e-9 P beta
+        radio = RadioParams(carrier_frequency=3e9, power_over_noise_db=110)
+        s = radio.power_over_noise * free_space_gain(radio.wavelength(), 10.0)
+        assert f"{reference_bandwidth_80pct(s):.12g}" == "117422.388637"
 
     @PROPERTY
     @given(s=log_uniform(1e-150, 1e300))
@@ -394,6 +445,96 @@ class TestZeroForcing:
         signal = np.diag(cross)
         leakage = (cross - np.diag(signal)).max()
         assert leakage <= 10.0 * cond * np.finfo(float).eps * signal.min()
+
+
+# ---------------------------------------------------------------------------
+# precoders and multi-user channels on every memory layout
+
+LAYOUT = settings(derandomize=True, database=None, deadline=None,
+                  max_examples=25)
+
+
+@st.composite
+def channels(draw):
+    """An N x K complex Gaussian matrix with N >= 4K, times a magnitude from
+    1e-100 to 1e100: cond(H^H H) stays of order 10."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(4 * k, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return draw(log_uniform(1e-100, 1e100)) * (
+        rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+
+
+def layouts(h):
+    """H in C order, in Fortran order, and as a strided slice of a larger
+    array."""
+    n, k = h.shape
+    wide = np.zeros((2 * n, 3 * k), dtype=complex)
+    wide[1::2, ::3] = h
+    return [np.ascontiguousarray(h), np.asfortranarray(h), wide[1::2, ::3]]
+
+
+class TestPrecoderLayouts:
+    @LAYOUT
+    @given(h=channels(), power=log_uniform(1e-3, 1e3))
+    def test_zero_forcing(self, h, power):
+        ref = h @ np.linalg.inv(h.conj().T @ h)
+        ref *= math.sqrt(power / np.sum(np.abs(ref) ** 2))
+        for hl in layouts(h):
+            before = hl.copy()
+            w = zf_precoder(hl, power)
+            np.testing.assert_array_equal(hl, before)
+            assert not np.shares_memory(w, hl)
+            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.sum(np.abs(w) ** 2) == pytest.approx(power, rel=1e-13,
+                                                           abs=0)
+
+    @LAYOUT
+    @given(h=channels(), power=log_uniform(1e-3, 1e3))
+    def test_matched_filter(self, h, power):
+        k = h.shape[1]
+        for hl in layouts(h):
+            before = hl.copy()
+            w = matched_filter_precoder(hl, power)
+            np.testing.assert_array_equal(hl, before)
+            np.testing.assert_allclose(np.linalg.norm(w, axis=0),
+                                       math.sqrt(power / k), rtol=1e-13,
+                                       atol=0)
+            np.testing.assert_allclose(
+                w, h * (math.sqrt(power / k) / np.linalg.norm(h, axis=0)),
+                rtol=1e-13, atol=0)
+
+
+@st.composite
+def user_points(draw):
+    """An array of at most 8 x 8 elements, 1-5 points in front of it, and a
+    scale per point from 1e-30 to 1e30."""
+    geom = draw(st.builds(lambda rows, cols, side: build_upa(rows, cols,
+                                                             side, 0.1),
+                          st.integers(1, 8), st.integers(1, 8),
+                          log_uniform(0.01, 0.2)))
+    k = draw(st.integers(1, 5))
+    coords = st.floats(-5.0, 5.0)
+    points = [(draw(coords), draw(coords), draw(log_uniform(0.01, 50.0)))
+              for _ in range(k)]
+    scale = np.array([draw(log_uniform(1e-30, 1e30)) for _ in range(k)])
+    return geom, points, scale
+
+
+class TestPhasorRowScale:
+    # the scale is the numerator of the phasor amplitude, s / (1 + t^2),
+    # where the reference multiplies s into the unit phasor: a few roundings
+    # apart. With the per-element amplitude lambda / (4 pi ||e_k - p||) the
+    # numerator takes one more, lambda / (4 pi) times s.
+    @LAYOUT
+    @given(case=user_points())
+    def test_scale_is_a_product(self, case):
+        geom, points, scale = case
+        for per_element, ulps in ((False, 2), (True, 3)):
+            scaled = phasor_rows(geom, points, per_element, scale)
+            ref = scale[:, None] * phasor_rows(geom, points, per_element)
+            np.testing.assert_array_max_ulp(scaled.real, ref.real, ulps)
+            np.testing.assert_array_max_ulp(scaled.imag, ref.imag, ulps)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,11 @@ from nearfield.depth_mux import build_mu_channel
 from nearfield.field import (
     _quadrant_integrals,
     _tangent_phasor,
-    channel_vector,
-    efield_exact,
     element_field_integrals,
     fresnel_channel_vector,
 )
 from nearfield.numerics import AccuracyError
-from patch_quadrature import Rect, integrate_patch
+from patch_quadrature import Rect, channel_vector, efield_exact, integrate_patch
 
 
 def make_desk_array(rows=30, cols=40, freq=3e9):

@@ -13,6 +13,7 @@ from nearfield.mimo_los import (
     capacity_frequency_sweep,
     capacity_waterfilling,
     equal_eigenvalue_capacity,
+    free_space_gain,
     mode_analysis,
     num_streams_for_area,
     offdiag_magnitude,
@@ -175,6 +176,30 @@ class TestWaterfilling:
         assert res.capacity == pytest.approx(
             2.0 * x * (1.0 - 0.5 * x) / math.log(2.0), rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("snr", [1e-17, 1e-100, 1e-300])
+    def test_single_stream_floor_above_inverse_eps(self, snr):
+        # the floor 1/snr is far above 1/eps, where 1 + 1/snr rounds to
+        # 1/snr: the one stream still takes the whole power
+        res = capacity_waterfilling([1.0], snr=snr)
+        assert res.k_used == 1 and res.powers[0] == 1.0
+        assert res.capacity == pytest.approx(snr / math.log(2.0), rel=1e-15,
+                                             abs=0)
+
+    def test_floors_above_inverse_eps(self):
+        # floors 1e17 and 2e17: the level 1 + 1e17 stays below the second
+        # floor, so the strongest stream takes the whole power
+        res = capacity_waterfilling([2.0, 1.0], snr=5e-18)
+        assert res.k_used == 1
+        np.testing.assert_array_equal(res.powers, [1.0, 0.0])
+        assert res.capacity == pytest.approx(1e-17 / math.log(2.0),
+                                             rel=1e-15, abs=0)
+        # equal floors of 1e20 share it equally
+        res = capacity_waterfilling([1.0, 1.0, 1.0, 0.0], snr=1e-20)
+        assert res.k_used == 3
+        np.testing.assert_array_equal(res.powers, [1 / 3, 1 / 3, 1 / 3, 0.0])
+        assert res.capacity == pytest.approx(1e-20 / math.log(2.0),
+                                             rel=1e-15, abs=0)
+
     def test_against_grid_search_oracle(self):
         rng = np.random.default_rng(3)
         lam = np.sort(rng.uniform(0.1, 5.0, 4))[::-1]
@@ -238,6 +263,17 @@ class TestBandwidthSweep:
         b = sweep.bandwidth_80pct
         assert b * math.log2(1 + s / b) == pytest.approx(0.8 * sweep.rate_limit,
                                                          rel=1e-6)
+
+    @pytest.mark.parametrize("s", [
+        1e-200, 3.7e-5, 1.0, 4e1, 2.2e7, 1e250,
+        # fig1: 110 dB and the Friis gain at 10 m and 3 GHz
+        1e11 * free_space_gain(SPEED_OF_LIGHT / 3e9, 10.0)])
+    def test_b80_closed_form(self, s):
+        # y80, the root of log1p(y) = 0.8 y, to 40 digits with mpmath:
+        # 0.5385527622303237960
+        b80 = capacity_bandwidth_sweep(s, 1.0, [1.0]).bandwidth_80pct
+        assert b80 == pytest.approx(s / 0.5385527622303237960, rel=1e-14,
+                                    abs=0)
 
     def test_large_bandwidth_approaches_limit(self):
         sweep = capacity_bandwidth_sweep(1e10, 4e-9, [1e5 * 1e10 * 4e-9])

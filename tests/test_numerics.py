@@ -19,7 +19,7 @@ from nearfield.numerics import (
     hermitian_eig,
     solve_scalar_root,
 )
-from patch_quadrature import Rect, integrate_patch
+from patch_quadrature import Rect, efield_exact, integrate_patch
 
 
 def fresnel_quad(x):
@@ -121,7 +121,6 @@ class TestIntegratePatch:
 
     def test_grid_refinement_oracle(self):
         # field over a quarter-wavelength patch vs a fine fixed midpoint grid
-        from nearfield.field import efield_exact
         lam = 1.0
         z = 100.0
         r = Rect(-0.125, 0.125, -0.125, 0.125)
