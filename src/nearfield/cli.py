@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -443,6 +444,7 @@ def run_dof(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.lru_cache(maxsize=None)  # RUNNERS is complete once cli is imported
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearfield",

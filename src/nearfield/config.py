@@ -1,5 +1,8 @@
-"""Run-config parsing: YAML tree, unit-tagged quantities, and one
-table-driven validator for every config block."""
+"""Run-config parsing: the YAML tree, and one table-driven validator for
+every config block. One parser, `_quantity`, reads every real number: a
+plain number, or a numeric string such as `1e-6` (YAML 1.1 reads it as
+text), in the key's base unit (meters, hertz), or `"<number> <unit>"`
+scaled by the unit's entry in a unit table."""
 
 from __future__ import annotations
 
@@ -21,80 +24,27 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
-_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "cm": 1e-2, "km": 1e3}
-
-
-def _split_quantity(value: str, where: str) -> tuple[float, str]:
-    parts = value.split()
-    if len(parts) != 2:
-        raise ConfigError(f"{where}: expected '<number> <unit>', got {value!r}")
-    try:
-        return float(parts[0]), parts[1]
-    except ValueError:
-        raise ConfigError(f"{where}: bad numeric value in {value!r}") from None
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def parse_frequency(value: Any, where: str) -> float:
-    if _is_number(value):
-        return _float(value, where, None)
-    if isinstance(value, str):
-        num, unit = _split_quantity(value, where)
-        if unit.lower() not in _FREQ_UNITS:
-            raise ConfigError(f"{where}: unknown frequency unit {unit!r}")
-        return num * _FREQ_UNITS[unit.lower()]
-    raise ConfigError(f"{where}: expected frequency, got {value!r}")
-
-
-def parse_length(value: Any, where: str, wavelength: Optional[float] = None,
-                 bounds: Optional[RegionBounds] = None) -> float:
-    """Length in meters; accepts numbers (meters), 'inf', and unit-tagged
-    strings ('2 m', '0.25 lambda', '1000 dF', '0.04 dFA', '1 dB')."""
-    if _is_number(value):
-        return _float(value, where, None)
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        num, unit = _split_quantity(value, where)
-        key = unit.lower()
-        if key in _LENGTH_UNITS:
-            return num * _LENGTH_UNITS[key]
-        if key == "lambda":
-            if wavelength is None:
-                raise ConfigError(f"{where}: lambda units need a geometry block")
-            return num * wavelength
-        relative = {"df": "d_f", "dfa": "d_fa", "db": "d_b", "dn": "d_n"}
-        if key in relative:
-            if bounds is None:
-                raise ConfigError(f"{where}: {unit} units need a geometry block")
-            return num * getattr(bounds, relative[key])
-        raise ConfigError(f"{where}: unknown length unit {unit!r}")
-    raise ConfigError(f"{where}: expected length, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Units:
-    """What relative lengths refer to: `lambda` to the wavelength, and
-    `dF`, `dFA`, `dB` and `dN` to the region bounds of the geometry."""
-
-    wavelength: Optional[float] = None
-    bounds: Optional[RegionBounds] = None
+FREQUENCY_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
+#: The length units of a config without a geometry block.
+LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "cm": 1e-2, "km": 1e3}
+#: The length units a geometry block adds: its wavelength, then its
+#: `RegionBounds` fields in their order.
+_GEOMETRY_UNITS = ("lambda", "dn", "df", "db", "dfa")
 
 
 # ---------------------------------------------------------------------------
-# kinds: each checks one config value at dotted key `where` and returns it
-# parsed, or raises ConfigError naming `where`
+# kinds: each checks one config value at dotted key `where`, with the
+# length units `units` in scope, and returns it parsed, or raises
+# ConfigError naming `where`
 
-Kind = Callable[[Any, str, Units], Any]
+#: Unit name (lower case) -> its size in the base unit.
+UnitTable = Mapping[str, float]
+Kind = Callable[[Any, str, UnitTable], Any]
 #: The default of a key that must be set.
 REQUIRED = object()
 
 
-def _float(value: Any, where: str, units: Units) -> float:
+def _float(value: Any, where: str, expected: str = "a number") -> float:
     """A number. A numeric string counts, because YAML 1.1 reads `1e-6`
     (no decimal point) as text."""
     try:
@@ -102,10 +52,29 @@ def _float(value: Any, where: str, units: Units) -> float:
             raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}") \
+            from None
 
 
-def _int(value: Any, where: str, units: Units) -> int:
+def _quantity(table: Optional[UnitTable]) -> Kind:
+    """A number in the base unit, or `"<number> <unit>"` scaled by the
+    unit's entry in `table`; with no table, the length units in scope."""
+    def parse(value: Any, where: str, units: UnitTable) -> float:
+        scales = units if table is None else table
+        words = value.split() if isinstance(value, str) else ()
+        if len(words) != 2 or not scales:
+            return _float(value, where,
+                          "'<number> <unit>'" if scales else "a number")
+        unit = words[1].lower()
+        if unit not in scales:
+            raise ConfigError(f"{where}: unit {words[1]!r} " + (
+                "needs a geometry block" if table is None
+                and unit in _GEOMETRY_UNITS else "is unknown"))
+        return _float(words[0], where) * scales[unit]
+    return parse
+
+
+def _int(value: Any, where: str, units: UnitTable) -> int:
     """A YAML integer: `2.7`, `"40"` and `true` are not."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
@@ -114,7 +83,7 @@ def _int(value: Any, where: str, units: Units) -> int:
 
 def _ranged(parse: Kind, test: Callable[[float], bool], what: str) -> Kind:
     """The values that `parse` reads as a number passing `test`."""
-    def check(value: Any, where: str, units: Units) -> Any:
+    def check(value: Any, where: str, units: UnitTable) -> Any:
         result = parse(value, where, units)
         if not test(result):
             raise ConfigError(f"{where}: must be {what}, got {value!r}")
@@ -122,28 +91,24 @@ def _ranged(parse: Kind, test: Callable[[float], bool], what: str) -> Kind:
     return check
 
 
-def _length(value: Any, where: str, units: Units) -> float:
-    return parse_length(value, where, units.wavelength, units.bounds)
-
-
+_POSITIVE = (lambda x: 0 < x < math.inf, "finite and positive")
 count = _ranged(_int, lambda n: n >= 1, "at least 1")
-number = _ranged(_float, math.isfinite, "finite")
-positive = _ranged(_float, lambda x: 0 < x < math.inf, "finite and positive")
-non_negative = _ranged(_float, lambda x: 0 <= x < math.inf,
+number = _ranged(_quantity({}), math.isfinite, "finite")
+positive = _ranged(_quantity({}), *_POSITIVE)
+non_negative = _ranged(_quantity({}), lambda x: 0 <= x < math.inf,
                        "finite and non-negative")
-coordinate = _ranged(_length, math.isfinite, "finite")
-length = _ranged(_length, lambda x: 0 < x < math.inf, "finite and positive")
-frequency = _ranged(lambda value, where, units: parse_frequency(value, where),
-                    lambda f: 0 < f < math.inf, "finite and positive")
+coordinate = _ranged(_quantity(None), math.isfinite, "finite")
+length = _ranged(_quantity(None), *_POSITIVE)
+frequency = _ranged(_quantity(FREQUENCY_UNITS), *_POSITIVE)
 
 
-def text(value: Any, where: str, units: Units) -> str:
+def text(value: Any, where: str, units: UnitTable) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected a string, got {value!r}")
     return value
 
 
-def block(value: Any, where: str, units: Units) -> Mapping[str, Any]:
+def block(value: Any, where: str, units: UnitTable) -> Mapping[str, Any]:
     """A mapping checked later, against its subcommand's table."""
     if value is None:
         return {}
@@ -153,7 +118,7 @@ def block(value: Any, where: str, units: Units) -> Mapping[str, Any]:
 
 
 def enum(*words: str) -> Kind:
-    def check(value: Any, where: str, units: Units) -> str:
+    def check(value: Any, where: str, units: UnitTable) -> str:
         if value not in words:
             raise ConfigError(f"{where}: expected {'|'.join(words)}, "
                               f"got {value!r}")
@@ -164,7 +129,7 @@ def enum(*words: str) -> Kind:
 
 def list_of(item: Kind, size: Optional[int] = None) -> Kind:
     """A non-empty list of `item`s, of exactly `size` if given."""
-    def check(value: Any, where: str, units: Units) -> list:
+    def check(value: Any, where: str, units: UnitTable) -> list:
         if not isinstance(value, list) or not value \
                 or size not in (None, len(value)):
             raise ConfigError(f"{where}: expected a list of "
@@ -176,7 +141,7 @@ def list_of(item: Kind, size: Optional[int] = None) -> Kind:
 
 def either(word: str, kind: Kind) -> Kind:
     """The literal `word`, or a value of `kind`."""
-    def check(value: Any, where: str, units: Units) -> Any:
+    def check(value: Any, where: str, units: UnitTable) -> Any:
         return word if value == word else kind(value, where, units)
     check.word, check.kind = word, kind
     return check
@@ -185,7 +150,7 @@ def either(word: str, kind: Kind) -> Kind:
 _XYZ = list_of(coordinate, 3)
 
 
-def position(value: Any, where: str, units: Units) -> Tuple[float, ...]:
+def position(value: Any, where: str, units: UnitTable) -> Tuple[float, ...]:
     """A point [x, y, z] in front of the array, so z > 0."""
     x, y, z = _XYZ(value, where, units)
     if not z > 0:
@@ -206,8 +171,8 @@ class Schema:
     one_of: Tuple[Tuple[str, str], ...] = ()
 
     def validate(self, node: Any, where: str,
-                 units: Union[Units, Callable[[dict], Units]] = Units()
-                 ) -> Dict[str, Any]:
+                 units: Union[UnitTable, Callable[[dict], UnitTable]]
+                 = LENGTH_UNITS) -> Dict[str, Any]:
         """The block `node` at dotted key `where` ("" for the root), with
         every key parsed or defaulted. `units` may be a function of the
         values parsed so far, in table order, for a block that sets its
@@ -263,20 +228,23 @@ RADIO = Schema({
 }, one_of=(("bandwidth_fraction", "bandwidth_hz"),))
 
 
-def _wavelength(values: Mapping[str, Any]) -> Optional[float]:
-    """The geometry's wavelength, once its keys are parsed."""
+def _lengths(values: Mapping[str, Any]) -> UnitTable:
+    """The length units of the geometry block once `values` are parsed:
+    `lambda` is its wavelength, once that is set."""
     if values.get("frequency"):
-        return SPEED_OF_LIGHT / values["frequency"]
-    return values.get("wavelength")
+        return {**LENGTH_UNITS, "lambda": SPEED_OF_LIGHT / values["frequency"]}
+    if values.get("wavelength"):
+        return {**LENGTH_UNITS, "lambda": values["wavelength"]}
+    return LENGTH_UNITS
 
 
-def _geometry(node: Any, where: str, units: Units) -> ArrayGeometry:
+def _geometry(node: Any, where: str, units: UnitTable) -> ArrayGeometry:
     """The geometry block; its `lambda` unit is its own wavelength, and its
     region bounds must be finite positive normal floats: as a subnormal, a
     bound has too few digits for the gains scaled by it."""
-    g = GEOMETRY.validate(node, where,
-                          lambda parsed: Units(wavelength=_wavelength(parsed)))
-    geom = build_upa(g["rows"], g["cols"], g["element_side"], _wavelength(g))
+    g = GEOMETRY.validate(node, where, _lengths)
+    geom = build_upa(g["rows"], g["cols"], g["element_side"],
+                     _lengths(g)["lambda"])
     try:
         bounds = astuple(boundary_distances(geom))
     except OverflowError:  # a bound beyond the float range
@@ -289,7 +257,7 @@ def _geometry(node: Any, where: str, units: Units) -> ArrayGeometry:
     return geom
 
 
-def _radio(node: Any, where: str, units: Units) -> RadioParams:
+def _radio(node: Any, where: str, units: UnitTable) -> RadioParams:
     r = RADIO.validate(node, where)
     try:
         return RadioParams(carrier_frequency=r.pop("frequency"), **r)
@@ -323,10 +291,12 @@ class RunConfig:
         return boundary_distances(self.geometry)
 
     @property
-    def units(self) -> Units:
+    def units(self) -> UnitTable:
+        """The length units of the experiment block."""
         if self.geometry is None:
-            return Units()
-        return Units(self.geometry.wavelength, self.bounds)
+            return LENGTH_UNITS
+        return {**LENGTH_UNITS, **dict(zip(_GEOMETRY_UNITS, (
+            self.geometry.wavelength, *astuple(self.bounds))))}
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.raw, sort_keys=True, default=str)
@@ -334,12 +304,14 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    # libyaml's parser builds the same tree as PyYAML's, about 8x faster
+    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path!r} is not valid YAML: {exc}") from exc
     if raw is None:
         raw = {}

@@ -44,22 +44,48 @@ CASES = {
 }
 
 
+def plain(x):
+    """`x` as an integer mantissa and an exponent, such as `25e-3`: YAML 1.1
+    reads that as text, and float() reads it back exactly."""
+    mantissa, exponent = f"{x:.16e}".split("e")
+    return f"{mantissa.replace('.', '')}e{int(exponent) - 16}"
+
+
+#: shipped config -> (subcommand, its unit-tagged values respelled as plain
+#: numbers in meters and hertz, given the parsed config)
+RESPELLED = {
+    "fig4_gain_sweep.yaml": ("gain-sweep", lambda cfg: {
+        '"3 GHz"': "3e9", '"10 dF"': plain(10 * cfg.bounds.d_f),
+        '"100000 dF"': plain(100000 * cfg.bounds.d_f)}),
+    "fig5_beam_width.yaml": ("beam-width", lambda cfg: {
+        '"3 GHz"': "3e9", '"0.5 m"': "5e-1"}),
+    "los_capacity.yaml": ("los-capacity", lambda cfg: {
+        '"3 GHz"': "3e9", '"90 MHz"': "9e7"}),
+}
+
+
 def run_subcommand(config, subcommand, out):
     return main([subcommand, "--config", str(config), "--out", str(out)])
+
+
+#: libyaml's loader and emitter when PyYAML has them: the same trees as its
+#: pure-Python ones, several times faster
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 def config_with(tmp_path, base, key, value, drop=None):
     """Write the config text `base` with the dotted `key` set to the YAML
     text `value`, and its sibling key `drop` removed."""
-    tree = yaml.safe_load(base)
+    tree = yaml.load(base, Loader=LOADER)
     *blocks, leaf = key.split(".")
     node = tree
     for name in blocks:
         node = node[name]
-    node[leaf] = yaml.safe_load(value)
+    node[leaf] = yaml.load(value, Loader=LOADER)
     node.pop(drop, None)
     path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump(tree))
+    path.write_text(yaml.dump(tree, Dumper=DUMPER))
     return path
 
 
@@ -268,6 +294,27 @@ class TestGoldenRegeneration:
         assert run_subcommand(CONFIGS / config_name, sub, out) == 0
         passed, report = compare_golden(str(out), str(GOLDENS / golden), 1e-6)
         assert passed, "\n".join(report)
+
+    @pytest.mark.parametrize("config_name", sorted(RESPELLED))
+    def test_plain_number_spelling_matches_shipped(self, tmp_path,
+                                                   config_name):
+        # lengths and frequencies take a number YAML reads as text, such
+        # as 3e9, as plain-number keys do; only the config hash differs
+        subcommand, spell = RESPELLED[config_name]
+        shipped = CONFIGS / config_name
+        text = shipped.read_text()
+        for old, new in spell(config.load_config(str(shipped))).items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        respelled = tmp_path / config_name
+        respelled.write_text(text)
+        lines = []
+        for cfg in (shipped, respelled):
+            out = tmp_path / "out.csv"
+            assert run_subcommand(cfg, subcommand, out) == 0
+            lines.append([line for line in out.read_text().splitlines()
+                          if not line.startswith("# config-sha256: ")])
+        assert lines[0] == lines[1]
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = CONFIGS / "fig10_depth_plan.yaml"

@@ -1,14 +1,22 @@
 import math
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
+from nearfield import config
 from nearfield.config import (
+    LENGTH_UNITS,
     ConfigError,
+    frequency,
     length,
     load_config,
-    parse_frequency,
-    parse_length,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=100)
 
 
 GEOMETRY = """\
@@ -28,27 +36,32 @@ def write(tmp_path, text, name="cfg.yaml"):
 
 class TestQuantityParsing:
     def test_frequency_units(self):
-        assert parse_frequency("3 GHz", "t") == pytest.approx(3e9)
-        assert parse_frequency("250 kHz", "t") == pytest.approx(250e3)
-        assert parse_frequency(1.5e6, "t") == 1.5e6
+        assert frequency("3 GHz", "t", LENGTH_UNITS) == pytest.approx(3e9)
+        assert frequency("250 kHz", "t", LENGTH_UNITS) == pytest.approx(250e3)
+        assert frequency(1.5e6, "t", LENGTH_UNITS) == 1.5e6
 
     def test_frequency_errors(self):
         with pytest.raises(ConfigError):
-            parse_frequency("3 parsecs", "t")
+            frequency("3 parsecs", "t", LENGTH_UNITS)
         with pytest.raises(ConfigError):
-            parse_frequency("fast", "t")
+            frequency("fast", "t", LENGTH_UNITS)
 
     def test_length_plain_and_units(self):
-        assert parse_length(2.5, "t") == 2.5
-        assert parse_length("30 cm", "t") == pytest.approx(0.3)
-        assert parse_length("2 km", "t") == pytest.approx(2000.0)
-        assert parse_length("inf", "t") == math.inf
+        assert length(2.5, "t", LENGTH_UNITS) == 2.5
+        assert length("30 cm", "t", LENGTH_UNITS) == pytest.approx(0.3)
+        assert length("2 km", "t", LENGTH_UNITS) == pytest.approx(2000.0)
+        # "inf" is a number to the parser, and out of range for the kind
+        assert config._quantity(None)("inf", "t", LENGTH_UNITS) == math.inf
+        with pytest.raises(ConfigError, match="must be finite and positive"):
+            length("inf", "t", LENGTH_UNITS)
 
     def test_length_lambda_units(self):
-        assert parse_length("0.25 lambda", "t", wavelength=0.1) \
-            == pytest.approx(0.025)
-        with pytest.raises(ConfigError):
-            parse_length("0.25 lambda", "t")
+        units = {**LENGTH_UNITS, "lambda": 0.1}
+        assert length("0.25 lambda", "t", units) == pytest.approx(0.025)
+        with pytest.raises(ConfigError, match="needs a geometry block"):
+            length("0.25 lambda", "t", LENGTH_UNITS)
+        with pytest.raises(ConfigError, match="'dF' needs a geometry block"):
+            length("1 dF", "t", LENGTH_UNITS)
 
     def test_length_boundary_units(self, tmp_path):
         cfg = load_config(write(tmp_path, GEOMETRY))
@@ -60,9 +73,9 @@ class TestQuantityParsing:
 
     def test_length_errors(self):
         with pytest.raises(ConfigError):
-            parse_length("1 furlong", "t")
+            length("1 furlong", "t", LENGTH_UNITS)
         with pytest.raises(ConfigError):
-            parse_length([1], "t")
+            length([1], "t", LENGTH_UNITS)
 
 
 class TestLoadConfig:
@@ -112,6 +125,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, "geometry: [unclosed\n"))
 
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"geometry:\n  rows: \xff\xfe\n")
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(str(path))
+
     def test_bounds_requires_geometry(self, tmp_path):
         cfg = load_config(write(tmp_path, "experiment: {}\n"))
         with pytest.raises(ConfigError):
@@ -125,3 +144,92 @@ class TestLoadConfig:
         assert a == b
         assert a != c
         assert len(a) == 16
+
+    def test_libyaml_and_python_loaders_agree(self, monkeypatch):
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML is built without libyaml")
+        paths = sorted(CONFIGS.glob("*.yaml"))
+        assert len(paths) == 13
+        fast = [load_config(str(p)) for p in paths]
+        monkeypatch.setattr(yaml, "__with_libyaml__", False)
+        slow = [load_config(str(p)) for p in paths]
+        assert fast == slow
+        assert [c.config_hash() for c in fast] \
+            == [c.config_hash() for c in slow]
+
+
+# ---------------------------------------------------------------------------
+# one parser for every real number
+
+LENGTHS = config._quantity(None)
+GEOMETRY_UNITS = load_config(str(CONFIGS / "fig4_gain_sweep.yaml")).units
+#: (parser, the length units in scope, the unit table it reads)
+PARSERS = [
+    (LENGTHS, LENGTH_UNITS, LENGTH_UNITS),
+    (LENGTHS, GEOMETRY_UNITS, GEOMETRY_UNITS),
+    (config._quantity(config.FREQUENCY_UNITS), GEOMETRY_UNITS,
+     config.FREQUENCY_UNITS),
+]
+#: each numeric kind -> the values it accepts
+RANGES = {
+    config.number: math.isfinite,
+    config.positive: lambda x: 0 < x < math.inf,
+    config.non_negative: lambda x: 0 <= x < math.inf,
+    config.coordinate: math.isfinite,
+    config.length: lambda x: 0 < x < math.inf,
+    config.frequency: lambda x: 0 < x < math.inf,
+}
+#: YAML scalars at and beyond the edges of what a number can be
+EDGE_SCALARS = [yaml.safe_load(text) for text in [
+    ".nan", ".inf", "-.inf", "1.0e+300", "1e+300", "-1.0e+300", "inf",
+    "-inf", "nan", "1" + "0" * 400, "-1" + "0" * 400, "true", "false",
+    "null", "[1]", "{a: 1}", "2001-01-01", '"3 parsecs"', '"1 dF"',
+    '"1 lambda"', '"3 GHz"', '"-1 m"', '"1e400 m"', '"abc m"', '"nan dF"',
+    '"abc"', '""', '"1e-3"', '"1 2 3"', '"0x10"', '"1_000"', "5.0e-324",
+    "-0.0",
+]]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestQuantity:
+    @PROPERTY
+    @given(v=finite)
+    def test_unit_scales(self, v):
+        for parse, units, table in PARSERS:
+            for unit, scale in table.items():
+                assert parse(f"{v!r} {unit}", "k", units) == v * scale
+                assert parse(f"{v!r} {unit.upper()}", "k", units) == v * scale
+
+    @PROPERTY
+    @given(v=finite)
+    def test_plain_numbers(self, v):
+        for parse, units, _ in PARSERS:
+            assert parse(v, "k", units) == v
+            assert parse(repr(v), "k", units) == v
+            assert parse(f"{v:e}", "k", units) == float(f"{v:e}")
+
+    def test_edge_scalars_accepted_in_range_or_name_key(self):
+        for value in EDGE_SCALARS:
+            accepted_in_range_or_names_key(value)
+
+    @PROPERTY
+    @given(value=st.one_of(
+        st.floats(), st.integers(), st.text(max_size=12),
+        st.builds("{} {}".format,
+                  st.one_of(st.floats().map(repr), st.text(max_size=6)),
+                  st.sampled_from(["m", "GHz", "dF", "lambda", "furlong"]))))
+    def test_values_accepted_in_range_or_name_key(self, value):
+        accepted_in_range_or_names_key(value)
+
+
+def accepted_in_range_or_names_key(value):
+    """Each numeric kind, with or without geometry units, either returns a
+    float in its range or raises a ConfigError that starts with the key."""
+    for kind, in_range in RANGES.items():
+        for units in (LENGTH_UNITS, GEOMETRY_UNITS):
+            try:
+                result = kind(value, "experiment.key", units)
+            except ConfigError as exc:
+                assert str(exc).startswith("experiment.key: ")
+            else:
+                assert isinstance(result, float) and in_range(result)
