@@ -12,12 +12,7 @@ from .field import (_fold, element_field_integrals, fresnel_channel_vector,
                     spherical_phasors)
 from .geometry import ArrayGeometry
 from .numerics import fresnel_cs, solve_scalar_root
-from .regions import boundary_distances
-
-#: Rounded 8 * a3dB * d_FA / d_F for a square array (exact value 9.9373...).
-#: This is the constant behind the square-array closed-form beam depth and
-#: the canonical focal-point sequence d_FA/20, d_FA/40, ...
-SQUARE_DEPTH_CONSTANT = 10.0
+from .regions import SQUARE_DEPTH_CONSTANT, boundary_distances
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Command-line front end: figure-reproduction subcommands emitting CSV."""
+"""Command-line front end: figure-reproduction subcommands emitting CSV.
+
+Importing this module does not load numpy. Each runner imports the library
+module it runs (`beam`, `depth_mux`, `mimo_los`), so the closed-form
+subcommands start without numpy.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +11,16 @@ import argparse
 import functools
 import io
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import __version__
-from .config import (REQUIRED, ConfigError, RunConfig, Schema, count,
-                     either, enum, frequency, length, list_of, load_config,
-                     non_negative, position, positive)
-from . import beam, depth_mux, mimo_los, regions
+from .config import (REQUIRED, SPEED_OF_LIGHT, ConfigError, RunConfig,
+                     Schema, count, either, enum, frequency, length, list_of,
+                     load_config, non_negative, position, positive)
+from . import regions
 from .numerics import AccuracyError, BracketError, RankError
 
 EXIT_CONFIG_ERROR = 2
@@ -57,9 +61,9 @@ class CsvSeries:
 def _fmt(value: Any) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return str(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # numpy registers its integers
         return str(int(value))
     v = float(value)
     if math.isinf(v):
@@ -162,13 +166,28 @@ def subcommand(name: str, needs: Optional[str] = None, one_of=(), **keys):
     return register
 
 
-def _log_grid(lo: float, hi: float, points: int, where: str) -> np.ndarray:
+def _log_grid(lo: float, hi: float, points: int, where: str) -> List[float]:
+    """`points` values from lo to hi, evenly spaced in log10: the exponents
+    are numpy.linspace's, i * step + start with the last one set to stop.
+    The list is allocated first, so a size beyond memory fails at once."""
     if not lo < hi or points < 2:
         raise ConfigError(f"{where}: need min < max and at least 2 points")
-    return np.logspace(math.log10(lo), math.log10(hi), points)
+    start, stop = math.log10(lo), math.log10(hi)
+    step = (stop - start) / (points - 1)
+    grid = [0.0] * points
+    try:
+        for i in range(points - 1):
+            grid[i] = 10.0 ** (i * step + start)
+        grid[-1] = 10.0 ** stop
+    except OverflowError:  # hi within rounding of the largest float
+        raise ConfigError(f"{where}: max {hi:g} rounds beyond the float "
+                          "range on a log grid") from None
+    return grid
 
 
-def _symmetric_grid(x_max: float, points: int, where: str) -> np.ndarray:
+def _symmetric_grid(x_max: float, points: int, where: str):
+    import numpy as np
+
     if not math.isfinite(2.0 * x_max):  # the span, which linspace forms
         raise ConfigError(f"{where}: {x_max:g} is beyond the float range of "
                           "a grid from -x_max to x_max")
@@ -192,6 +211,8 @@ def run_regions(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 @subcommand("gain-sweep", "geometry", z_min=(length, REQUIRED),
             z_max=(length, REQUIRED), points=(count, 40), tol=(positive, 1e-6))
 def run_gain_sweep(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import beam
+
     d_f = cfg.bounds.d_f
     z_grid = _log_grid(exp["z_min"], exp["z_max"], exp["points"], "experiment")
     rows = [[z, z / d_f, beam.array_gain_exact(cfg.geometry, z, tol=exp["tol"])]
@@ -202,6 +223,8 @@ def run_gain_sweep(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 @subcommand("beam-width", "geometry", focal_distances=(list_of(length), REQUIRED),
             x_max=(length, REQUIRED), points=(count, 201))
 def run_beam_width(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import beam
+
     geom = cfg.geometry
     x = _symmetric_grid(exp["x_max"], exp["points"], "experiment.x_max")
     columns = [x]
@@ -217,6 +240,8 @@ def run_beam_width(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 @subcommand("beam-depth", "geometry",
             focal_distances=(list_of(length), REQUIRED))
 def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import beam
+
     geom = cfg.geometry
     rows = []
     a3db = beam.solve_a3db(geom.rows, geom.cols)
@@ -235,6 +260,10 @@ def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             x_max=(length, REQUIRED), z_min=(length, REQUIRED),
             z_max=(length, REQUIRED), x_points=(count, 81), z_points=(count, 81))
 def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    import numpy as np
+
+    from . import beam
+
     x_grid = _symmetric_grid(exp["x_max"], exp["x_points"], "experiment.x_max")
     z_grid = np.linspace(exp["z_min"], exp["z_max"], exp["z_points"])
     try:
@@ -254,6 +283,8 @@ def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 @subcommand("g-of-x", shapes=(list_of(list_of(count, 2)), REQUIRED),
             x_max=(positive, REQUIRED), points=(count, 401))
 def run_g_of_x(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import beam
+
     x = _symmetric_grid(exp["x_max"], exp["points"], "experiment.x_max")
     header = ["x"]
     columns = [x]
@@ -271,6 +302,8 @@ _PLAN = {"d_min": (length, None),
 
 
 def _plan(cfg: RunConfig, exp: Dict[str, Any]):
+    from . import depth_mux
+
     exact = exp["depth_parameter"] == "exact"
     a3db = depth_mux.planning_depth_parameter(cfg.geometry, exact=exact)
     try:
@@ -289,6 +322,8 @@ def run_depth_plan(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
                 f"{len(plan.focal_points)}"]
     grid = exp["gain_grid"]
     if grid is not None:
+        from . import beam
+
         z = _log_grid(grid["z_min"], grid["z_max"], grid["points"],
                       "experiment.gain_grid")
         header = ["z_m"] + [f"gain_f{i}" for i in range(1, len(plan.focal_points) + 1)]
@@ -305,6 +340,8 @@ def run_depth_plan(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             total_power=(positive, 1.0), precoder=(enum("zf", "mf"), "zf"),
             bandwidth=(positive, 1.0), **_PLAN)
 def run_zf_sinr(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import depth_mux
+
     users = exp["users"]
     if users == "from_plan":
         users = depth_mux.plan_user_positions(_plan(cfg, exp), cfg.geometry)
@@ -333,6 +370,8 @@ _LINK = {"num_antennas": (count, REQUIRED), "distance_m": (positive, REQUIRED),
 
 
 def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
+    from . import mimo_los
+
     k, d, lam = exp["num_antennas"], exp["distance_m"], cfg.radio.wavelength()
     spacing = exp["spacing"]
     if spacing == "optimal":
@@ -346,11 +385,13 @@ def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
 @subcommand("los-capacity", "radio",
             model=(enum("fresnel", "exact"), "fresnel"), **_LINK)
 def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import mimo_los
+
     radio = cfg.radio
     link = _los_link(cfg, exp)
     h = link.h_fresnel if exp["model"] == "fresnel" else link.h_exact
     # the eigenvalues of H^H H, descending: the squared singular values of H
-    eigenvalues = np.linalg.svd(h, compute_uv=False) ** 2
+    eigenvalues = mimo_los.svd(h, compute_uv=False) ** 2
     b = radio.bandwidth()
     snr = radio.power_over_noise / b
     result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
@@ -363,6 +404,8 @@ def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 @subcommand("mode-patterns", "radio", num_angles=(count, 361),
             num_modes=(count, 2), **_LINK)
 def run_mode_patterns(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import mimo_los
+
     analysis = mimo_los.mode_analysis(_los_link(cfg, exp),
                                       num_angles=exp["num_angles"])
     n_modes = min(exp["num_modes"], exp["num_antennas"])
@@ -379,6 +422,8 @@ def run_mode_patterns(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             points=(count, 200), beta=(positive, None),
             distance_m=(positive, None))
 def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import mimo_los
+
     radio = cfg.radio
     beta, key = exp["beta"], "experiment.beta"
     grid = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"],
@@ -404,6 +449,8 @@ def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             f_max=(frequency, REQUIRED), points=(count, 100),
             gain_model=(enum("both", "isotropic", "directive"), "both"))
 def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import mimo_los
+
     freqs = _log_grid(exp["f_min"], exp["f_max"], exp["points"], "experiment")
     model = exp["gain_model"]
     variants = ["isotropic", "directive"] if model == "both" else [model]
@@ -427,8 +474,10 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             wavelengths_m=(list_of(positive), ()),
             frequencies=(list_of(frequency), ()))
 def run_dof(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
+    from . import mimo_los
+
     wavelengths = [(lam, "wavelengths_m") for lam in exp["wavelengths_m"]] + [
-        (mimo_los.SPEED_OF_LIGHT / f, "frequencies") for f in exp["frequencies"]]
+        (SPEED_OF_LIGHT / f, "frequencies") for f in exp["frequencies"]]
     if not wavelengths:
         raise ConfigError("experiment: need wavelengths_m or frequencies")
     area = exp["area_m2"]
@@ -491,15 +540,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (AccuracyError, BracketError, RankError, NanCellError,
-            np.linalg.LinAlgError, MemoryError) as exc:
+            MemoryError) as exc:
         print(f"numeric error in {name}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     target = args.out if args.out is not None else cfg.output
     if target in (None, "-"):
         sys.stdout.write(text.getvalue())
-    else:
+        return 0
+    try:
         with open(target, "w") as fh:
             fh.write(text.getvalue())
+    except OSError as exc:
+        print(f"config error: cannot write output {target!r}: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     return 0
 
 

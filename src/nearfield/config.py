@@ -2,7 +2,9 @@
 every config block. One parser, `_quantity`, reads every real number: a
 plain number, or a numeric string such as `1e-6` (YAML 1.1 reads it as
 text), in the key's base unit (meters, hertz), or `"<number> <unit>"`
-scaled by the unit's entry in a unit table."""
+scaled by the unit's entry in a unit table. The radio block's type,
+`RadioParams`, and `SPEED_OF_LIGHT` live here too, so that parsing a config
+needs no numpy."""
 
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 import yaml
 
 from .geometry import ArrayGeometry, build_upa
-from .mimo_los import SPEED_OF_LIGHT, RadioParams
 from .regions import RegionBounds, boundary_distances
+
+SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
 class ConfigError(ValueError):
@@ -211,6 +214,53 @@ class Schema:
 
 # ---------------------------------------------------------------------------
 # the geometry, radio and root blocks
+
+@dataclass(frozen=True)
+class RadioParams:
+    """The radio block: link-level assumptions for the capacity experiments.
+
+    bandwidth_fraction gives B = fraction * carrier frequency; set
+    bandwidth_hz instead for a fixed bandwidth. The ends are isotropic; the
+    one directive variant is an argument of
+    `mimo_los.capacity_frequency_sweep`.
+    """
+
+    carrier_frequency: float
+    power_over_noise_db: float
+    bandwidth_fraction: float | None = 0.03
+    bandwidth_hz: float | None = None
+
+    def __post_init__(self):
+        if self.carrier_frequency <= 0:
+            raise ValueError("carrier_frequency must be positive")
+        if (self.bandwidth_fraction is None) == (self.bandwidth_hz is None):
+            raise ValueError("set exactly one of bandwidth_fraction / bandwidth_hz")
+        # these messages start with the field name, which config errors use
+        if not 0.0 < self.power_over_noise < math.inf:
+            raise ValueError(
+                f"power_over_noise_db: {self.power_over_noise_db:g} dB gives "
+                f"the power ratio {self.power_over_noise:g}; it must be "
+                "finite and positive")
+        if not self.bandwidth() < math.inf:
+            raise ValueError(
+                f"bandwidth_fraction: {self.bandwidth_fraction:g} gives an "
+                "infinite bandwidth at the carrier")
+
+    @property
+    def power_over_noise(self) -> float:
+        try:
+            return 10.0 ** (self.power_over_noise_db / 10.0)
+        except OverflowError:
+            return math.inf
+
+    def wavelength(self) -> float:
+        return SPEED_OF_LIGHT / self.carrier_frequency
+
+    def bandwidth(self, frequency: float | None = None) -> float:
+        if self.bandwidth_hz is not None:
+            return self.bandwidth_hz
+        return self.bandwidth_fraction * (frequency or self.carrier_frequency)
+
 
 GEOMETRY = Schema({
     "rows": (count, REQUIRED),

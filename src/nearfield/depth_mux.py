@@ -1,6 +1,10 @@
 """Depth-domain multi-user multiplexing: focal planning, channels,
 zero-forcing, SINR.
 
+Focal planning is closed-form arithmetic on the region bounds, so importing
+this module loads neither numpy nor `beam`; the channel, precoder and SINR
+functions import numpy when they run.
+
 The channel matrix comes from one blocked kernel pass that writes each
 user's scaled phasors straight into it (`field.phasor_rows`). Beyond the
 zero-forcing Gram product, the precoders make no temporary of the
@@ -13,15 +17,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .beam import SQUARE_DEPTH_CONSTANT, solve_a3db
-from .field import phasor_rows
 from .geometry import ArrayGeometry
 from .numerics import RankError
-from .regions import boundary_distances
+from .regions import SQUARE_DEPTH_CONSTANT, boundary_distances
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: SINR cap for the degenerate interference-free, noise-free case.
 SINR_CAP = 1e30
@@ -59,6 +62,8 @@ def planning_depth_parameter(geom: ArrayGeometry, exact: bool = False) -> float:
     substantially smaller for elongated arrays).
     """
     if exact:
+        from .beam import solve_a3db
+
         return solve_a3db(geom.rows, geom.cols)
     return SQUARE_DEPTH_CONSTANT / (4.0 * (geom.rows**2 + geom.cols**2))
 
@@ -94,10 +99,10 @@ def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
                       "degrade close to the array", stacklevel=2)
     # j = 0 is the point at infinity; interval j is bounded by
     # inv_tau / (2j + 1) below and by interval j - 1's lower end above
-    j = np.arange(int(finite_points) + 1)
-    lower = (inv_tau / (2.0 * j + 1.0)).tolist()
+    j = range(int(finite_points) + 1)
+    lower = [inv_tau / (2.0 * i + 1.0) for i in j]
     return FocalPlan(
-        focal_points=(math.inf, *(inv_tau / (2.0 * j[1:])).tolist()),
+        focal_points=(math.inf, *(inv_tau / (2.0 * i) for i in j[1:])),
         intervals=tuple(zip(lower, [math.inf] + lower[:-1])), d_min=d_min)
 
 
@@ -122,6 +127,8 @@ def build_mu_channel(geom: ArrayGeometry, users: Sequence[Sequence[float]],
     approximation). With per_element_amplitude=True the free-space amplitude
     is evaluated per element instead.
     """
+    from .field import phasor_rows
+
     users = [tuple(float(v) for v in u) for u in users]
     if not users:
         raise ValueError("need at least one user")
@@ -146,16 +153,23 @@ def zf_precoder(h: np.ndarray, total_power: float = 1.0) -> np.ndarray:
 
     tr(W^H W) is one inner product over W's memory, and W is scaled in
     place, so no temporary of H's size is made after the Gram product.
+    Raises `RankError` if the Gram matrix is singular or ill-conditioned.
     """
+    import numpy as np
+
     h = np.asarray(h)
     if total_power <= 0:
         raise ValueError("total_power must be positive")
     gram = h.conj().T @ h
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
-        raise RankError(
-            f"channel matrix is not full rank (Gram condition {cond:.3e})")
-    w = h @ np.linalg.inv(gram)
+    try:
+        cond = np.linalg.cond(gram)
+        if not np.isfinite(cond) or cond > GRAM_CONDITION_LIMIT:
+            raise RankError(
+                f"channel matrix is not full rank (Gram condition {cond:.3e})")
+        inverse = np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
+        raise RankError(f"channel Gram matrix: {exc}") from None
+    w = h @ inverse
     flat = w.ravel(order="K")  # a view: w is a new contiguous array
     w *= math.sqrt(total_power / np.vdot(flat, flat).real)
     return w
@@ -167,6 +181,8 @@ def matched_filter_precoder(h: np.ndarray, total_power: float = 1.0) -> np.ndarr
     The column norms are one reduction over the real view of H^T, which
     reads H in place in any memory order, and W is one multiply.
     """
+    import numpy as np
+
     h = np.asarray(h)
     k = h.shape[1]
     parts = h.T[..., None].view(h.real.dtype)  # (K, elements, 2): [Re, Im]
@@ -182,6 +198,8 @@ def evaluate_sinr(h: np.ndarray, w: np.ndarray, noise_power: float,
     sum rate = bandwidth * sum_k log2(1 + SINR_k). Noise-free,
     interference-free users get the SINR_CAP sentinel.
     """
+    import numpy as np
+
     if noise_power < 0:
         raise ValueError("noise_power must be non-negative")
     cross = np.asarray(h).conj().T @ np.asarray(w)  # (K, K): h_k^H w_i

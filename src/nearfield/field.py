@@ -31,10 +31,10 @@ and a sine.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .geometry import ArrayGeometry
 from .numerics import AccuracyError
@@ -73,6 +73,17 @@ def _tangent_phasor(t, t2, q, numerator=1.0, denominator=None, out=None):
     return re, im
 
 
+@functools.lru_cache(maxsize=None)  # the orders 4, 8, ..., _MAX_GAUSS_ORDER
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] for `order` points, as
+    read-only arrays: computed once per order and shared by every call."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _quadrant_integrals(geom: ArrayGeometry, z: float, order: int) -> np.ndarray:
     """Gauss integrals of the exact field over the elements with x >= 0 and
     y >= 0, as a (rows - rows // 2, cols - cols // 2) array.
@@ -91,7 +102,7 @@ def _quadrant_integrals(geom: ArrayGeometry, z: float, order: int) -> np.ndarray
     half = 0.5 * geom.element_side
     k = 2.0 * np.pi / geom.wavelength
     x_cols, y_rows = geom.element_axes()
-    nodes, weights = leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     x = (x_cols[n // 2:, None] + half * nodes).ravel()
     y = (y_rows[m // 2:, None] + half * nodes).ravel()
     x2 = x * x

@@ -1,11 +1,14 @@
-"""Planar array geometry."""
+"""Planar array geometry. Importing it does not load numpy; the element
+coordinate arrays import it when they are built."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,8 @@ class ArrayGeometry:
     def element_axes(self):
         """Element center coordinates along x (one per column) and along y
         (one per row)."""
+        import numpy as np
+
         m, n, s = self.rows, self.cols, self.element_side
         x = (np.arange(1, n + 1) - (n + 1) / 2.0) * s
         y = (np.arange(1, m + 1) - (m + 1) / 2.0) * s
@@ -54,6 +59,8 @@ class ArrayGeometry:
 
     def element_centers(self) -> np.ndarray:
         """(rows*cols, 2) array of element centers, row-major (m, n) order."""
+        import numpy as np
+
         xx, yy = np.meshgrid(*self.element_axes())
         return np.column_stack([xx.ravel(), yy.ravel()])
 

@@ -1,64 +1,26 @@
 """LOS SU-MIMO between broadside ULAs: channel synthesis, optimal spacing,
-waterfilling capacity, sweep experiments, spatial degrees of freedom."""
+waterfilling capacity, sweep experiments, spatial degrees of freedom.
+
+The link-budget functions (`free_space_gain`, `optimal_spacing`,
+`equal_eigenvalue_capacity`, `num_streams_for_area`,
+`capacity_frequency_sweep`, `spatial_dof`) use `math` only, so importing
+this module does not load numpy; the matrix functions import it when they
+run.
+"""
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .config import SPEED_OF_LIGHT, RadioParams
+from .numerics import AccuracyError, solve_scalar_root
 
-from .numerics import solve_scalar_root
-
-SPEED_OF_LIGHT = 299792458.0  # m/s
-
-
-@dataclass(frozen=True)
-class RadioParams:
-    """The radio block: link-level assumptions for the capacity experiments.
-
-    bandwidth_fraction gives B = fraction * carrier frequency; set
-    bandwidth_hz instead for a fixed bandwidth. The ends are isotropic; the
-    one directive variant is an argument of `capacity_frequency_sweep`.
-    """
-
-    carrier_frequency: float
-    power_over_noise_db: float
-    bandwidth_fraction: float | None = 0.03
-    bandwidth_hz: float | None = None
-
-    def __post_init__(self):
-        if self.carrier_frequency <= 0:
-            raise ValueError("carrier_frequency must be positive")
-        if (self.bandwidth_fraction is None) == (self.bandwidth_hz is None):
-            raise ValueError("set exactly one of bandwidth_fraction / bandwidth_hz")
-        # these messages start with the field name, which config errors use
-        if not 0.0 < self.power_over_noise < math.inf:
-            raise ValueError(
-                f"power_over_noise_db: {self.power_over_noise_db:g} dB gives "
-                f"the power ratio {self.power_over_noise:g}; it must be "
-                "finite and positive")
-        if not self.bandwidth() < math.inf:
-            raise ValueError(
-                f"bandwidth_fraction: {self.bandwidth_fraction:g} gives an "
-                "infinite bandwidth at the carrier")
-
-    @property
-    def power_over_noise(self) -> float:
-        try:
-            return 10.0 ** (self.power_over_noise_db / 10.0)
-        except OverflowError:
-            return math.inf
-
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_frequency
-
-    def bandwidth(self, frequency: float | None = None) -> float:
-        if self.bandwidth_hz is not None:
-            return self.bandwidth_hz
-        return self.bandwidth_fraction * (frequency or self.carrier_frequency)
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -102,6 +64,8 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
     Raises `ValueError` if the path gain or an antenna distance leaves the
     float range.
     """
+    import numpy as np
+
     if distance <= 0 or spacing <= 0 or wavelength <= 0:
         raise ValueError("distance, spacing, wavelength must be positive")
     k = num_antennas
@@ -139,10 +103,10 @@ def offdiag_magnitude(num_antennas: int, spacing: float, distance: float,
     if beta is None:
         beta = free_space_gain(wavelength, distance)
     q = (l - k) * spacing**2 / (wavelength * distance)
-    denom = 1.0 - np.exp(2j * np.pi * q)
+    denom = 1.0 - cmath.exp(2j * math.pi * q)
     if abs(denom) < 1e-12:
         return beta * num_antennas
-    num = 1.0 - np.exp(2j * np.pi * num_antennas * q)
+    num = 1.0 - cmath.exp(2j * math.pi * num_antennas * q)
     return beta * abs(num / denom)
 
 
@@ -159,6 +123,8 @@ def capacity_waterfilling(eigenvalues: Sequence[float], snr: float,
     non-negative steps (r - 1)(f_r - f_{r-1}), and
     p_i = (1 - D_k) / k + (f_k - f_i).
     """
+    import numpy as np
+
     lam = np.asarray(eigenvalues, dtype=float)
     if not np.all(lam >= 0):
         raise ValueError("eigenvalues must be non-negative")
@@ -203,6 +169,8 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
     A bandwidth so narrow that P beta/(B N0) overflows still gets a finite
     rate. Raises `ValueError` if P beta or that bandwidth leaves the float
     range."""
+    import numpy as np
+
     b = np.asarray(bandwidths, dtype=float)
     if b.size == 0 or np.any(b <= 0):
         raise ValueError("bandwidths must be positive and non-empty")
@@ -297,11 +265,11 @@ def capacity_frequency_sweep(area: float, distance: float,
     Raises `ValueError` if the path gain, the stream count or the SNR
     leaves the float range.
     """
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.size == 0:
+    freqs = [float(f) for f in frequencies]  # an overflow gives inf
+    if not freqs:
         raise ValueError("frequency range is empty")
     points = []
-    for f in freqs.tolist():  # Python floats: an overflow gives inf
+    for f in freqs:
         lam = SPEED_OF_LIGHT / f
         k = num_streams_for_area(area, distance, lam, lam / 2.0)
         beta = free_space_gain(lam, distance)
@@ -339,11 +307,27 @@ class ModeAnalysis:
     patterns: np.ndarray  # (K, num_angles); |a(theta)^H v_k|^2
 
 
+def svd(h, compute_uv: bool = True):
+    """Thin SVD of H: (U, s, V^H), or without `compute_uv` the singular
+    values s alone, descending. Raises `AccuracyError` where LAPACK's SVD
+    does not converge, in place of numpy's `LinAlgError`."""
+    import numpy as np
+
+    try:
+        return np.linalg.svd(h, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise AccuracyError(f"SVD of the {np.shape(h)} channel: {exc}") \
+            from None
+
+
 def mode_analysis(link: LosMimoLink, num_angles: int = 2048) -> ModeAnalysis:
     """Eigenvalue split of H^H H and far-field patterns of the right
     singular vectors (transmit beamforming modes). The eigenvalues of H^H H
-    are the squared singular values of H, so one SVD gives both."""
-    _, s, vh = np.linalg.svd(link.h_exact, full_matrices=False)
+    are the squared singular values of H, so one SVD gives both. Raises
+    `AccuracyError` if the SVD does not converge."""
+    import numpy as np
+
+    _, s, vh = svd(link.h_exact)
     fractions = s**2 / np.sum(s**2)
     angles = np.linspace(-np.pi / 2.0, np.pi / 2.0, num_angles)
     k = link.num_antennas
@@ -353,3 +337,4 @@ def mode_analysis(link: LosMimoLink, num_angles: int = 2048) -> ModeAnalysis:
     patterns = np.abs(steering.conj() @ vh.conj().T) ** 2  # (angles, modes)
     return ModeAnalysis(eigenvalue_fractions=fractions, angles=angles,
                         patterns=patterns.T)
+

@@ -1,7 +1,8 @@
 """Shared numerical kernels: Fresnel integrals, root finding and a Hermitian
 eigendecomposition.
 
-numpy and the standard library only. The Fresnel integrals follow the power
+Importing it loads the standard library only; the two functions that take
+arrays import numpy when they run. The Fresnel integrals follow the power
 series and continued fraction of Press et al., *Numerical Recipes*, 3rd ed.,
 section 6.8 (`frenel`), after Abramowitz & Stegun 7.3. The root finder is
 Brent's method (R. P. Brent, *Algorithms for Minimization without
@@ -12,9 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class BracketError(ValueError):
@@ -22,13 +24,14 @@ class BracketError(ValueError):
 
 
 class AccuracyError(RuntimeError):
-    """An iterative method (quadrature refinement, a series, a root finder)
-    exhausted its budget without meeting the tolerance.
+    """An iterative method (quadrature refinement, a series, a root finder,
+    LAPACK's SVD) exhausted its budget without meeting the tolerance.
 
-    Carries the best available estimate in ``best_estimate``.
+    Carries the best available estimate in ``best_estimate``, or None where
+    the method returns none.
     """
 
-    def __init__(self, message: str, best_estimate: complex):
+    def __init__(self, message: str, best_estimate: Optional[complex] = None):
         super().__init__(message)
         self.best_estimate = best_estimate
 
@@ -108,6 +111,8 @@ def fresnel_cs(x):
     absolute. A 0-d input gives a pair of Python floats. Raises
     `ValueError` on `nan`.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     values = x.ravel().tolist()
     if any(map(math.isnan, values)):
@@ -187,6 +192,8 @@ def _brentq(g, xpre: float, xcur: float, fpre: float, fcur: float,
 def hermitian_eig(m: np.ndarray, atol: float = 1e-10):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
     No pipeline calls it; `perfbench/tracing.py` still traces it by name."""
+    import numpy as np
+
     m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")

@@ -11,6 +11,11 @@ REACTIVE = "reactive"
 RADIATIVE_NEAR_FIELD = "radiative-near-field"
 FAR_FIELD = "far-field"
 
+#: Rounded 8 * a3dB * d_FA / d_F for a square array (exact value 9.9373...).
+#: This is the constant behind the square-array closed-form beam depth and
+#: the canonical focal-point sequence d_FA/20, d_FA/40, ...
+SQUARE_DEPTH_CONSTANT = 10.0
+
 
 @dataclass(frozen=True)
 class RegionBounds:

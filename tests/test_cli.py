@@ -658,11 +658,15 @@ class TestCliBehavior:
          {"experiment.z_min": "1.0e+300"}),
         ("fig6_heatmap.yaml", "heatmap", "experiment.z_max",
          {"experiment.z_max": "1.0e+300"}),
+        # the last point of a log grid rounds past the largest float
+        ("fig4_gain_sweep.yaml", "gain-sweep", "experiment",
+         {"experiment.z_max": "1.7976931348623157e+308"}),
     ], ids=["zf-far-user", "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
             "freq-snr-overflow", "freq-lambda2-underflow", "regions-side-1e300", "sweep-side-1e300",
             "regions-side-1e-300", "zf-side-1e-300", "plan-side-1e-160",
             "heatmap-focal-1e300",
-            "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300"])
+            "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300",
+            "sweep-z-max-largest-float"])
     def test_value_beyond_model_range_one_line(self, tmp_path, capsys,
                                                config_name, subcommand, key,
                                                edits):
@@ -741,16 +745,50 @@ class TestCliBehavior:
             assert_config_error(capsys, "capacity-vs-frequency", cfg,
                                 "experiment.distance_m")
 
-    def test_result_too_large_for_memory_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("config_name,subcommand", [
+        ("fig4_gain_sweep.yaml", "gain-sweep"),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency"),
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth")])
+    def test_result_too_large_for_memory_exit_code(self, tmp_path, capsys,
+                                                   time_limit, config_name,
+                                                   subcommand):
         # 10^15 grid points need 7.1 PiB, beyond any 64-bit address space,
         # so the allocation fails at once
-        cfg = config_with(tmp_path, (CONFIGS / "fig4_gain_sweep.yaml")
-                          .read_text(), "experiment.points", str(10**15))
-        assert main(["gain-sweep", "--config", str(cfg), "--out", "-"]) \
-            == EXIT_NUMERIC_ERROR
+        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(),
+                          "experiment.points", str(10**15))
+        with time_limit(10):
+            rc = main([subcommand, "--config", str(cfg), "--out", "-"])
+        assert rc == EXIT_NUMERIC_ERROR
         captured = capsys.readouterr()
         [line] = captured.err.splitlines()
-        assert line.startswith("numeric error in gain-sweep: ")
+        assert line.startswith(f"numeric error in {subcommand}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("config_name,subcommand,routine", [
+        ("los_capacity.yaml", "los-capacity", "svd"),
+        ("fig11_mode_patterns.yaml", "mode-patterns", "svd"),
+        ("zf_sinr.yaml", "zf-sinr", "inv")])
+    def test_linalg_failure_exit_code(self, capsys, monkeypatch, config_name,
+                                      subcommand, routine):
+        # a LAPACK failure reaches main as the library's own numeric error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{routine} did not converge")
+        monkeypatch.setattr(np.linalg, routine, fail)
+        assert main([subcommand, "--config", str(CONFIGS / config_name),
+                     "--out", "-"]) == EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"numeric error in {subcommand}: ")
+        assert captured.out == ""
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dof.csv"
+        assert run_subcommand(CONFIGS / "dof.yaml", "dof", out) \
+            == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("config error: ")
+        assert str(out) in line
         assert captured.out == ""
 
     @pytest.mark.parametrize("case", SCHEMA_CASES,

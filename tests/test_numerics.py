@@ -224,13 +224,43 @@ class TestDenseLinalg:
             hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only oracle: the package and its CLI must not import it
+def run_fresh_python(code):
+    """Stdout of `code` run in a fresh interpreter that imports this
+    checkout's nearfield."""
     src = str(Path(nearfield.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, nearfield, nearfield.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=120, check=True,
                             env=dict(os.environ, PYTHONPATH=path))
-    assert result.stdout.strip() == "[]"
+    return result.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle: the package and its CLI must not import
+    # it. The CLI imports the library modules in its runners, so each is
+    # imported here by name.
+    code = ("import sys, nearfield, nearfield.cli, nearfield.beam, "
+            "nearfield.field, nearfield.depth_mux, nearfield.mimo_los; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert run_fresh_python(code).strip() == "[]"
+
+
+#: The closed-form subcommands and a shipped config of each.
+SCALAR_RUNS = [("regions", "regions"), ("dof", "dof"),
+               ("capacity-vs-frequency", "fig13_capacity_vs_frequency"),
+               ("depth-plan", "fig10_depth_plan")]
+
+
+def test_scalar_subcommands_load_no_numpy():
+    # numpy's import is most of a cold start; the closed-form subcommands
+    # must run to exit 0 without it, each in turn in one interpreter
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    runs = [(sub, str(configs / f"{name}.yaml")) for sub, name in SCALAR_RUNS]
+    code = ("import contextlib, io, sys\n"
+            "from nearfield.cli import main\n"
+            f"for sub, cfg in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = main([sub, '--config', cfg, '--out', '-'])\n"
+            "    print(sub, rc, 'numpy' in sys.modules)\n")
+    assert run_fresh_python(code).splitlines() == [
+        f"{sub} 0 False" for sub, _ in SCALAR_RUNS]

@@ -11,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-import nearfield.cli  # noqa: F401  (loads every module the CLI runs)
+# the CLI imports the library modules inside its runners, so each traced
+# module is imported here by name
+import nearfield.beam  # noqa: F401
+import nearfield.cli  # noqa: F401
+import nearfield.depth_mux  # noqa: F401
+import nearfield.field  # noqa: F401
+import nearfield.mimo_los  # noqa: F401
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
