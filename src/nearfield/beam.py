@@ -1,18 +1,24 @@
-"""Array gain, beam width, and beam depth for broadside focusing."""
+"""Array gain, beam width, and beam depth for broadside focusing.
+
+The closed forms (focal-plane and axial gain, g(x), beam width and depth)
+use `math` only: each evaluates one scalar routine per element of a float,
+a list or an ndarray (`numerics.elementwise`). So importing this module
+does not load numpy; the exact gain and the beam map import numpy and
+`field` when they run.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import numpy as np
-
-from .field import (_fold, element_field_integrals, fresnel_channel_vector,
-                    spherical_phasors)
 from .geometry import ArrayGeometry
-from .numerics import fresnel_cs, solve_scalar_root
+from .numerics import _fresnel, elementwise, solve_scalar_root
 from .regions import SQUARE_DEPTH_CONSTANT, boundary_distances
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,22 +37,47 @@ def array_gain_exact(geom: ArrayGeometry, z: float, tol: float = 1e-6) -> float:
     rows*cols reference elements at the origin. Raises `AccuracyError` if
     the element integrals do not converge (see `element_field_integrals`).
     """
+    import numpy as np
+
+    from .field import element_field_integrals
+
     integrals, ref = element_field_integrals(geom, z, tol=tol)
     num = float(np.sum(np.abs(integrals) ** 2))
     return num / (geom.num_elements * geom.element_area * ref)
 
 
+def _sinc(v: float) -> float:
+    """sin(pi v) / (pi v), formed as numpy.sinc forms it, with its limits:
+    1 at v = 0 and 0 where pi v overflows to +-inf."""
+    y = math.pi * v
+    if not y:
+        return 1.0
+    return 0.0 if math.isinf(y) else math.sin(y) / y
+
+
 def gain_focal_plane(geom: ArrayGeometry, focal_distance: float,
                      x_r, y_r):
-    """Normalized gain in the focal plane, closed form (separable sinc^2)."""
+    """Normalized gain in the focal plane, closed form (separable sinc^2).
+
+    `x_r` and `y_r` are floats, lists or ndarrays (`numerics.elementwise`):
+    floats give a float, a list a list, and an ndarray an ndarray of the
+    broadcast shape.
+    """
     if not (focal_distance > 0 and math.isfinite(focal_distance)):
         raise ValueError("focal distance must be finite and positive")
     m, n = geom.rows, geom.cols
     d = geom.element_diagonal
     lam = geom.wavelength
-    ax = n / math.sqrt(2.0) * d * np.asarray(x_r) / (lam * focal_distance)
-    ay = m / math.sqrt(2.0) * d * np.asarray(y_r) / (lam * focal_distance)
-    return np.sinc(ax) ** 2 * np.sinc(ay) ** 2
+    kx = n / math.sqrt(2.0) * d
+    ky = m / math.sqrt(2.0) * d
+    scale = lam * focal_distance
+
+    def gain(x: float, y: float) -> float:
+        sx = _sinc(kx * x / scale)
+        sy = _sinc(ky * y / scale)
+        return sx * sx * (sy * sy)
+
+    return elementwise(gain, x_r, y_r)
 
 
 def beam_width_3db(geom: ArrayGeometry, focal_distance: float) -> float:
@@ -57,23 +88,30 @@ def beam_width_3db(geom: ArrayGeometry, focal_distance: float) -> float:
         geom.cols * geom.element_diagonal)
 
 
+def _axis_ratio(m: int, root: float, ax: float) -> float:
+    """|F(m sqrt x)|^2 / (m^2 x) for F = C + iS, at most 1."""
+    c, s = _fresnel(m * root)
+    return (c * c + s * s) / (m * m) / ax
+
+
+def _g(rows: int, cols: int, x: float) -> float:
+    """g(x) for one float: the product of the per-axis ratios, each at most
+    1, so no finite x overflows g or makes 0/0."""
+    ax = abs(x)
+    if not ax > 0:
+        return 1.0
+    root = math.sqrt(ax)
+    ratio = _axis_ratio(rows, root, ax)
+    return ratio * (ratio if cols == rows else _axis_ratio(cols, root, ax))
+
+
 def g_of_x(rows: int, cols: int, x):
-    """Axial gain profile as a function of x = d_F / (8 z_eff); even in x."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    out = np.ones_like(ax)
-    nz = ax > 0
-    root = np.sqrt(ax[nz])
-    # g is the product of the per-axis ratios |F(m sqrt x)|^2 / (m^2 x) for
-    # F = C + iS; each is at most 1, so no finite x overflows g or makes 0/0
-    ratio = {}
-    for m in {rows, cols}:
-        c, s = fresnel_cs(m * root)
-        ratio[m] = (c**2 + s**2) / (m * m) / ax[nz]
-    out[nz] = ratio[rows] * ratio[cols]
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Axial gain profile as a function of x = d_F / (8 z_eff); even in x.
+
+    A float gives a float, a list a list, and an ndarray an ndarray of its
+    shape (`numerics.elementwise`).
+    """
+    return elementwise(lambda v: _g(rows, cols, v), x)
 
 
 def gain_axial(geom: ArrayGeometry, focal_distance: float, z_r):
@@ -81,15 +119,18 @@ def gain_axial(geom: ArrayGeometry, focal_distance: float, z_r):
     g(x) at x = |x_F - x_z| with x_p = d_F/(8p), so (d_F/8)|1/F - 1/z_r|.
 
     F = inf gives x_F = 0, and z_r = F gives x = 0, g = 1; where x_z
-    overflows, so does x, and g is 0. Takes a scalar or an array of z_r.
+    overflows, so does x, and g is 0. A float z_r gives a float, a list a
+    list, and an ndarray an ndarray of its shape (`numerics.elementwise`).
     """
-    z = np.asarray(z_r, dtype=float)
-    if not np.all(z > 0):
-        raise ValueError("z_r must be positive")
     q = boundary_distances(geom).d_f / 8.0
-    with np.errstate(over="ignore"):
-        x = np.abs(q / focal_distance - q / z)
-    return g_of_x(geom.rows, geom.cols, x)
+    rows, cols = geom.rows, geom.cols
+
+    def gain(z: float) -> float:
+        if not z > 0:
+            raise ValueError("z_r must be positive")
+        return _g(rows, cols, abs(q / focal_distance - q / z))
+
+    return elementwise(gain, z_r)
 
 
 def solve_a3db(rows: int, cols: int) -> float:
@@ -161,6 +202,10 @@ def _pattern_row(x_cols: np.ndarray, y_rows: np.ndarray, wavelength: float,
     block by block over its phasors, as real matrix products of their real
     and imaginary parts with `weights`.
     """
+    import numpy as np
+
+    from .field import spherical_phasors
+
     xs, zs = np.meshgrid(x_grid, z_grid)
     points = np.column_stack([xs.ravel(), np.zeros(xs.size), zs.ravel()])
     cos_w = np.zeros((len(points), 2))  # sum of cos * [Re w, Im w]
@@ -192,6 +237,10 @@ def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
     ulps of max |x|, only its x >= 0 half, x_grid[n // 2:], is evaluated
     and mirrored onto the other columns.
     """
+    import numpy as np
+
+    from .field import _fold, fresnel_channel_vector
+
     x_grid = np.asarray(x_grid, dtype=float)
     z_grid = np.asarray(z_grid, dtype=float)
     if not np.all(z_grid > 0):

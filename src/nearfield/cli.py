@@ -185,13 +185,24 @@ def _log_grid(lo: float, hi: float, points: int, where: str) -> List[float]:
     return grid
 
 
-def _symmetric_grid(x_max: float, points: int, where: str):
-    import numpy as np
-
-    if not math.isfinite(2.0 * x_max):  # the span, which linspace forms
+def _symmetric_grid(x_max: float, points: int, where: str) -> List[float]:
+    """`points` values from -x_max to x_max, as numpy.linspace spaces them:
+    i * step - x_max with the last one set to x_max, and -x_max alone for
+    one point. Where the step underflows to 0, point i is instead
+    i / (points - 1) times the span, less x_max, as there. The list is
+    allocated first, so a size beyond memory fails at once."""
+    span = x_max + x_max  # linspace's stop - start
+    if not math.isfinite(span):
         raise ConfigError(f"{where}: {x_max:g} is beyond the float range of "
                           "a grid from -x_max to x_max")
-    return np.linspace(-x_max, x_max, points)
+    grid = [-x_max] * points
+    if points > 1:
+        div = points - 1
+        step = span / div
+        for i in range(1, div):
+            grid[i] = (i * step if step else i / div * span) - x_max
+        grid[-1] = x_max
+    return grid
 
 
 @subcommand("regions", "geometry", classify=(list_of(length), ()))

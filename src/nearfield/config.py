@@ -70,11 +70,24 @@ def _quantity(table: Optional[UnitTable]) -> Kind:
                           "'<number> <unit>'" if scales else "a number")
         unit = words[1].lower()
         if unit not in scales:
-            raise ConfigError(f"{where}: unit {words[1]!r} " + (
-                "needs a geometry block" if table is None
-                and unit in _GEOMETRY_UNITS else "is unknown"))
+            raise ConfigError(f"{where}: " + (
+                _unit_missing(words[1], where) if table is None
+                and unit in _GEOMETRY_UNITS else
+                f"unit {words[1]!r} is unknown"))
         return _float(words[0], where) * scales[unit]
     return parse
+
+
+def _unit_missing(unit: str, where: str) -> str:
+    """Why the geometry unit `unit` is not in scope at key `where`: outside
+    the geometry block there is no geometry; inside it, the units are
+    derived from the very lengths the block sets."""
+    if not where.startswith("geometry."):
+        return f"unit {unit!r} needs a geometry block"
+    if unit.lower() == "lambda":
+        return f"the wavelength cannot be given in wavelengths (unit {unit!r})"
+    return (f"unit {unit!r} is a region bound derived from the geometry "
+            "block, so it cannot give the block's own lengths")
 
 
 def _int(value: Any, where: str, units: UnitTable) -> int:

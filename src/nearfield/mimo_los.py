@@ -2,10 +2,10 @@
 waterfilling capacity, sweep experiments, spatial degrees of freedom.
 
 The link-budget functions (`free_space_gain`, `optimal_spacing`,
-`equal_eigenvalue_capacity`, `num_streams_for_area`,
-`capacity_frequency_sweep`, `spatial_dof`) use `math` only, so importing
-this module does not load numpy; the matrix functions import it when they
-run.
+`equal_eigenvalue_capacity`, `capacity_bandwidth_sweep`,
+`num_streams_for_area`, `capacity_frequency_sweep`, `spatial_dof`) use
+`math` only, so importing this module does not load numpy; the matrix
+functions import it when they run.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .config import SPEED_OF_LIGHT, RadioParams
 from .numerics import AccuracyError, solve_scalar_root
@@ -156,7 +156,10 @@ def equal_eigenvalue_capacity(num_streams: int, snr: float,
 
 @dataclass(frozen=True)
 class BandwidthSweep:
-    rates: np.ndarray
+    """Rates in bit/s, one per bandwidth of the sweep, as a tuple of
+    floats; the infinite-bandwidth limit; the 80%-of-limit bandwidth."""
+
+    rates: Tuple[float, ...]
     rate_limit: float
     bandwidth_80pct: float
 
@@ -169,10 +172,8 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
     A bandwidth so narrow that P beta/(B N0) overflows still gets a finite
     rate. Raises `ValueError` if P beta or that bandwidth leaves the float
     range."""
-    import numpy as np
-
-    b = np.asarray(bandwidths, dtype=float)
-    if b.size == 0 or np.any(b <= 0):
+    b = [float(v) for v in bandwidths]
+    if not b or any(v <= 0 for v in b):
         raise ValueError("bandwidths must be positive and non-empty")
     s = power_over_noise * beta  # received power over N0, in Hz
     y80 = solve_scalar_root(lambda y: math.log1p(y) - 0.8 * y, (0.1, 10.0))
@@ -180,16 +181,18 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
     if not (0.0 < s and b80 < math.inf):
         raise ValueError(f"received power over noise density P beta = {s:g} "
                          "Hz is outside the float range of the sweep")
-    with np.errstate(over="ignore"):
-        snr = s / b
-    rates = b * np.log1p(snr) / math.log(2.0)
-    # where s/B overflows, log1p(s/B) = log(s) - log(B) + log1p(B/s)
-    big = np.isinf(snr)
-    narrow = b[big]
-    rates[big] = narrow * (math.log(s) - np.log(narrow)
-                           + np.log1p(narrow / s)) / math.log(2.0)
+
+    def rate(bandwidth: float) -> float:
+        snr = s / bandwidth
+        if snr < math.inf:
+            return bandwidth * math.log1p(snr) / math.log(2.0)
+        # s/B overflows: log1p(s/B) = log(s) - log(B) + log1p(B/s)
+        return bandwidth * (math.log(s) - math.log(bandwidth)
+                            + math.log1p(bandwidth / s)) / math.log(2.0)
+
     limit = math.log2(math.e) * s
-    return BandwidthSweep(rates=rates, rate_limit=limit, bandwidth_80pct=b80)
+    return BandwidthSweep(rates=tuple(map(rate, b)), rate_limit=limit,
+                          bandwidth_80pct=b80)
 
 
 def num_streams_for_area(area: float, distance: float, wavelength: float,

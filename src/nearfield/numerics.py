@@ -1,19 +1,21 @@
 """Shared numerical kernels: Fresnel integrals, root finding and a Hermitian
 eigendecomposition.
 
-Importing it loads the standard library only; the two functions that take
-arrays import numpy when they run. The Fresnel integrals follow the power
-series and continued fraction of Press et al., *Numerical Recipes*, 3rd ed.,
-section 6.8 (`frenel`), after Abramowitz & Stegun 7.3. The root finder is
-Brent's method (R. P. Brent, *Algorithms for Minimization without
-Derivatives*, 1973, ch. 4), in the form of scipy's `brentq`.
+Importing it loads the standard library only. `elementwise` maps a scalar
+routine over a float, a list or an ndarray, and imports numpy only for an
+ndarray; `hermitian_eig` imports it when it runs. The Fresnel integrals
+follow the power series and continued fraction of Press et al., *Numerical
+Recipes*, 3rd ed., section 6.8 (`frenel`), after Abramowitz & Stegun 7.3.
+The root finder is Brent's method (R. P. Brent, *Algorithms for
+Minimization without Derivatives*, 1973, ch. 4), in the form of scipy's
+`brentq`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,6 +57,8 @@ _BRENT_MAX_ITER = 100
 
 def _fresnel(x: float) -> Tuple[float, float]:
     """(C(x), S(x)) for one float: NR `frenel` in double precision."""
+    if math.isnan(x):
+        raise ValueError("fresnel_cs requires input that is not nan")
     ax = abs(x)
     if ax > _FRESNEL_HALF_MIN:
         c = s = 0.5
@@ -103,25 +107,50 @@ def _fresnel(x: float) -> Tuple[float, float]:
     return (c, s) if x >= 0 else (-c, -s)
 
 
+def elementwise(fn: Callable[..., Any], *args: Any, outputs: int = 1):
+    """`fn`, a function of floats, applied element by element to `args`.
+
+    Floats (and 0-d arrays) give fn's own value. Otherwise the result takes
+    the type of the arguments: an ndarray of their broadcast shape if one
+    is an ndarray, else a list for flat lists or tuples of one length. A
+    float beside them stands for every element. Where `fn` returns
+    `outputs` > 1 floats, lists and arrays come back as a tuple of that
+    many. Only the ndarray case imports numpy.
+    """
+    shape = None
+    if any(getattr(a, "ndim", 0) for a in args):
+        import numpy as np
+
+        grids = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                      for a in args))
+        shape = grids[0].shape
+        args = tuple(g.ravel().tolist() for g in grids)
+    sizes = {len(a) for a in args if isinstance(a, (list, tuple))}
+    if not sizes:
+        return fn(*map(float, args))
+    if len(sizes) > 1:
+        raise ValueError(f"lists of different lengths {sorted(sizes)}")
+    [size] = sizes
+    columns = [list(map(float, a)) if isinstance(a, (list, tuple))
+               else [float(a)] * size for a in args]
+    values = list(map(fn, *columns))
+    results = ([[v[i] for v in values] for i in range(outputs)]
+               if outputs > 1 else [values])
+    if shape is not None:
+        results = [np.array(r, dtype=float).reshape(shape) for r in results]
+    return tuple(results) if outputs > 1 else results[0]
+
+
 def fresnel_cs(x):
     """Fresnel integrals C(x) = int_0^x cos(pi t^2/2) dt and the sine analog.
 
-    Accepts scalars or arrays; odd in x, with the limits C(+-inf) =
-    S(+-inf) = +-1/2. Agrees with scipy.special.fresnel to about 1e-12
-    absolute. A 0-d input gives a pair of Python floats. Raises
+    Odd in x, with the limits C(+-inf) = S(+-inf) = +-1/2. Agrees with
+    scipy.special.fresnel to about 1e-12 absolute. A float (or a 0-d
+    array) gives a pair of Python floats, a list a pair of lists, and an
+    ndarray a pair of ndarrays of its shape (`elementwise`). Raises
     `ValueError` on `nan`.
     """
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    values = x.ravel().tolist()
-    if any(map(math.isnan, values)):
-        raise ValueError("fresnel_cs requires input that is not nan")
-    if x.ndim == 0:
-        return _fresnel(values[0])
-    cs = np.array([_fresnel(v) for v in values], dtype=float)
-    cs = cs.reshape(x.shape + (2,))
-    return cs[..., 0], cs[..., 1]
+    return elementwise(_fresnel, x, outputs=2)
 
 
 def solve_scalar_root(

@@ -250,11 +250,12 @@ def test_criterion_10_rate_vs_bandwidth():
     beta = (lam / (4 * math.pi * 10.0)) ** 2
     grid = np.geomspace(1e6, 1e11, 200)
     sweep = capacity_bandwidth_sweep(p_over_n0, beta, grid)
-    assert np.all(np.diff(sweep.rates) > 0)  # strictly increasing
+    rates = np.asarray(sweep.rates)
+    assert np.all(np.diff(rates) > 0)  # strictly increasing
     # concavity on the grid (second difference test on the log-spaced grid
     # mapped through linear interpolation): check chord-below-curve
-    mid_rates = np.interp((grid[:-2] + grid[2:]) / 2, grid, sweep.rates)
-    chord = (sweep.rates[:-2] + sweep.rates[2:]) / 2
+    mid_rates = np.interp((grid[:-2] + grid[2:]) / 2, grid, rates)
+    chord = (rates[:-2] + rates[2:]) / 2
     assert np.all(chord <= mid_rates * (1 + 1e-12))
     limit = math.log2(math.e) * p_over_n0 * beta
     assert sweep.rate_limit == pytest.approx(limit, rel=1e-9)

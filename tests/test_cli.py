@@ -562,6 +562,26 @@ class TestCliBehavior:
                           value, drop)
         assert_config_error(capsys, subcommand, cfg, key)
 
+    @pytest.mark.parametrize("key,value,drop,message", [
+        ("geometry.wavelength", '"1 lambda"', "frequency",
+         "the wavelength cannot be given in wavelengths (unit 'lambda')"),
+        ("geometry.element_side", '"1 dF"', None,
+         "unit 'dF' is a region bound derived from the geometry block, so "
+         "it cannot give the block's own lengths"),
+    ])
+    def test_geometry_unit_inside_geometry_one_line(self, tmp_path, capsys,
+                                                    key, value, drop,
+                                                    message):
+        # a unit the geometry block derives cannot size that block; the
+        # error must not ask for the geometry block it sits in
+        cfg = config_with(tmp_path, (CONFIGS / "regions.yaml").read_text(),
+                          key, value, drop)
+        assert main(["regions", "--config", str(cfg), "--out", "-"]) \
+            == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config error: {key}: {message}"]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("config_name,subcommand,key,value,drop", [
         ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
          "1e300", None),
@@ -689,6 +709,9 @@ class TestCliBehavior:
         ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
          {"experiment.beta": "1e290", "experiment.b_min_hz": '"1e-10 Hz"'},
          "distance_m"),
+        # the focal-plane gain where pi x D / (lambda F) overflows: 0
+        ("fig5_beam_width.yaml", "beam-width",
+         {"experiment.x_max": "5.0e+307"}, None),
         # g and the axial gains at x near the ends of the float range
         ("fig9_g_of_x.yaml", "g-of-x", {"experiment.x_max": "1.0e-300"},
          None),
@@ -708,7 +731,8 @@ class TestCliBehavior:
          None),
         ("zf_sinr.yaml", "zf-sinr", {"experiment.total_power": "1.7e+308"},
          None),
-    ], ids=["bandwidth-overflow", "g-1e-300", "g-1e300", "plan-z-min-1e-300",
+    ], ids=["bandwidth-overflow", "focal-plane-5e307", "g-1e-300", "g-1e300",
+            "plan-z-min-1e-300",
             "plan-z-max-1e300", "plan-z-min-5e-324", "plan-z-max-1.7e308",
             "zf-noise-5e-324", "zf-power-1.7e308"])
     def test_value_near_model_range_finite_csv(self, tmp_path, capsys,
@@ -748,7 +772,9 @@ class TestCliBehavior:
     @pytest.mark.parametrize("config_name,subcommand", [
         ("fig4_gain_sweep.yaml", "gain-sweep"),
         ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency"),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth")])
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth"),
+        ("fig5_beam_width.yaml", "beam-width"),
+        ("fig9_g_of_x.yaml", "g-of-x")])
     def test_result_too_large_for_memory_exit_code(self, tmp_path, capsys,
                                                    time_limit, config_name,
                                                    subcommand):

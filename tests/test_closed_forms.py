@@ -2,7 +2,9 @@
 count, waterfilling, the 80 % bandwidth, the half-gain parameter a3dB and
 the LOS mode spectrum, of the zero-forcing precoder's accuracy, of the
 precoders and multi-user channels on every memory layout, and of the
-golden comparison.
+golden comparison. The numpy-free closed forms of the figure subcommands
+(their grids, the focal-plane and axial gains, g(x) and the bandwidth
+rates) are checked bit for bit against the numpy expressions they replaced.
 
 Each closed form is checked against the loop it replaced, kept here
 verbatim as a reference, and against the invariants its callers rely on.
@@ -21,8 +23,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nearfield import boundary_distances, build_upa
+from nearfield import beam
 from nearfield.beam import g_of_x, solve_a3db
-from nearfield.cli import compare_golden
+from nearfield.cli import SCHEMAS, _log_grid, _plan, _symmetric_grid, \
+    compare_golden
+from nearfield.config import load_config
 from nearfield.depth_mux import (
     GRAM_CONDITION_LIMIT,
     build_mu_channel,
@@ -41,7 +46,7 @@ from nearfield.mimo_los import (
     mode_analysis,
     num_streams_for_area,
 )
-from nearfield.numerics import RankError, solve_scalar_root
+from nearfield.numerics import RankError, fresnel_cs, solve_scalar_root
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -129,6 +134,43 @@ def reference_solve_a3db(rows: int, cols: int) -> float:
             raise ValueError("failed to bracket the half-gain point")
     return solve_scalar_root(
         lambda x: g_of_x(rows, cols, x) - 0.5, (x_lo, x_hi), tol=1e-18)
+
+
+def reference_gain_focal_plane(geom, focal_distance, x_r, y_r):
+    m, n = geom.rows, geom.cols
+    d = geom.element_diagonal
+    lam = geom.wavelength
+    ax = n / math.sqrt(2.0) * d * np.asarray(x_r) / (lam * focal_distance)
+    ay = m / math.sqrt(2.0) * d * np.asarray(y_r) / (lam * focal_distance)
+    return np.sinc(ax) ** 2 * np.sinc(ay) ** 2
+
+
+def reference_g_of_x(rows, cols, x):
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    out = np.ones_like(ax)
+    nz = ax > 0
+    root = np.sqrt(ax[nz])
+    ratio = {}
+    for m in {rows, cols}:
+        c, s = fresnel_cs(m * root)
+        ratio[m] = (c**2 + s**2) / (m * m) / ax[nz]
+    out[nz] = ratio[rows] * ratio[cols]
+    return out
+
+
+def reference_gain_axial(geom, focal_distance, z_r):
+    z = np.asarray(z_r, dtype=float)
+    q = boundary_distances(geom).d_f / 8.0
+    with np.errstate(over="ignore"):
+        x = np.abs(q / focal_distance - q / z)
+    return reference_g_of_x(geom.rows, geom.cols, x)
+
+
+def reference_rates(s, bandwidths, log1p):
+    """The rates b log1p(s / b) / ln 2, with `log1p` numpy's or libm's."""
+    b = np.asarray(bandwidths, dtype=float)
+    return b * log1p(s / b) / math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +639,80 @@ class TestCompareGolden:
             path_b = write_csv(tmp, "b.csv", ["c"], [[b]])
             passed = compare_golden(path_a, path_b, tol)[0]
         assert passed == cells_match(str(a), str(b), tol)
+
+
+# ---------------------------------------------------------------------------
+# numpy-free closed forms of the figure subcommands, bit for bit
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped(name, subcommand):
+    """A shipped config and its experiment block, parsed."""
+    cfg = load_config(str(CONFIGS / f"{name}.yaml"))
+    exp = SCHEMAS[subcommand][1].validate(cfg.experiment, "experiment",
+                                          cfg.units)
+    return cfg, exp
+
+
+def assert_same_bits(got, expected):
+    """`got`, a list, holds exactly the floats of the array `expected`."""
+    assert isinstance(got, list)
+    assert got == expected.tolist()
+
+
+class TestNumpyFreeClosedForms:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(x_max=st.floats(1e-300, 1e300), points=st.integers(1, 50))
+    @example(x_max=5e-324, points=50)  # the step underflows to 0
+    def test_symmetric_grid_is_linspace(self, x_max, points):
+        assert _symmetric_grid(x_max, points, "k") \
+            == np.linspace(-x_max, x_max, points).tolist()
+
+    def test_focal_plane_gain(self):  # fig5
+        cfg, exp = shipped("fig5_beam_width", "beam-width")
+        x = _symmetric_grid(exp["x_max"], exp["points"], "k")
+        geom = cfg.geometry
+        for f in exp["focal_distances"]:
+            expected = reference_gain_focal_plane(geom, f, x, 0.0)
+            assert_same_bits(beam.gain_focal_plane(geom, f, x, 0.0), expected)
+            # along y, with the float for x broadcast over the array
+            np.testing.assert_array_equal(
+                beam.gain_focal_plane(geom, f, 0.0, np.asarray(x)),
+                reference_gain_focal_plane(geom, f, 0.0, x))
+
+    def test_g_of_x(self):  # fig9
+        _, exp = shipped("fig9_g_of_x", "g-of-x")
+        x = _symmetric_grid(exp["x_max"], exp["points"], "k")
+        for m, n in exp["shapes"]:
+            expected = reference_g_of_x(m, n, x)
+            assert_same_bits(g_of_x(m, n, x), expected)
+            np.testing.assert_array_equal(g_of_x(m, n, np.asarray(x)),
+                                          expected)
+
+    def test_axial_gain(self):  # fig7
+        cfg, exp = shipped("fig7_depth_plan_gains", "depth-plan")
+        grid = exp["gain_grid"]
+        z = _log_grid(grid["z_min"], grid["z_max"], grid["points"], "k")
+        for f in _plan(cfg, exp).focal_points:
+            expected = reference_gain_axial(cfg.geometry, f, z)
+            assert_same_bits(beam.gain_axial(cfg.geometry, f, z), expected)
+            np.testing.assert_array_equal(
+                beam.gain_axial(cfg.geometry, f, np.asarray(z)), expected)
+
+    def test_bandwidth_rates(self):  # fig1
+        cfg, exp = shipped("fig1_capacity_vs_bandwidth",
+                           "capacity-vs-bandwidth")
+        b = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"], "k")
+        beta = free_space_gain(cfg.radio.wavelength(), exp["distance_m"])
+        p = cfg.radio.power_over_noise
+        rates = capacity_bandwidth_sweep(p, beta, b).rates
+        assert isinstance(rates, tuple)
+        # the same arithmetic, in the same order, with libm's log1p
+        libm = np.frompyfunc(math.log1p, 1, 1)
+        assert list(rates) == reference_rates(p * beta, b, libm).tolist()
+        # numpy's SIMD log1p differs from libm's in the last bit at some
+        # points, so against numpy's expression the rates agree to 1 ulp
+        np.testing.assert_array_max_ulp(
+            np.asarray(rates), reference_rates(p * beta, b, np.log1p), 1)

@@ -253,8 +253,9 @@ class TestWaterfilling:
 class TestBandwidthSweep:
     def test_monotone_and_below_limit(self):
         sweep = capacity_bandwidth_sweep(1e10, 4e-9, np.geomspace(1e6, 1e12, 60))
-        assert np.all(np.diff(sweep.rates) > 0)
-        assert np.all(sweep.rates < sweep.rate_limit * (1 + 1e-12))
+        rates = np.asarray(sweep.rates)
+        assert np.all(np.diff(rates) > 0)
+        assert np.all(rates < sweep.rate_limit * (1 + 1e-12))
         assert sweep.rate_limit == pytest.approx(math.log2(math.e) * 40.0)
 
     def test_b80_self_consistent(self):

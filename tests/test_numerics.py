@@ -15,6 +15,7 @@ from nearfield import beam, mimo_los
 from nearfield.numerics import (
     AccuracyError,
     BracketError,
+    elementwise,
     fresnel_cs,
     hermitian_eig,
     solve_scalar_root,
@@ -93,6 +94,42 @@ class TestFresnel:
             assert type(c) is float and type(s) is float
         c, s = fresnel_cs(np.full((2, 3), 0.3))
         assert c.shape == s.shape == (2, 3)
+        (c0, s0), (c1, s1) = fresnel_cs(0.3), fresnel_cs(-7.0)
+        assert fresnel_cs([0.3, -7.0]) == ([c0, c1], [s0, s1])
+
+
+class TestElementwise:
+    def test_result_takes_the_argument_type(self):
+        def double(v):
+            assert type(v) is float
+            return 2.0 * v
+
+        assert elementwise(double, 1) == 2.0
+        assert elementwise(double, np.array(1.5)) == 3.0
+        assert elementwise(double, [1, np.float64(2.0)]) == [2.0, 4.0]
+        out = elementwise(double, np.arange(6.0).reshape(2, 3))
+        assert isinstance(out, np.ndarray) and out.shape == (2, 3)
+        np.testing.assert_array_equal(out, 2.0 * np.arange(6.0).reshape(2, 3))
+        assert elementwise(double, []) == []
+
+    def test_floats_stand_for_every_element(self):
+        assert elementwise(lambda a, b: a - b, [1.0, 2.0], 1.0) == [0.0, 1.0]
+        out = elementwise(lambda a, b: a - b, np.array([[1.0], [2.0]]),
+                          np.array([0.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(out, [[1, 0, -1], [2, 1, 0]])
+        with pytest.raises(ValueError, match="different lengths"):
+            elementwise(lambda a, b: a - b, [1.0, 2.0], [1.0])
+
+    def test_several_outputs(self):
+        def pair(v):
+            return v, -v
+
+        assert elementwise(pair, 2.0, outputs=2) == (2.0, -2.0)
+        assert elementwise(pair, [1.0, 2.0], outputs=2) \
+            == ([1.0, 2.0], [-1.0, -2.0])
+        assert elementwise(pair, [], outputs=2) == ([], [])
+        a, b = elementwise(pair, np.ones((2, 0)), outputs=2)
+        assert a.shape == b.shape == (2, 0)
 
 
 class TestIntegratePatch:
@@ -248,14 +285,23 @@ def test_import_loads_no_scipy():
 #: The closed-form subcommands and a shipped config of each.
 SCALAR_RUNS = [("regions", "regions"), ("dof", "dof"),
                ("capacity-vs-frequency", "fig13_capacity_vs_frequency"),
-               ("depth-plan", "fig10_depth_plan")]
+               ("depth-plan", "fig10_depth_plan"),
+               ("beam-width", "fig5_beam_width"), ("g-of-x", "fig9_g_of_x"),
+               ("depth-plan", "fig7_depth_plan_gains"),
+               ("capacity-vs-bandwidth", "fig1_capacity_vs_bandwidth")]
 
 
-def test_scalar_subcommands_load_no_numpy():
+def test_scalar_subcommands_load_no_numpy(tmp_path):
     # numpy's import is most of a cold start; the closed-form subcommands
-    # must run to exit 0 without it, each in turn in one interpreter
+    # must run to exit 0 without it, each in turn in one interpreter.
+    # beam-depth has no shipped config, so it gets one here.
     configs = Path(__file__).resolve().parents[1] / "configs"
+    beam_depth = tmp_path / "beam_depth.yaml"
+    beam_depth.write_text((configs / "fig5_beam_width.yaml").read_text()
+                          .split("experiment:")[0]
+                          + "experiment:\n  focal_distances: [1.0, 5.0]\n")
     runs = [(sub, str(configs / f"{name}.yaml")) for sub, name in SCALAR_RUNS]
+    runs.append(("beam-depth", str(beam_depth)))
     code = ("import contextlib, io, sys\n"
             "from nearfield.cli import main\n"
             f"for sub, cfg in {runs!r}:\n"
@@ -263,4 +309,4 @@ def test_scalar_subcommands_load_no_numpy():
             "        rc = main([sub, '--config', cfg, '--out', '-'])\n"
             "    print(sub, rc, 'numpy' in sys.modules)\n")
     assert run_fresh_python(code).splitlines() == [
-        f"{sub} 0 False" for sub, _ in SCALAR_RUNS]
+        f"{sub} 0 False" for sub, _ in runs]
