@@ -226,8 +226,12 @@ def run_gain_sweep(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 
     d_f = cfg.bounds.d_f
     z_grid = _log_grid(exp["z_min"], exp["z_max"], exp["points"], "experiment")
-    rows = [[z, z / d_f, beam.array_gain_exact(cfg.geometry, z, tol=exp["tol"])]
-            for z in z_grid]
+    try:
+        rows = [[z, z / d_f, beam.array_gain_exact(cfg.geometry, z,
+                                                   tol=exp["tol"])]
+                for z in z_grid]
+    except ValueError as exc:  # the exact field beyond the float range
+        raise ConfigError(f"experiment.z_max: {exc}") from None
     return CsvSeries(["z_m", "z_over_dF", "gain"], rows)
 
 

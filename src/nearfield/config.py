@@ -108,7 +108,10 @@ def _ranged(parse: Kind, test: Callable[[float], bool], what: str) -> Kind:
 
 
 _POSITIVE = (lambda x: 0 < x < math.inf, "finite and positive")
-count = _ranged(_int, lambda n: n >= 1, "at least 1")
+#: The largest count: the most complex values one array can hold.
+_MAX_COUNT = sys.maxsize // 16
+count = _ranged(_int, lambda n: 1 <= n <= _MAX_COUNT,
+                f"from 1 to {_MAX_COUNT}")
 number = _ranged(_quantity({}), math.isfinite, "finite")
 positive = _ranged(_quantity({}), *_POSITIVE)
 non_negative = _ranged(_quantity({}), lambda x: 0 <= x < math.inf,

@@ -73,7 +73,7 @@ def _tangent_phasor(t, t2, q, numerator=1.0, denominator=None, out=None):
     return re, im
 
 
-@functools.lru_cache(maxsize=None)  # the orders 4, 8, ..., _MAX_GAUSS_ORDER
+@functools.lru_cache(maxsize=None)  # the orders 2, 4, ..., _MAX_GAUSS_ORDER
 def _gauss_legendre(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1] for `order` points, as
     read-only arrays: computed once per order and shared by every call."""
@@ -176,18 +176,24 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
     """Per-element integrals of the exact field, row-major, and the reference
     |E|^2 integral over an element-sized patch at the origin.
 
-    Doubles the Gauss order from 4 until two successive levels agree on
+    Doubles the Gauss order from 2 until two successive levels agree on
     every element to the relative tolerance (relative to the largest
-    element integral). Only the x >= 0, y >= 0 quadrant is integrated and
-    checked, and mirrored to the full grid; mirrored elements have the same
-    integrals, so the check accepts what a full-grid check would. The
-    reference is exact (`_reference_power`). Raises `AccuracyError`, with
-    the order-64 integrals as `best_estimate`, if order 64 does not meet the
-    tolerance.
+    element integral), so a far point can be accepted at order 4. Only the
+    x >= 0, y >= 0 quadrant is integrated and checked, and mirrored to the
+    full grid; mirrored elements have the same integrals, so the check
+    accepts what a full-grid check would. The reference is exact
+    (`_reference_power`). Raises `AccuracyError`, with the order-64
+    integrals as `best_estimate`, if order 64 does not meet the tolerance,
+    and `ValueError` before any level if z is so large that the field's
+    amplitude numerator z (x^2 + z^2) overflows, beyond about 5.6e102 m.
     """
     if not 0 < z < math.inf:
         raise ValueError("z must be finite and positive")
-    order = 4
+    x_edge = 0.5 * geom.cols * geom.element_side  # bounds every node's |x|
+    if math.isinf(z * (x_edge * x_edge + z * z)):
+        raise ValueError(f"z = {z:g} m is beyond the float range of the "
+                         "exact field's amplitude")
+    order = 2
     prev = _quadrant_integrals(geom, z, order)
     while order < _MAX_GAUSS_ORDER:
         order *= 2

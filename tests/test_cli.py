@@ -536,6 +536,12 @@ class TestCliBehavior:
         ("fig4_gain_sweep.yaml", "gain-sweep", "points", "2.7"),
         ("fig10_depth_plan.yaml", "depth-plan", "d_min", "-1"),
         ("fig10_depth_plan.yaml", "depth-plan", "d_min", ".nan"),
+        # counts beyond the complex values one array can hold
+        ("fig6_heatmap.yaml", "heatmap", "x_points", str(2**70)),
+        ("fig9_g_of_x.yaml", "g-of-x", "points", str(2**70)),
+        ("fig6_heatmap.yaml", "heatmap", "z_points", str(2**62)),
+        ("fig11_mode_patterns.yaml", "mode-patterns", "num_angles",
+         str(2**62)),
     ])
     def test_invalid_experiment_value_exit_code(self, tmp_path, capsys,
                                                 config_name, subcommand, key,
@@ -553,6 +559,7 @@ class TestCliBehavior:
         ("regions.yaml", "regions", "geometry.frequency", '"0 GHz"'),
         ("regions.yaml", "regions", "geometry.rows", "2.7"),
         ("regions.yaml", "regions", "geometry.wavelength", ".nan"),
+        ("fig4_gain_sweep.yaml", "gain-sweep", "geometry.rows", str(2**62)),
     ])
     def test_invalid_block_value_exit_code(self, tmp_path, capsys,
                                            config_name, subcommand, key,
@@ -681,12 +688,15 @@ class TestCliBehavior:
         # the last point of a log grid rounds past the largest float
         ("fig4_gain_sweep.yaml", "gain-sweep", "experiment",
          {"experiment.z_max": "1.7976931348623157e+308"}),
+        # z (x^2 + z^2) in the exact field's amplitude overflows
+        ("fig4_gain_sweep.yaml", "gain-sweep", "experiment.z_max",
+         {"experiment.z_max": "1.0e+300"}),
     ], ids=["zf-far-user", "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
             "freq-snr-overflow", "freq-lambda2-underflow", "regions-side-1e300", "sweep-side-1e300",
             "regions-side-1e-300", "zf-side-1e-300", "plan-side-1e-160",
             "heatmap-focal-1e300",
             "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300",
-            "sweep-z-max-largest-float"])
+            "sweep-z-max-largest-float", "sweep-z-max-1e300"])
     def test_value_beyond_model_range_one_line(self, tmp_path, capsys,
                                                config_name, subcommand, key,
                                                edits):

@@ -101,6 +101,31 @@ class TestElementIntegrals:
         np.testing.assert_allclose(grid, grid[::-1, :], rtol=1e-10)
         np.testing.assert_allclose(grid, grid[:, ::-1], rtol=1e-10)
 
+    @staticmethod
+    def direct_rule(g, z):
+        """Each element's integral by an order-48 Gauss rule applied to that
+        element directly, with no quadrant folding."""
+        nodes, weights = leggauss(48)
+        h = g.element_side / 2
+        return np.array([
+            h * h * weights @ efield_exact(cx + h * nodes[None, :],
+                                           cy + h * nodes[:, None], z,
+                                           g.wavelength) @ weights
+            for cx, cy in g.element_centers()])
+
+    @staticmethod
+    def record_orders(monkeypatch):
+        """The list of Gauss orders that `_quadrant_integrals` is called
+        with, filled as `element_field_integrals` runs."""
+        orders = []
+
+        def recording(geom, z, order):
+            orders.append(order)
+            return _quadrant_integrals(geom, z, order)
+
+        monkeypatch.setattr(field, "_quadrant_integrals", recording)
+        return orders
+
     @pytest.mark.parametrize("rows,cols", [(3, 4), (5, 5), (1, 7), (6, 1),
                                            (4, 6)])
     def test_matches_unfolded_evaluation(self, rows, cols):
@@ -108,16 +133,35 @@ class TestElementIntegrals:
         # match an order-48 Gauss rule applied to each element directly
         lam = 0.1
         g = build_upa(rows, cols, lam / 2, lam)
-        z = 0.6
-        integrals, _ = element_field_integrals(g, z, tol=1e-13)
-        nodes, weights = leggauss(48)
-        h = g.element_side / 2
-        expected = [
-            h * h * weights @ efield_exact(cx + h * nodes[None, :],
-                                           cy + h * nodes[:, None], z,
-                                           lam) @ weights
-            for cx, cy in g.element_centers()]
-        np.testing.assert_allclose(integrals, expected, rtol=1e-12, atol=0)
+        integrals, _ = element_field_integrals(g, 0.6, tol=1e-13)
+        np.testing.assert_allclose(integrals, self.direct_rule(g, 0.6),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rows,cols", [(3, 4), (1, 7), (6, 1)])
+    def test_order_four_matches_unfolded_evaluation(self, monkeypatch, rows,
+                                                    cols):
+        # far out, orders 2 and 4 agree to 1e-6 and order 4 is accepted; it
+        # must still match the direct order-48 rule to 1e-6 of the largest
+        # element
+        lam = 0.1
+        g = build_upa(rows, cols, lam / 2, lam)
+        orders = self.record_orders(monkeypatch)
+        integrals, _ = element_field_integrals(g, 20.0, tol=1e-6)
+        assert orders == [2, 4]
+        expected = self.direct_rule(g, 20.0)
+        assert np.abs(integrals - expected).max() \
+            <= 1e-6 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("bound,factor,orders", [("d_f", 1e3, [2, 4]),
+                                                     ("d_b", 1.0, [2, 4, 8])])
+    def test_gauss_order_schedule(self, monkeypatch, bound, factor, orders):
+        # the order doubles from 2 until two levels agree: fig4's array at
+        # its tolerance stops at order 4 at 1000 d_F and at order 8 at d_B
+        g = make_desk_array()
+        z = factor * getattr(boundary_distances(g), bound)
+        called = self.record_orders(monkeypatch)
+        element_field_integrals(g, z, tol=1e-6)
+        assert called == orders
 
     @pytest.mark.parametrize("side_over_z", [0.2, 1.0, 4.0])
     def test_reference_power_closed_form(self, side_over_z):
@@ -140,6 +184,18 @@ class TestElementIntegrals:
             element_field_integrals(g, lam, tol=1e-6)
         estimate = exc.value.best_estimate
         assert estimate.shape == (1,) and np.all(np.isfinite(estimate))
+
+    def test_amplitude_overflow_raises(self, monkeypatch):
+        # z (x^2 + z^2) overflows beyond z = 5.6e102 m; just inside, the
+        # gain is 1 with no floating-point warning, and beyond it no level
+        # is computed
+        g = make_desk_array(3, 4)
+        orders = self.record_orders(monkeypatch)
+        with np.errstate(all="raise"):
+            assert beam.array_gain_exact(g, 5.6e102) == pytest.approx(1.0)
+            with pytest.raises(ValueError, match="float range"):
+                element_field_integrals(g, 5.7e102)
+        assert orders == [2, 4]
 
     def test_blocks_do_not_change_result(self, monkeypatch):
         # 40-sample blocks split the 4x5 quadrant of a 7x9 array into
