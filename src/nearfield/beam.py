@@ -10,6 +10,7 @@ does not load numpy; the exact gain and the beam map import numpy and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -61,7 +62,8 @@ def gain_focal_plane(geom: ArrayGeometry, focal_distance: float,
 
     `x_r` and `y_r` are floats, lists or ndarrays (`numerics.elementwise`):
     floats give a float, a list a list, and an ndarray an ndarray of the
-    broadcast shape.
+    broadcast shape. Raises `ValueError` if lambda F is below the normal
+    floats, where the sinc arguments lose their digits or divide by 0.
     """
     if not (focal_distance > 0 and math.isfinite(focal_distance)):
         raise ValueError("focal distance must be finite and positive")
@@ -71,6 +73,9 @@ def gain_focal_plane(geom: ArrayGeometry, focal_distance: float,
     kx = n / math.sqrt(2.0) * d
     ky = m / math.sqrt(2.0) * d
     scale = lam * focal_distance
+    if scale < sys.float_info.min:  # it divides every sinc argument
+        raise ValueError(f"focal distance {focal_distance:g} m puts "
+                         "lambda F below the normal floats")
 
     def gain(x: float, y: float) -> float:
         sx = _sinc(kx * x / scale)

@@ -166,42 +166,38 @@ def subcommand(name: str, needs: Optional[str] = None, one_of=(), **keys):
     return register
 
 
-def _log_grid(lo: float, hi: float, points: int, where: str) -> List[float]:
-    """`points` values from lo to hi, evenly spaced in log10: the exponents
-    are numpy.linspace's, i * step + start with the last one set to stop.
-    The list is allocated first, so a size beyond memory fails at once."""
-    if not lo < hi or points < 2:
-        raise ConfigError(f"{where}: need min < max and at least 2 points")
-    start, stop = math.log10(lo), math.log10(hi)
-    step = (stop - start) / (points - 1)
-    grid = [0.0] * points
-    try:
-        for i in range(points - 1):
-            grid[i] = 10.0 ** (i * step + start)
-        grid[-1] = 10.0 ** stop
-    except OverflowError:  # hi within rounding of the largest float
-        raise ConfigError(f"{where}: max {hi:g} rounds beyond the float "
-                          "range on a log grid") from None
-    return grid
-
-
-def _symmetric_grid(x_max: float, points: int, where: str) -> List[float]:
-    """`points` values from -x_max to x_max, as numpy.linspace spaces them:
-    i * step - x_max with the last one set to x_max, and -x_max alone for
-    one point. Where the step underflows to 0, point i is instead
-    i / (points - 1) times the span, less x_max, as there. The list is
-    allocated first, so a size beyond memory fails at once."""
-    span = x_max + x_max  # linspace's stop - start
+def _linspace(lo: float, hi: float, points: int, where: str) -> List[float]:
+    """`points` values from lo to hi, as numpy.linspace spaces them:
+    i * step + lo with the last one set to hi, and lo alone for one point;
+    where the step underflows to 0, i / (points - 1) times the span plus lo.
+    The list is allocated first, so a size beyond memory fails at once.
+    Raises `ConfigError` naming `where` if hi - lo overflows."""
+    span = hi - lo  # linspace's stop - start
     if not math.isfinite(span):
-        raise ConfigError(f"{where}: {x_max:g} is beyond the float range of "
-                          "a grid from -x_max to x_max")
-    grid = [-x_max] * points
+        raise ConfigError(f"{where}: a grid from {lo:g} to {hi:g} spans "
+                          "beyond the float range")
+    grid = [lo] * points
     if points > 1:
         div = points - 1
         step = span / div
         for i in range(1, div):
-            grid[i] = (i * step if step else i / div * span) - x_max
-        grid[-1] = x_max
+            grid[i] = (i * step if step else i / div * span) + lo
+        grid[-1] = hi
+    return grid
+
+
+def _log_grid(lo: float, hi: float, points: int, where: str) -> List[float]:
+    """`points` values from lo to hi, evenly spaced in log10: ten to the
+    power of `_linspace`'s exponents, in place."""
+    if not lo < hi or points < 2:
+        raise ConfigError(f"{where}: need min < max and at least 2 points")
+    grid = _linspace(math.log10(lo), math.log10(hi), points, where)
+    try:
+        for i, exponent in enumerate(grid):
+            grid[i] = 10.0 ** exponent
+    except OverflowError:  # hi within rounding of the largest float
+        raise ConfigError(f"{where}: max {hi:g} rounds beyond the float "
+                          "range on a log grid") from None
     return grid
 
 
@@ -241,12 +237,16 @@ def run_beam_width(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import beam
 
     geom = cfg.geometry
-    x = _symmetric_grid(exp["x_max"], exp["points"], "experiment.x_max")
+    x = _linspace(-exp["x_max"], exp["x_max"], exp["points"],
+                  "experiment.x_max")
     columns = [x]
     header = ["x_m"]
     comments = []
     for i, f in enumerate(exp["focal_distances"], start=1):
-        columns.append(beam.gain_focal_plane(geom, f, x, 0.0))
+        try:
+            columns.append(beam.gain_focal_plane(geom, f, x, 0.0))
+        except ValueError as exc:  # lambda F below the normal floats
+            raise ConfigError(f"experiment.focal_distances: {exc}") from None
         header.append(f"gain_f{i}")
         comments.append(f"f{i}: F={_fmt(f)} m, bw_3db={_fmt(beam.beam_width_3db(geom, f))} m")
     return CsvSeries(header, list(zip(*columns)), comments)
@@ -275,12 +275,12 @@ def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
             x_max=(length, REQUIRED), z_min=(length, REQUIRED),
             z_max=(length, REQUIRED), x_points=(count, 81), z_points=(count, 81))
 def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
-    import numpy as np
-
     from . import beam
 
-    x_grid = _symmetric_grid(exp["x_max"], exp["x_points"], "experiment.x_max")
-    z_grid = np.linspace(exp["z_min"], exp["z_max"], exp["z_points"])
+    x_grid = _linspace(-exp["x_max"], exp["x_max"], exp["x_points"],
+                       "experiment.x_max")
+    z_grid = _linspace(exp["z_min"], exp["z_max"], exp["z_points"],
+                       "experiment.z_max")
     try:
         gains = beam.beam_pattern_map(
             cfg.geometry, (0.0, 0.0, exp["focal_distance"]), x_grid, z_grid)
@@ -300,7 +300,8 @@ def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 def run_g_of_x(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import beam
 
-    x = _symmetric_grid(exp["x_max"], exp["points"], "experiment.x_max")
+    x = _linspace(-exp["x_max"], exp["x_max"], exp["points"],
+                  "experiment.x_max")
     header = ["x"]
     columns = [x]
     comments = []
@@ -409,7 +410,10 @@ def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     eigenvalues = mimo_los.svd(h, compute_uv=False) ** 2
     b = radio.bandwidth()
     snr = radio.power_over_noise / b
-    result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
+    try:
+        result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
+    except ValueError as exc:  # a stream's SNR beyond the float range
+        raise ConfigError(f"experiment.distance_m: {exc}") from None
     rows = [[i + 1, eigenvalues[i], result.powers[i], result.capacity]
             for i in range(exp["num_antennas"])]
     return CsvSeries(
@@ -556,7 +560,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG_ERROR
     except (AccuracyError, BracketError, RankError, NanCellError,
             MemoryError) as exc:
-        print(f"numeric error in {name}: {exc}", file=sys.stderr)
+        print(f"numeric error in {name}: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     target = args.out if args.out is not None else cfg.output
     if target in (None, "-"):

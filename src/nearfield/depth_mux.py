@@ -5,11 +5,11 @@ Focal planning is closed-form arithmetic on the region bounds, so importing
 this module loads neither numpy nor `beam`; the channel, precoder and SINR
 functions import numpy when they run.
 
-The channel matrix comes from one blocked kernel pass that writes each
-user's scaled phasors straight into it (`field.phasor_rows`). Beyond the
-zero-forcing Gram product, the precoders make no temporary of the
-channel's size: W is their only array of that size, and it is scaled in
-place or formed in one multiply.
+The channel matrix comes from one blocked kernel pass that forms each
+user's phasors, with their free-space amplitude, straight into it
+(`field.phasor_rows`). Beyond the zero-forcing Gram product, the precoders
+make no temporary of the channel's size: W is their only array of that
+size, and it is scaled in place or formed in one multiply.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
     upper endpoint equals the previous lower endpoint. Focal points below
     d_min are not admitted. d_min defaults to the geometry's d_B bound.
     Raises `ValueError` if the plan would have more focal points than the
-    array has elements: no precoder resolves more users than antennas.
+    array has elements: no precoder resolves more users than antennas. A
+    plan beyond memory raises `MemoryError` at once, before it is filled.
     """
     bounds = boundary_distances(geom)
     if d_min is None:
@@ -100,7 +101,9 @@ def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
     # j = 0 is the point at infinity; interval j is bounded by
     # inv_tau / (2j + 1) below and by interval j - 1's lower end above
     j = range(int(finite_points) + 1)
-    lower = [inv_tau / (2.0 * i + 1.0) for i in j]
+    lower = [0.0] * len(j)  # allocated first, so a plan beyond memory fails
+    for i in j:
+        lower[i] = inv_tau / (2.0 * i + 1.0)
     return FocalPlan(
         focal_points=(math.inf, *(inv_tau / (2.0 * i) for i in j[1:])),
         intervals=tuple(zip(lower, [math.inf] + lower[:-1])), d_min=d_min)
@@ -125,7 +128,8 @@ def build_mu_channel(geom: ArrayGeometry, users: Sequence[Sequence[float]],
     Column k carries the spherical-phase vector of user k scaled by
     sqrt(beta_k) with beta_k = (lambda / (4 pi d_k))^2 (uniform-gain
     approximation). With per_element_amplitude=True the free-space amplitude
-    is evaluated per element instead.
+    is evaluated per element instead. Raises `ValueError` for a user whose
+    column's power leaves the float range (`field.spherical_phasors`).
     """
     from .field import phasor_rows
 
@@ -135,15 +139,9 @@ def build_mu_channel(geom: ArrayGeometry, users: Sequence[Sequence[float]],
     if len(set(users)) < len(users):
         warnings.warn("duplicate user positions give a rank-deficient channel",
                       stacklevel=2)
-    if per_element_amplitude:
-        scale = 1.0
-    else:
-        # hypot: an overflowing norm is inf, without a warning, and rejected
-        scale = [geom.wavelength / (4.0 * math.pi * math.hypot(*u))
-                 for u in users]
-    # (users, elements) rows, returned transposed: the (elements, users)
-    # matrix is Fortran-ordered
-    rows = phasor_rows(geom, users, per_element_amplitude, scale)
+    # (users, elements) rows, transposed: the matrix is Fortran-ordered
+    rows = phasor_rows(geom, users,
+                       "element" if per_element_amplitude else "point")
     return MultiUserChannel(matrix=rows.T)
 
 

@@ -7,12 +7,12 @@ per-element spherical-phase model for arbitrary focal/user positions.
 The spherical-phase model is evaluated by one blocked kernel,
 `spherical_phasors`. It walks (points x elements) blocks of at most
 `_BLOCK_SAMPLES` samples in reused scratch arrays, so its memory is bounded
-for any array size and number of points. Channel vectors and multi-user
+for any array size and number of points. It forms the free-space amplitude
+lambda / (4 pi d) and checks its range. Channel vectors and multi-user
 channel matrices (`phasor_rows`) have it write each block straight into the
-real and imaginary planes of their output, with each point's scale as the
-numerator of the phasor amplitude. A beam
-map reduces them against the focus weights in one pass over its whole grid;
-for an on-axis focus on a symmetric grid that grid is only the x >= 0 half.
+real and imaginary planes of their output. A beam map reduces unit phasors
+against the focus weights in one pass over its whole grid; for an on-axis
+focus on a symmetric grid that grid is only the x >= 0 half.
 
 The exact model integrates the field of an on-axis source at (0, 0, z),
 E = sqrt(z (x^2 + z^2)) / (sqrt(4 pi) r^2.5) e^{-ikr} at (x, y, 0) with
@@ -208,9 +208,7 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
 
 
 def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
-                      wavelength: float, points,
-                      per_element_amplitude: bool = False, scale=1.0,
-                      out=None):
+                      wavelength: float, points, amplitude=None, out=None):
     """Spherical per-element phasors e^{i phi} for a batch of points, in
     blocks.
 
@@ -224,10 +222,11 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
     (e_k.(e_k - 2p) + ||p||^2 - rho^2) / (||e_k - p|| + rho), so phase
     *differences* across the aperture stay accurate at arbitrarily large
     distances. A point at infinite z gives the broadside plane-wave limit,
-    zero phase. With `per_element_amplitude` the phasors carry the
-    free-space amplitude lambda / (4 pi ||e_k - p||), which is 0 at
-    infinite z. `scale`, a scalar or one value per point, multiplies the
-    phasors as the numerator of their amplitude.
+    zero phase. `amplitude` is None for unit phasors, "point" for the
+    free-space amplitude lambda / (4 pi ||p||) per point, or "element" for
+    lambda / (4 pi ||e_k - p||); both are 0 at infinite z. `ValueError` is
+    raised before any block if a point's power over the N elements, at most
+    N (lambda / (4 pi d))^2 for d = ||p|| or z, is not a finite float.
 
     Yields `(ps, rs, cs, re, im)`: slices of the points, element rows and
     element columns, and the real and imaginary parts of that
@@ -249,6 +248,22 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
     finite = np.isfinite(r)
     if np.any(~finite & np.isfinite(pz)):
         raise ValueError("points must have a norm within the float range")
+    count, rows, cols = len(points), len(y_rows), len(x_cols)
+    numerator = 1.0
+    if amplitude is not None:
+        # the nearest distance: ||p|| by hypot, as the squares in r of tiny
+        # coordinates underflow, or z, which no element is nearer than
+        near = {"point": np.hypot(np.hypot(px, py), pz),
+                "element": pz}[amplitude]
+        with np.errstate(over="ignore"):
+            peak = wavelength / (4.0 * np.pi * near)
+            power = rows * cols * peak * peak
+        if not np.all(np.isfinite(power)):
+            raise ValueError(f"a point {near.min():g} m from the array puts "
+                             "its phasors' power beyond the float range")
+        # per point, or over the per-element distance in each block
+        numerator = (peak[:, :, None] if amplitude == "point"
+                     else wavelength / (4.0 * np.pi))
     cycles = np.zeros_like(r)  # ||p|| mod lambda
     np.fmod(r, wavelength, out=cycles, where=finite)
     rho = r - cycles
@@ -256,12 +271,6 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
     np.multiply(cycles, r + rho, out=rho_gap, where=finite)
     # phases are scaled by -k / 2, the tangent's half angle
     half_k = -np.pi / wavelength
-    scale = np.asarray(scale, dtype=float)
-    if scale.ndim:  # one value per point
-        scale = np.broadcast_to(scale, (len(points),))[:, None, None]
-    if per_element_amplitude:
-        scale = scale * (wavelength / (4.0 * np.pi))
-    count, rows, cols = len(points), len(y_rows), len(x_cols)
     if count == 0:
         return
     block_c = min(cols, _BLOCK_SAMPLES)
@@ -289,28 +298,23 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
                 t = np.add(y_num[:, :, None], x_num[:, None, :], out=a)
                 t /= np.add(dist, rho[ps, :, None], out=c)
                 np.tan(t, out=t)
-                numerator = scale[ps] if scale.ndim else scale
-                # lambda / (4 pi ||e_k - p||) per element, or per point
-                denominator = dist if per_element_amplitude else None
+                num = numerator[ps] if amplitude == "point" else numerator
+                den = dist if amplitude == "element" else None
                 dest = None
                 if out is not None:
                     block = out[ps, rs, cs]
                     dest = (block.real, block.imag)
-                re, im = _tangent_phasor(t, c, d, numerator, denominator,
-                                         dest)
+                re, im = _tangent_phasor(t, c, d, num, den, dest)
                 yield ps, rs, cs, re, im
 
 
-def phasor_rows(geom: ArrayGeometry, points, per_element_amplitude=False,
-                scale=1.0) -> np.ndarray:
-    """(points, elements) complex array of the phasors of
-    `spherical_phasors` over the whole array, times a per-point `scale`
-    (a scalar or one value per point). The kernel writes each block
-    straight into the output's real and imaginary planes."""
+def phasor_rows(geom: ArrayGeometry, points, amplitude=None) -> np.ndarray:
+    """(points, elements) complex array of `spherical_phasors` over the
+    whole array, written block by block into its real and imaginary planes."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     out = np.empty((len(points), geom.rows, geom.cols), dtype=complex)
     for _ in spherical_phasors(*geom.element_axes(), geom.wavelength, points,
-                               per_element_amplitude, scale, out):
+                               amplitude, out):
         pass
     return out.reshape(len(points), geom.num_elements)
 

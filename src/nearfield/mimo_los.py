@@ -122,6 +122,9 @@ def capacity_waterfilling(eigenvalues: Sequence[float], snr: float,
     floor above 1/eps: D_r = sum_{i<=r} (f_r - f_i) accumulates the
     non-negative steps (r - 1)(f_r - f_{r-1}), and
     p_i = (1 - D_k) / k + (f_k - f_i).
+
+    Raises `ValueError` if snr times the largest eigenvalue overflows: the
+    stream's rate log2(1 + snr lam p) would read infinite.
     """
     import numpy as np
 
@@ -130,6 +133,10 @@ def capacity_waterfilling(eigenvalues: Sequence[float], snr: float,
         raise ValueError("eigenvalues must be non-negative")
     if snr <= 0 or bandwidth <= 0:
         raise ValueError("snr and bandwidth must be positive")
+    top = float(lam.max(initial=0.0))
+    if not snr * top < math.inf:
+        raise ValueError(f"the SNR {snr:g} times the largest eigenvalue "
+                         f"{top:g} is beyond the float range")
     order = np.argsort(lam)[::-1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         floor = 1.0 / (snr * lam[order])

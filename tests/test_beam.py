@@ -67,6 +67,12 @@ class TestExactGain:
 
 
 class TestFocalPlaneGain:
+    @pytest.mark.parametrize("f", [5e-324, 1e-308])
+    def test_lambda_f_below_normal_floats_raises(self, f):
+        # lambda F would divide every sinc argument as 0 or a subnormal
+        with pytest.raises(ValueError, match="below the normal floats"):
+            gain_focal_plane(make_desk_array(), f, [0.0, 0.1], 0.0)
+
     def test_peak_and_nulls(self):
         g = make_desk_array()
         f = 5.0

@@ -1,11 +1,15 @@
+import contextlib
+import copy
 import io
 import shutil
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nearfield import beam, config
 from nearfield.beam import gain_axial
@@ -615,6 +619,8 @@ class TestCliBehavior:
         ("zf_sinr.yaml", "zf-sinr", "experiment.d_min", '"0.001 dF"', None),
         ("zf_sinr.yaml", "zf-sinr", "experiment.users",
          "[[1.0e+200, 0, 1], [0, 0, 5]]", None),
+        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
+         "[[0, 0, 1.0e-155], [0, 0, 5]]", None),
         ("fig10_depth_plan.yaml", "depth-plan", "experiment.d_min",
          '"1e-9 m"', None),
         ("dof.yaml", "dof", "experiment.wavelengths_m", "[1.0e-200]", None),
@@ -627,6 +633,9 @@ class TestCliBehavior:
          None),
         ("fig9_g_of_x.yaml", "g-of-x", "experiment.x_max", "1.0e+308", None),
         ("fig6_heatmap.yaml", "heatmap", "experiment.x_max", "1.0e+308", None),
+        # lambda F underflows, and divides the focal-plane sinc arguments
+        ("fig5_beam_width.yaml", "beam-width", "experiment.focal_distances",
+         "[5.0e-324]", None),
     ])
     def test_value_beyond_model_range_exit_code(self, tmp_path, capsys,
                                                 config_name, subcommand, key,
@@ -642,6 +651,17 @@ class TestCliBehavior:
     @pytest.mark.parametrize("config_name,subcommand,key,edits", [
         ("zf_sinr.yaml", "zf-sinr", "experiment.users",
          {"experiment.users": "[[1.0e+200, 0, 1], [0, 0, 5]]"}),
+        # a user so near that its column's power N (lambda / (4 pi z))^2
+        # overflows, for both precoders
+        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
+         {"experiment.users": "[[0, 0, 1.0e-155], [0, 0, 5]]"}),
+        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
+         {"experiment.users": "[[0, 0, 1.0e-155], [0, 0, 5]]",
+          "experiment.precoder": "mf"}),
+        # the SNR times the largest eigenvalue overflows, so log2(1 + SNR)
+        # would read inf
+        ("los_capacity.yaml", "los-capacity", "experiment.distance_m",
+         {"experiment.distance_m": "1.0e-155"}),
         ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
          "experiment.distance_m", {"experiment.distance_m": "1e-300"}),
         # the SNR overflows at the first frequency
@@ -691,7 +711,8 @@ class TestCliBehavior:
         # z (x^2 + z^2) in the exact field's amplitude overflows
         ("fig4_gain_sweep.yaml", "gain-sweep", "experiment.z_max",
          {"experiment.z_max": "1.0e+300"}),
-    ], ids=["zf-far-user", "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
+    ], ids=["zf-far-user", "zf-near-user", "mf-near-user", "los-snr-overflow",
+            "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
             "freq-snr-overflow", "freq-lambda2-underflow", "regions-side-1e300", "sweep-side-1e300",
             "regions-side-1e-300", "zf-side-1e-300", "plan-side-1e-160",
             "heatmap-focal-1e300",
@@ -765,6 +786,33 @@ class TestCliBehavior:
         values = np.array([line.split(",") for line in rows], dtype=float)
         assert values.size and np.all(np.isfinite(values))
 
+    def test_user_at_amplitude_limit(self, tmp_path, capsys):
+        # at z = 1e-154 the column's power is finite: the matched filter
+        # still resolves both users, and zero-forcing meets a Gram matrix
+        # whose condition number overflows
+        cfg = config_with(tmp_path, (CONFIGS / "zf_sinr.yaml").read_text(),
+                          "experiment.users", "[[0, 0, 1.0e-154], [0, 0, 5]]")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["zf-sinr", "--config", str(cfg), "--out", "-"])
+        assert rc == EXIT_NUMERIC_ERROR
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numeric error in zf-sinr: ")
+        cfg = config_with(tmp_path, cfg.read_text(), "experiment.precoder",
+                          "mf")
+        with warnings.catch_warnings(record=True) as more:
+            warnings.simplefilter("always")
+            rc = main(["zf-sinr", "--config", str(cfg), "--out", "-"])
+        assert rc == 0
+        assert [str(w.message) for w in caught + more] == []
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        _, *rows = [line for line in captured.out.splitlines()
+                    if not line.startswith("#")]
+        sinr = [float(row.split(",")[4]) for row in rows]
+        np.testing.assert_allclose(sinr, [40965.7858767, 40965.6531887],
+                                   rtol=1e-9)
+
     def test_stream_count_underflow_exit_code(self, tmp_path, capsys,
                                               time_limit):
         # lambda d underflows, so the stream-count fit test cannot tell K
@@ -778,6 +826,25 @@ class TestCliBehavior:
         with time_limit(10):
             assert_config_error(capsys, "capacity-vs-frequency", cfg,
                                 "experiment.distance_m")
+
+    @pytest.mark.parametrize("config_name,subcommand", [
+        ("fig10_depth_plan.yaml", "depth-plan"),
+        ("zf_sinr.yaml", "zf-sinr")])
+    def test_plan_too_large_for_memory_exit_code(self, tmp_path, capsys,
+                                                 time_limit, config_name,
+                                                 subcommand):
+        # 2^52 rows admit about 8e13 focal points, fewer than the array's
+        # elements but beyond any 64-bit address space: the plan's list
+        # cannot be allocated, and nothing is built point by point first
+        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(),
+                          "geometry.rows", str(2**52))
+        with time_limit(10):
+            rc = main([subcommand, "--config", str(cfg), "--out", "-"])
+        assert rc == EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"numeric error in {subcommand}: out of memory"]
+        assert captured.out == ""
 
     @pytest.mark.parametrize("config_name,subcommand", [
         ("fig4_gain_sweep.yaml", "gain-sweep"),
@@ -917,3 +984,135 @@ class TestCliBehavior:
         captured = capsys.readouterr()
         assert str(missing) in captured.err
         assert "Traceback" not in captured.err
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs
+
+#: YAML scalars at the edges of each kind: non-finite, beyond and at the
+#: ends of the float range, zero and negative, integers past the count
+#: limit, and values of the wrong type. As counts they are small or
+#: invalid, so no case builds a large array.
+EDGE_VALUES = (".nan", ".inf", "-.inf", "1.0e+300", "5.0e-324", "1.0e-155",
+               "1.0e-170", "0", "-1", "1", "2", str(2**62), str(2**70),
+               "true", '"3 parsecs"', "[1]", "{}")
+
+
+def edit_paths(schema, node, prefix):
+    """The paths a fuzzed edit may set under `prefix`: every key of the
+    table `schema`, set or not, and every item of the lists it sets (each
+    coordinate of a user position, each value of a list)."""
+    for key, (kind, _) in schema.keys.items():
+        path = prefix + (key,)
+        yield path
+        if not isinstance(node, dict) or key not in node:
+            continue
+        if isinstance(kind, config.Schema):
+            yield from edit_paths(kind, node[key], path)
+        else:
+            yield from item_paths(node[key], path)
+
+
+def item_paths(value, prefix):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield prefix + (i,)
+            yield from item_paths(item, prefix + (i,))
+
+
+def fuzz_bases():
+    """(subcommand, config tree, edit paths) for every shipped config, the
+    beam-depth base, and a zf-sinr config with its users given."""
+    texts = [(subcommand, (CONFIGS / name).read_text())
+             for name, (subcommand, _) in CASES.items()]
+    texts.append(("beam-depth", BEAM_DEPTH_BASE))
+    users = yaml.load((CONFIGS / "zf_sinr.yaml").read_text(), Loader=LOADER)
+    users["experiment"]["users"] = [[0.0, 0.0, 2.0], [0.5, -0.25, 5.0]]
+    texts.append(("zf-sinr", yaml.dump(users, Dumper=DUMPER)))
+    bases = []
+    for subcommand, text in texts:
+        tree = yaml.load(text, Loader=LOADER)
+        needs, schema = SCHEMAS[subcommand]
+        tables = [("experiment", schema)]
+        tables += [(block, table) for block, table in (
+            ("geometry", config.GEOMETRY), ("radio", config.RADIO))
+            if block == needs]
+        paths = [path for block, table in tables
+                 for path in edit_paths(table, tree.get(block), (block,))]
+        bases.append((subcommand, tree, paths))
+    return bases
+
+
+FUZZ_BASES = fuzz_bases()
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A base config and one or two edits of it: (path, YAML scalar)."""
+    index = draw(st.integers(0, len(FUZZ_BASES) - 1))
+    paths = draw(st.lists(st.sampled_from(FUZZ_BASES[index][2]), min_size=1,
+                          max_size=2, unique=True))
+    return index, [(path, draw(st.sampled_from(EDGE_VALUES)))
+                   for path in paths]
+
+
+def holds(node, key):
+    """Whether `key` names a slot of the mapping or list `node`."""
+    if isinstance(node, list):
+        return isinstance(key, int) and key < len(node)
+    return isinstance(node, dict) and isinstance(key, str)
+
+
+def edited(tree, edits):
+    """A copy of `tree` with each edit set. An edit is skipped where an
+    earlier one replaced its parent by a value of another type."""
+    tree = copy.deepcopy(tree)
+    for path, text in edits:
+        parent = tree
+        for key in path[:-1]:
+            if not holds(parent, key):
+                parent = None
+            else:
+                parent = (parent.get(key) if isinstance(parent, dict)
+                          else parent[key])
+        if holds(parent, path[-1]):
+            parent[path[-1]] = yaml.load(text, Loader=LOADER)
+    return tree
+
+
+#: the zf-sinr base with its users given
+USERS_BASE = len(FUZZ_BASES) - 1
+
+
+class TestFuzzedConfigs:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=fuzzed_configs())
+    # a user so near the array that its column's power overflows
+    @example(case=(USERS_BASE, [(("experiment", "users", 0, 2), "1.0e-170")]))
+    @example(case=(USERS_BASE, [(("experiment", "users", 1, 2), "5.0e-324"),
+                                (("experiment", "precoder"), "mf")]))
+    def test_edge_values_exit_cleanly(self, time_limit, case):
+        # exit 0, 2 or 3, with nothing raised out of main, no numpy
+        # warning, and no nan in a CSV that is written
+        index, edits = case
+        subcommand, tree, _ = FUZZ_BASES[index]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "fuzzed.yaml"
+            cfg.write_text(yaml.dump(edited(tree, edits), Dumper=DUMPER))
+            with time_limit(10), warnings.catch_warnings(record=True) as \
+                    caught, contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                rc = main([subcommand, "--config", str(cfg), "--out", "-"])
+        assert rc in (0, EXIT_CONFIG_ERROR, EXIT_NUMERIC_ERROR), err.getvalue()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+        if rc == 0:
+            cells = [cell for line in out.getvalue().splitlines()
+                     if not line.startswith("#") for cell in line.split(",")]
+            assert "nan" not in cells
+        else:
+            assert len(err.getvalue().splitlines()) == 1

@@ -25,9 +25,9 @@ from hypothesis import example, given, settings, strategies as st
 from nearfield import boundary_distances, build_upa
 from nearfield import beam
 from nearfield.beam import g_of_x, solve_a3db
-from nearfield.cli import SCHEMAS, _log_grid, _plan, _symmetric_grid, \
+from nearfield.cli import SCHEMAS, _linspace, _log_grid, _plan, \
     compare_golden
-from nearfield.config import load_config
+from nearfield.config import ConfigError, load_config
 from nearfield.depth_mux import (
     GRAM_CONDITION_LIMIT,
     build_mu_channel,
@@ -549,34 +549,42 @@ class TestPrecoderLayouts:
 
 @st.composite
 def user_points(draw):
-    """An array of at most 8 x 8 elements, 1-5 points in front of it, and a
-    scale per point from 1e-30 to 1e30."""
+    """An array of at most 8 x 8 elements and 1-5 points in front of it, at
+    distances from 1e-100 to 1e100 m: free-space amplitudes far from 1."""
     geom = draw(st.builds(lambda rows, cols, side: build_upa(rows, cols,
                                                              side, 0.1),
                           st.integers(1, 8), st.integers(1, 8),
                           log_uniform(0.01, 0.2)))
     k = draw(st.integers(1, 5))
     coords = st.floats(-5.0, 5.0)
-    points = [(draw(coords), draw(coords), draw(log_uniform(0.01, 50.0)))
+    points = [(draw(coords), draw(coords), draw(log_uniform(1e-100, 1e100)))
               for _ in range(k)]
-    scale = np.array([draw(log_uniform(1e-30, 1e30)) for _ in range(k)])
-    return geom, points, scale
+    return geom, points
 
 
-class TestPhasorRowScale:
-    # the scale is the numerator of the phasor amplitude, s / (1 + t^2),
-    # where the reference multiplies s into the unit phasor: a few roundings
-    # apart. With the per-element amplitude lambda / (4 pi ||e_k - p||) the
-    # numerator takes one more, lambda / (4 pi) times s.
+class TestPhasorRowAmplitude:
+    # the amplitude is the numerator of the phasor, a / (1 + t^2), where the
+    # reference multiplies a into the unit phasor: a few roundings apart.
+    # The per-element amplitude lambda / (4 pi) / (||e_k - p|| (1 + t^2))
+    # takes one more than lambda / (4 pi ||e_k - p||) times the unit phasor.
     @LAYOUT
     @given(case=user_points())
-    def test_scale_is_a_product(self, case):
-        geom, points, scale = case
-        for per_element, ulps in ((False, 2), (True, 3)):
-            scaled = phasor_rows(geom, points, per_element, scale)
-            ref = scale[:, None] * phasor_rows(geom, points, per_element)
-            np.testing.assert_array_max_ulp(scaled.real, ref.real, ulps)
-            np.testing.assert_array_max_ulp(scaled.imag, ref.imag, ulps)
+    def test_amplitude_is_a_product(self, case):
+        geom, points = case
+        unit = phasor_rows(geom, points)
+        lam = geom.wavelength
+        point = np.array([lam / (4.0 * math.pi * math.hypot(*p))
+                          for p in points])[:, None]
+        c = geom.element_centers()
+        # the kernel's distance, summed in the kernel's order
+        dist = np.array([np.sqrt(((c[:, 1] - y) ** 2 + z * z)
+                                 + (c[:, 0] - x) ** 2) for x, y, z in points])
+        for amplitude, ref, ulps in (("point", point * unit, 2),
+                                     ("element", lam / (4.0 * np.pi * dist)
+                                      * unit, 3)):
+            rows = phasor_rows(geom, points, amplitude)
+            np.testing.assert_array_max_ulp(rows.real, ref.real, ulps)
+            np.testing.assert_array_max_ulp(rows.imag, ref.imag, ulps)
 
 
 # ---------------------------------------------------------------------------
@@ -667,12 +675,28 @@ class TestNumpyFreeClosedForms:
     @given(x_max=st.floats(1e-300, 1e300), points=st.integers(1, 50))
     @example(x_max=5e-324, points=50)  # the step underflows to 0
     def test_symmetric_grid_is_linspace(self, x_max, points):
-        assert _symmetric_grid(x_max, points, "k") \
+        assert _linspace(-x_max, x_max, points, "k") \
             == np.linspace(-x_max, x_max, points).tolist()
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=50)
+    @given(lo=st.floats(-1e300, 1e300), hi=st.floats(-1e300, 1e300),
+           points=st.integers(1, 50))
+    @example(lo=1.0, hi=1.0 + 2**-52, points=50)  # the step is subnormal
+    @example(lo=-5e-324, hi=5e-324, points=7)  # the step underflows to 0
+    @example(lo=3.0, hi=-2.0, points=4)  # descending
+    def test_grid_is_linspace(self, lo, hi, points):
+        assert _linspace(lo, hi, points, "k") \
+            == np.linspace(lo, hi, points).tolist()
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (1.7e308, -1.7e308)])
+    def test_grid_span_beyond_float_range(self, lo, hi):
+        with pytest.raises(ConfigError, match="^k: "):
+            _linspace(lo, hi, 3, "k")
 
     def test_focal_plane_gain(self):  # fig5
         cfg, exp = shipped("fig5_beam_width", "beam-width")
-        x = _symmetric_grid(exp["x_max"], exp["points"], "k")
+        x = _linspace(-exp["x_max"], exp["x_max"], exp["points"], "k")
         geom = cfg.geometry
         for f in exp["focal_distances"]:
             expected = reference_gain_focal_plane(geom, f, x, 0.0)
@@ -684,7 +708,7 @@ class TestNumpyFreeClosedForms:
 
     def test_g_of_x(self):  # fig9
         _, exp = shipped("fig9_g_of_x", "g-of-x")
-        x = _symmetric_grid(exp["x_max"], exp["points"], "k")
+        x = _linspace(-exp["x_max"], exp["x_max"], exp["points"], "k")
         for m, n in exp["shapes"]:
             expected = reference_g_of_x(m, n, x)
             assert_same_bits(g_of_x(m, n, x), expected)

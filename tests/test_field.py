@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -358,10 +359,29 @@ class TestSphericalPhasors:
         assert gains.shape == (3, 3) and np.all(np.isfinite(gains))
         assert peak < 3 * 2**20
 
+    @pytest.mark.parametrize("amplitude", ["point", "element"])
+    def test_amplitude_power_beyond_float_range(self, amplitude):
+        # the power N (lambda / (4 pi z))^2 of 10,000 phasors overflows below
+        # z = 6e-155 m; z = 5e-324 would square to 0 in ||p||
+        g = make_desk_array(100, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (1e-155, 1e-170, 5e-324):
+                with pytest.raises(ValueError, match="power beyond the float"):
+                    field.phasor_rows(g, [(0.0, 0.0, 5.0), (0.0, 0.0, z)],
+                                      amplitude)
+            rows = field.phasor_rows(g, [(0.0, 0.0, 1e-154)], amplitude)
+        assert math.isfinite(np.sum(np.abs(rows) ** 2))
+
+    def test_unknown_amplitude(self):
+        g = make_desk_array(3, 4)
+        with pytest.raises(KeyError):
+            field.phasor_rows(g, [(0.0, 0.0, 1.0)], "elements")
+
     def test_no_points(self):
         g = make_desk_array(3, 4)
         assert list(field.spherical_phasors(*g.element_axes(), g.wavelength,
                                             np.empty((0, 3)))) == []
-        for per_element in (False, True):
-            rows = field.phasor_rows(g, np.empty((0, 3)), per_element)
+        for amplitude in (None, "point", "element"):
+            rows = field.phasor_rows(g, np.empty((0, 3)), amplitude)
             assert rows.shape == (0, 12) and rows.dtype == complex

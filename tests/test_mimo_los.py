@@ -137,6 +137,14 @@ class TestOptimalSpacing:
 
 
 class TestWaterfilling:
+    def test_snr_times_eigenvalue_overflow_raises(self):
+        # log2(1 + snr lam p) would read inf; the largest finite product
+        # is accepted
+        with pytest.raises(ValueError, match="beyond the float range"):
+            capacity_waterfilling([1.0, 1e306], snr=1e3)
+        res = capacity_waterfilling([1.0, 1e305], snr=1e3)
+        assert math.isfinite(res.capacity)
+
     def test_single_eigenvalue(self):
         res = capacity_waterfilling([2.0], snr=10.0)
         assert res.k_used == 1
