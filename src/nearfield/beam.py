@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .geometry import ArrayGeometry
-from .numerics import _fresnel, elementwise, solve_scalar_root
+from .numerics import AccuracyError, _fresnel, elementwise, solve_scalar_root
 from .regions import SQUARE_DEPTH_CONSTANT, boundary_distances
 
 if TYPE_CHECKING:
@@ -36,15 +36,28 @@ def array_gain_exact(geom: ArrayGeometry, z: float, tol: float = 1e-6) -> float:
 
     Total matched-filter power over all elements divided by the power of
     rows*cols reference elements at the origin. Raises `AccuracyError` if
-    the element integrals do not converge (see `element_field_integrals`).
+    the element integrals do not converge (see `element_field_integrals`),
+    or if the gain exceeds its Cauchy-Schwarz bound by more than `tol` and
+    rounding: each element's |integral of E|^2 is at most its area times
+    its integral of |E|^2, so G is at most the aperture's |E|^2 integral
+    over that of the N reference elements.
     """
     import numpy as np
 
-    from .field import element_field_integrals
+    from .field import _power_integral, element_field_integrals
 
     integrals, ref = element_field_integrals(geom, z, tol=tol)
     num = float(np.sum(np.abs(integrals) ** 2))
-    return num / (geom.num_elements * geom.element_area * ref)
+    gain = num / (geom.num_elements * geom.element_area * ref)
+    half = 0.5 * geom.element_side / z
+    bound = (_power_integral(geom.cols * half, geom.rows * half)
+             / (geom.num_elements * ref))
+    # far out G and B both round to within a few ulps of 1
+    if gain > bound * (1.0 + tol + 64.0 * sys.float_info.epsilon):
+        raise AccuracyError(f"exact gain {gain!r} at z = {z:g} m exceeds its "
+                            f"Cauchy-Schwarz bound {bound!r}",
+                            best_estimate=gain)
+    return gain
 
 
 def _sinc(v: float) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nearfield import boundary_distances, build_upa
-from nearfield import beam
+from nearfield import beam, field
 from nearfield.beam import (
     BeamMetrics,
     array_gain_exact,
@@ -17,6 +17,7 @@ from nearfield.beam import (
     gain_focal_plane,
     solve_a3db,
 )
+from nearfield.numerics import AccuracyError
 
 
 def make_desk_array(rows=30, cols=40, freq=3e9):
@@ -64,6 +65,73 @@ class TestExactGain:
         b = boundary_distances(g)
         for z in np.geomspace(b.d_n * 2, b.d_fa, 5):
             assert 0 < array_gain_exact(g, z) <= 1.0
+
+
+#: fig4's 30x40 quarter-wave array and scaled-down versions of the
+#: 1024-element benchmark arrays, with 1 and 2 wavelength elements
+GAIN_SHAPES = [(30, 40, 0.25), (8, 8, 1.0), (8, 8, 2.0), (4, 16, 1.0),
+               (4, 16, 2.0)]
+
+
+def gain_points():
+    """(geometry, z) at d_N, d_B, d_F, 10 d_F and 1000 d_F of each shape."""
+    lam = 299792458.0 / 3e9
+    for rows, cols, side in GAIN_SHAPES:
+        g = build_upa(rows, cols, side * lam, lam)
+        b = boundary_distances(g)
+        for z in (b.d_n, b.d_b, b.d_f, 10 * b.d_f, 1e3 * b.d_f):
+            yield g, z
+
+
+def gain_bound(g, z):
+    """The Cauchy-Schwarz bound on the exact gain: the aperture's |E|^2
+    integral over that of N reference elements."""
+    half = 0.5 * g.element_side / z
+    _, ref = field.element_field_integrals(g, z)
+    return (field._power_integral(g.cols * half, g.rows * half)
+            / (g.num_elements * ref))
+
+
+class TestExactGainAccuracy:
+    def test_early_acceptance_matches_tight_tolerance(self):
+        # an order accepted at tol 1e-6 is already accurate well past it
+        for g, z in gain_points():
+            tight = array_gain_exact(g, z, tol=1e-13)
+            assert array_gain_exact(g, z, tol=1e-6) \
+                == pytest.approx(tight, rel=1e-8, abs=0)
+
+    def test_gain_within_cauchy_schwarz_bound(self):
+        for g, z in gain_points():
+            bound = gain_bound(g, z)
+            assert 0 < array_gain_exact(g, z) <= bound <= 1
+
+    @pytest.mark.parametrize("rows,cols,side,factor", [
+        (30, 40, 0.25, 1e12), (30, 40, 0.25, 1e20), (8, 8, 1.0, 1e12),
+        (1, 1, 0.5, 1e20)])
+    def test_far_gain_at_tight_tolerance(self, rows, cols, side, factor):
+        # far out the gain and its bound both round to about 1, a few ulps
+        # apart in either order; a tolerance below that rounding must not
+        # read as a broken bound
+        lam = 0.1
+        g = build_upa(rows, cols, side * lam, lam)
+        z = factor * boundary_distances(g).d_f
+        assert array_gain_exact(g, z, tol=1e-15) == pytest.approx(1.0,
+                                                                 abs=1e-14)
+
+    def test_inflated_integrals_raise(self, monkeypatch):
+        # integrals 1 % too large put the gain 2 % above a bound that far
+        # points approach
+        exact = field.element_field_integrals
+
+        def inflated(geom, z, tol=1e-8):
+            integrals, ref = exact(geom, z, tol=tol)
+            return 1.01 * integrals, ref
+
+        monkeypatch.setattr(field, "element_field_integrals", inflated)
+        g = make_desk_array()
+        with pytest.raises(AccuracyError, match="Cauchy-Schwarz") as exc:
+            array_gain_exact(g, 1e3 * boundary_distances(g).d_f)
+        assert exc.value.best_estimate > 1
 
 
 class TestFocalPlaneGain:

@@ -762,10 +762,16 @@ class TestCliBehavior:
          None),
         ("zf_sinr.yaml", "zf-sinr", {"experiment.total_power": "1.7e+308"},
          None),
+        # a grid point on the centre element of an odd array, where z^2
+        # underflows and the element's distance is 0
+        ("fig6_heatmap.yaml", "heatmap",
+         {"geometry.rows": "3", "geometry.cols": "3",
+          "experiment.x_points": "5", "experiment.z_points": "5",
+          "experiment.z_min": "5.0e-324"}, None),
     ], ids=["bandwidth-overflow", "focal-plane-5e307", "g-1e-300", "g-1e300",
             "plan-z-min-1e-300",
             "plan-z-max-1e300", "plan-z-min-5e-324", "plan-z-max-1.7e308",
-            "zf-noise-5e-324", "zf-power-1.7e308"])
+            "zf-noise-5e-324", "zf-power-1.7e308", "heatmap-odd-z-min-5e-324"])
     def test_value_near_model_range_finite_csv(self, tmp_path, capsys,
                                                config_name, subcommand,
                                                edits, drop):
@@ -948,6 +954,27 @@ class TestCliBehavior:
         captured = capsys.readouterr()
         assert "gain-sweep" in captured.err
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_gain_above_its_bound_exit_code(self, capsys, monkeypatch):
+        # element integrals 1 % too large break the gain's Cauchy-Schwarz
+        # bound at fig4's far points
+        from nearfield import field
+
+        exact = field.element_field_integrals
+
+        def inflated(geom, z, tol=1e-8):
+            integrals, ref = exact(geom, z, tol=tol)
+            return 1.01 * integrals, ref
+
+        monkeypatch.setattr(field, "element_field_integrals", inflated)
+        assert main(["gain-sweep", "--config",
+                     str(CONFIGS / "fig4_gain_sweep.yaml"), "--out", "-"]) \
+            == EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("numeric error in gain-sweep: exact gain ")
+        assert "Cauchy-Schwarz bound" in line
         assert captured.out == ""
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):

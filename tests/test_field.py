@@ -138,31 +138,41 @@ class TestElementIntegrals:
         np.testing.assert_allclose(integrals, self.direct_rule(g, 0.6),
                                    rtol=1e-12, atol=0)
 
+    def test_gauss_orders_rise_by_at_most_one_and_a_half(self):
+        # the orders tried run from 2 to 64, strictly rising, each at most
+        # 1.5 times the last
+        orders = field._GAUSS_ORDERS
+        assert orders[0] == 2 and orders[-1] == field._MAX_GAUSS_ORDER == 64
+        for low, high in zip(orders, orders[1:]):
+            assert low < high <= 1.5 * low
+
     @pytest.mark.parametrize("rows,cols", [(3, 4), (1, 7), (6, 1)])
-    def test_order_four_matches_unfolded_evaluation(self, monkeypatch, rows,
-                                                    cols):
-        # far out, orders 2 and 4 agree to 1e-6 and order 4 is accepted; it
-        # must still match the direct order-48 rule to 1e-6 of the largest
-        # element
+    def test_second_order_matches_unfolded_evaluation(self, monkeypatch, rows,
+                                                      cols):
+        # far out, the first two orders agree to 1e-6 and the second is
+        # accepted; it must still match the direct order-48 rule to 1e-6 of
+        # the largest element
         lam = 0.1
         g = build_upa(rows, cols, lam / 2, lam)
         orders = self.record_orders(monkeypatch)
         integrals, _ = element_field_integrals(g, 20.0, tol=1e-6)
-        assert orders == [2, 4]
+        assert orders == list(field._GAUSS_ORDERS[:2])
         expected = self.direct_rule(g, 20.0)
         assert np.abs(integrals - expected).max() \
             <= 1e-6 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("bound,factor,orders", [("d_f", 1e3, [2, 4]),
-                                                     ("d_b", 1.0, [2, 4, 8])])
+    @pytest.mark.parametrize("bound,factor,orders",
+                             [("d_f", 1e3, field._GAUSS_ORDERS[:2]),
+                              ("d_b", 1.0, field._GAUSS_ORDERS[:3])])
     def test_gauss_order_schedule(self, monkeypatch, bound, factor, orders):
-        # the order doubles from 2 until two levels agree: fig4's array at
-        # its tolerance stops at order 4 at 1000 d_F and at order 8 at d_B
+        # the orders of `_GAUSS_ORDERS` are tried from 2 until two levels
+        # agree: fig4's array at its tolerance stops at the second order at
+        # 1000 d_F and at the third at d_B
         g = make_desk_array()
         z = factor * getattr(boundary_distances(g), bound)
         called = self.record_orders(monkeypatch)
         element_field_integrals(g, z, tol=1e-6)
-        assert called == orders
+        assert called == list(orders)
 
     @pytest.mark.parametrize("side_over_z", [0.2, 1.0, 4.0])
     def test_reference_power_closed_form(self, side_over_z):
@@ -176,6 +186,18 @@ class TestElementIntegrals:
             lambda x, y: np.abs(efield_exact(x, y, z, lam)) ** 2,
             Rect(-h, h, -h, h), tol=1e-13)
         assert ref == pytest.approx(expected.real, rel=1e-13)
+
+    @pytest.mark.parametrize("u,v", [(0.3, 1.7), (2.5, 0.4)])
+    def test_power_integral_argument_order(self, u, v):
+        # the |E|^2 integral over |x| <= u z, |y| <= v z in closed form; the
+        # amplitude's x^2 + z^2 makes a non-square patch tell u from v
+        lam, z = 0.1, 1.5
+        expected = integrate_patch(
+            lambda x, y: np.abs(efield_exact(x, y, z, lam)) ** 2,
+            Rect(-u * z, u * z, -v * z, v * z), tol=1e-13).real
+        assert field._power_integral(u, v) == pytest.approx(expected,
+                                                             rel=1e-13)
+        assert abs(field._power_integral(v, u) - expected) > 1e-3 * expected
 
     def test_not_converged_raises(self):
         # a 20 lambda element one wavelength away needs more than order 64
@@ -196,7 +218,7 @@ class TestElementIntegrals:
             assert beam.array_gain_exact(g, 5.6e102) == pytest.approx(1.0)
             with pytest.raises(ValueError, match="float range"):
                 element_field_integrals(g, 5.7e102)
-        assert orders == [2, 4]
+        assert orders == list(field._GAUSS_ORDERS[:2])
 
     def test_blocks_do_not_change_result(self, monkeypatch):
         # 40-sample blocks split the 4x5 quadrant of a 7x9 array into
@@ -206,6 +228,15 @@ class TestElementIntegrals:
         monkeypatch.setattr(field, "_BLOCK_SAMPLES", 40)
         blocked, _ = element_field_integrals(g, 0.5, tol=1e-12)
         np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 23100, 32768])
+    def test_scratch_rows_aligned(self, size):
+        # every scratch row starts on a 64-byte line, wherever the heap
+        # puts the buffer
+        for _ in range(3):
+            work = field._scratch(size)
+            assert work.shape[0] == 4 and work.shape[1] >= size
+            assert [row.ctypes.data % 64 for row in work] == [0] * 4
 
     def test_level_memory_bounded(self):
         # one order-32 level of a 300x400 array; an unblocked field tensor
@@ -265,6 +296,27 @@ class TestChannelVectors:
         g = make_desk_array(5, 7)
         cv = fresnel_channel_vector(g, (0.3, -0.2, math.inf))
         np.testing.assert_array_equal(cv, np.ones(35))
+
+    @pytest.mark.parametrize("z", [1e-9, 1e-12, 1e-15, 1e-18, 5e-324])
+    def test_phase_above_an_element_near_the_centre(self, z):
+        # a point within a wavelength of the centre, almost on the corner
+        # element (on it once z^2 underflows): every phase within 1e-15 rad
+        # of -k ||e_k - p|| formed in 50-digit arithmetic, with no warning
+        mpmath = pytest.importorskip("mpmath")
+        lam = 0.1
+        g = build_upa(3, 3, 0.025, lam)
+        point = (0.025, 0.025, z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cv = fresnel_channel_vector(g, point)
+        with mpmath.workdps(50):
+            k = 2 * mpmath.pi / mpmath.mpf(lam)
+            for h, (cx, cy) in zip(cv, g.element_centers()):
+                d = mpmath.sqrt(sum((mpmath.mpf(float(a)) - mpmath.mpf(b)) ** 2
+                                    for a, b in zip((cx, cy, 0.0), point)))
+                exact = complex(mpmath.expj(-k * d))
+                assert abs(h) == pytest.approx(1.0, abs=1e-15)
+                assert abs(np.angle(h * exact.conjugate())) <= 1e-15
 
     def test_invalid_point(self):
         g = make_desk_array(2, 2)
