@@ -2,12 +2,14 @@
 
 Importing this module does not load numpy. Each runner imports the library
 module it runs (`beam`, `depth_mux`, `mimo_los`), so the closed-form
-subcommands start without numpy.
+subcommands start without numpy. A library call that can reject a value its
+key's kind accepted runs in `_blame(key)`, so the config error names the key.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import math
@@ -166,6 +168,15 @@ def subcommand(name: str, needs: Optional[str] = None, one_of=(), **keys):
     return register
 
 
+@contextlib.contextmanager
+def _blame(key: str):
+    """A library `ValueError` in the block, as a `ConfigError` naming `key`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _linspace(lo: float, hi: float, points: int, where: str) -> List[float]:
     """`points` values from lo to hi, as numpy.linspace spaces them:
     i * step + lo with the last one set to hi, and lo alone for one point;
@@ -222,12 +233,10 @@ def run_gain_sweep(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 
     d_f = cfg.bounds.d_f
     z_grid = _log_grid(exp["z_min"], exp["z_max"], exp["points"], "experiment")
-    try:
+    with _blame("experiment.z_max"):  # the exact field beyond the float range
         rows = [[z, z / d_f, beam.array_gain_exact(cfg.geometry, z,
                                                    tol=exp["tol"])]
                 for z in z_grid]
-    except ValueError as exc:  # the exact field beyond the float range
-        raise ConfigError(f"experiment.z_max: {exc}") from None
     return CsvSeries(["z_m", "z_over_dF", "gain"], rows)
 
 
@@ -243,10 +252,8 @@ def run_beam_width(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     header = ["x_m"]
     comments = []
     for i, f in enumerate(exp["focal_distances"], start=1):
-        try:
+        with _blame("experiment.focal_distances"):  # lambda F underflows
             columns.append(beam.gain_focal_plane(geom, f, x, 0.0))
-        except ValueError as exc:  # lambda F below the normal floats
-            raise ConfigError(f"experiment.focal_distances: {exc}") from None
         header.append(f"gain_f{i}")
         comments.append(f"f{i}: F={_fmt(f)} m, bw_3db={_fmt(beam.beam_width_3db(geom, f))} m")
     return CsvSeries(header, list(zip(*columns)), comments)
@@ -261,10 +268,8 @@ def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     rows = []
     a3db = beam.solve_a3db(geom.rows, geom.cols)
     for f in exp["focal_distances"]:
-        try:
+        with _blame("experiment.focal_distances"):  # d_F / (8F) overflows
             metrics = beam.beam_depth_3db(geom, f, a3db=a3db)
-        except ValueError as exc:  # d_F / (8F) beyond the float range
-            raise ConfigError(f"experiment.focal_distances: {exc}") from None
         rows.append([f, metrics.bd_interval[0], metrics.bd_interval[1],
                      metrics.bd_3db, metrics.bw_3db, a3db])
     return CsvSeries(
@@ -281,15 +286,14 @@ def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
                        "experiment.x_max")
     z_grid = _linspace(exp["z_min"], exp["z_max"], exp["z_points"],
                        "experiment.z_max")
-    try:
-        gains = beam.beam_pattern_map(
-            cfg.geometry, (0.0, 0.0, exp["focal_distance"]), x_grid, z_grid)
-    except ValueError as exc:  # a point whose norm leaves the float range
-        # the focus, else the largest coordinate of the farthest grid point
-        f = exp["focal_distance"]
-        key = ("focal_distance" if f * f == math.inf
-               else max(["x_max", "z_min", "z_max"], key=exp.get))
-        raise ConfigError(f"experiment.{key}: {exc}") from None
+    # a point whose norm leaves the float range: the focus, else the
+    # largest coordinate of the farthest grid point
+    f = exp["focal_distance"]
+    key = ("focal_distance" if f * f == math.inf
+           else max(["x_max", "z_min", "z_max"], key=exp.get))
+    with _blame(f"experiment.{key}"):
+        gains = beam.beam_pattern_map(cfg.geometry, (0.0, 0.0, f), x_grid,
+                                      z_grid)
     rows = [[x, z, gains[i, j]] for i, z in enumerate(z_grid)
             for j, x in enumerate(x_grid)]
     return CsvSeries(["x_m", "z_m", "gain"], rows)
@@ -322,11 +326,9 @@ def _plan(cfg: RunConfig, exp: Dict[str, Any]):
 
     exact = exp["depth_parameter"] == "exact"
     a3db = depth_mux.planning_depth_parameter(cfg.geometry, exact=exact)
-    try:
+    with _blame("experiment.d_min"):
         return depth_mux.plan_depth_focal_points(
             cfg.geometry, d_min=exp["d_min"], a3db=a3db)
-    except ValueError as exc:
-        raise ConfigError(f"experiment.d_min: {exc}") from None
 
 
 @subcommand("depth-plan", "geometry", gain_grid=(Schema({
@@ -361,10 +363,8 @@ def run_zf_sinr(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     users = exp["users"]
     if users == "from_plan":
         users = depth_mux.plan_user_positions(_plan(cfg, exp), cfg.geometry)
-    try:
+    with _blame("experiment.users"):  # a user beyond the float range
         channel = depth_mux.build_mu_channel(cfg.geometry, users)
-    except ValueError as exc:  # a user position beyond the float range
-        raise ConfigError(f"experiment.users: {exc}") from None
     if exp["precoder"] == "zf":
         w = depth_mux.zf_precoder(channel.matrix, exp["total_power"])
     else:
@@ -392,10 +392,8 @@ def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
     spacing = exp["spacing"]
     if spacing == "optimal":
         spacing = mimo_los.optimal_spacing(k, d, lam)
-    try:
+    with _blame("experiment.distance_m"):  # the link leaves the float range
         return mimo_los.build_los_mimo(k, spacing, d, lam)
-    except ValueError as exc:  # the link leaves the float range
-        raise ConfigError(f"experiment.distance_m: {exc}") from None
 
 
 @subcommand("los-capacity", "radio",
@@ -410,10 +408,8 @@ def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     eigenvalues = mimo_los.svd(h, compute_uv=False) ** 2
     b = radio.bandwidth()
     snr = radio.power_over_noise / b
-    try:
+    with _blame("experiment.distance_m"):  # a stream's SNR overflows
         result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
-    except ValueError as exc:  # a stream's SNR beyond the float range
-        raise ConfigError(f"experiment.distance_m: {exc}") from None
     rows = [[i + 1, eigenvalues[i], result.powers[i], result.capacity]
             for i in range(exp["num_antennas"])]
     return CsvSeries(
@@ -444,18 +440,16 @@ def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import mimo_los
 
     radio = cfg.radio
-    beta, key = exp["beta"], "experiment.beta"
+    beta = exp["beta"]
     grid = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"],
                      "experiment")
-    try:
+    # the path gain or P beta out of range
+    with _blame("experiment." + ("distance_m" if beta is None else "beta")):
         if beta is None:
-            key = "experiment.distance_m"
             beta = mimo_los.free_space_gain(radio.wavelength(),
                                             exp["distance_m"])
         sweep = mimo_los.capacity_bandwidth_sweep(radio.power_over_noise,
                                                   beta, grid)
-    except ValueError as exc:  # the path gain or P beta out of range
-        raise ConfigError(f"{key}: {exc}") from None
     rows = [[b, r, sweep.rate_limit, sweep.bandwidth_80pct]
             for b, r in zip(grid, sweep.rates)]
     return CsvSeries(
@@ -475,12 +469,11 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     variants = ["isotropic", "directive"] if model == "both" else [model]
     sweeps = {}
     for variant in variants:
-        try:
+        # path gain, SNR or stream count out of range
+        with _blame("experiment.distance_m"):
             sweeps[variant] = mimo_los.capacity_frequency_sweep(
                 exp["area_m2"], exp["distance_m"], freqs, cfg.radio,
                 directive=variant == "directive")
-        except ValueError as exc:  # path gain, SNR or stream count out of range
-            raise ConfigError(f"experiment.distance_m: {exc}") from None
     header = ["frequency_hz", "streams"] + [f"capacity_{v}_bit_per_s"
                                             for v in variants]
     rows = [[f, sweeps[variants[0]][i].num_streams]
@@ -502,10 +495,8 @@ def run_dof(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     area = exp["area_m2"]
     rows = []
     for lam, key in wavelengths:
-        try:
+        with _blame(f"experiment.{key}"):  # pi A / lambda^2 out of range
             rows.append([lam, area, mimo_los.spatial_dof(area, lam)])
-        except ValueError as exc:  # pi A / lambda^2 out of range
-            raise ConfigError(f"experiment.{key}: {exc}") from None
     return CsvSeries(["wavelength_m", "area_m2", "dof"], rows)
 
 
@@ -547,7 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         needs, schema = SCHEMAS[name]
         if needs and getattr(cfg, needs) is None:
-            raise ConfigError(f"{name} requires a {needs} block")
+            raise ConfigError(f"{needs}: missing block, which {name} needs")
         exp = schema.validate(cfg.experiment, "experiment", cfg.units)
         series = RUNNERS[name](cfg, exp)
         series.comments[:0] = [f"nearfield {__version__}",

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import re
 import shutil
 import tempfile
 import warnings
@@ -458,6 +459,17 @@ class TestCliBehavior:
         assert main(["gain-sweep", "--config", str(cfg), "--out", "-"]) \
             == EXIT_CONFIG_ERROR
         assert "geometry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand,block", [("regions", "geometry"),
+                                                  ("los-capacity", "radio")])
+    def test_missing_block_error_starts_with_it(self, tmp_path, capsys,
+                                                subcommand, block):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("experiment: {}\n")
+        assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
+            == EXIT_CONFIG_ERROR
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: {block}: missing block")
 
     def test_unknown_experiment_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -1016,13 +1028,15 @@ class TestCliBehavior:
 # ---------------------------------------------------------------------------
 # fuzzed configs
 
-#: YAML scalars at the edges of each kind: non-finite, beyond and at the
+#: YAML values at the edges of each kind: non-finite, beyond and at the
 #: ends of the float range, zero and negative, integers past the count
-#: limit, and values of the wrong type. As counts they are small or
-#: invalid, so no case builds a large array.
+#: limit, and values of the wrong type or nesting. As counts they are small
+#: or invalid, so no case builds a large array.
 EDGE_VALUES = (".nan", ".inf", "-.inf", "1.0e+300", "5.0e-324", "1.0e-155",
                "1.0e-170", "0", "-1", "1", "2", str(2**62), str(2**70),
-               "true", '"3 parsecs"', "[1]", "{}")
+               "true", '"3 parsecs"', "[1]", "[[1]]", "[]", "{}", "{a: 1}")
+#: edits that rename a key, by appending `_x`, or delete a key or list item
+RENAME, DROP = "<rename>", "<drop>"
 
 
 def edit_paths(schema, node, prefix):
@@ -1064,8 +1078,9 @@ def fuzz_bases():
         tables += [(block, table) for block, table in (
             ("geometry", config.GEOMETRY), ("radio", config.RADIO))
             if block == needs]
-        paths = [path for block, table in tables
-                 for path in edit_paths(table, tree.get(block), (block,))]
+        paths = [(block,) for block, _ in tables]
+        paths += [path for block, table in tables
+                  for path in edit_paths(table, tree.get(block), (block,))]
         bases.append((subcommand, tree, paths))
     return bases
 
@@ -1075,11 +1090,12 @@ FUZZ_BASES = fuzz_bases()
 
 @st.composite
 def fuzzed_configs(draw):
-    """A base config and one or two edits of it: (path, YAML scalar)."""
+    """A base config and one or two edits of it: (path, YAML value, or
+    RENAME or DROP)."""
     index = draw(st.integers(0, len(FUZZ_BASES) - 1))
     paths = draw(st.lists(st.sampled_from(FUZZ_BASES[index][2]), min_size=1,
                           max_size=2, unique=True))
-    return index, [(path, draw(st.sampled_from(EDGE_VALUES)))
+    return index, [(path, draw(st.sampled_from(EDGE_VALUES + (RENAME, DROP))))
                    for path in paths]
 
 
@@ -1091,8 +1107,9 @@ def holds(node, key):
 
 
 def edited(tree, edits):
-    """A copy of `tree` with each edit set. An edit is skipped where an
-    earlier one replaced its parent by a value of another type."""
+    """A copy of `tree` with each edit made. An edit is skipped where an
+    earlier one replaced or removed its parent, and a rename or deletion
+    where there is no key to rename or delete."""
     tree = copy.deepcopy(tree)
     for path, text in edits:
         parent = tree
@@ -1102,13 +1119,23 @@ def edited(tree, edits):
             else:
                 parent = (parent.get(key) if isinstance(parent, dict)
                           else parent[key])
-        if holds(parent, path[-1]):
-            parent[path[-1]] = yaml.load(text, Loader=LOADER)
+        key = path[-1]
+        if not holds(parent, key):
+            continue
+        if text == DROP:
+            if isinstance(parent, list) or key in parent:
+                del parent[key]
+        elif text == RENAME:
+            if isinstance(parent, dict) and key in parent:
+                parent[f"{key}_x"] = parent.pop(key)
+        else:
+            parent[key] = yaml.load(text, Loader=LOADER)
     return tree
 
 
 #: the zf-sinr base with its users given
 USERS_BASE = len(FUZZ_BASES) - 1
+REGIONS_BASE = [subcommand for subcommand, _, _ in FUZZ_BASES].index("regions")
 
 
 class TestFuzzedConfigs:
@@ -1120,11 +1147,13 @@ class TestFuzzedConfigs:
     @example(case=(USERS_BASE, [(("experiment", "users", 0, 2), "1.0e-170")]))
     @example(case=(USERS_BASE, [(("experiment", "users", 1, 2), "5.0e-324"),
                                 (("experiment", "precoder"), "mf")]))
+    @example(case=(REGIONS_BASE, [(("geometry",), DROP)]))
     def test_edge_values_exit_cleanly(self, time_limit, case):
         # exit 0, 2 or 3, with nothing raised out of main, no numpy
-        # warning, and no nan in a CSV that is written
+        # warning, and no nan in a CSV that is written; a config error
+        # starts with the root, a block or a key of the edit paths
         index, edits = case
-        subcommand, tree, _ = FUZZ_BASES[index]
+        subcommand, tree, paths = FUZZ_BASES[index]
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "fuzzed.yaml"
@@ -1142,4 +1171,11 @@ class TestFuzzedConfigs:
                      if not line.startswith("#") for cell in line.split(",")]
             assert "nan" not in cells
         else:
-            assert len(err.getvalue().splitlines()) == 1
+            [line] = err.getvalue().splitlines()
+        if rc == EXIT_CONFIG_ERROR:
+            blamed = re.match(r"config error: (.*?): ", line)
+            assert blamed, line
+            keys = {"config root"} | {".".join(k for k in path
+                                               if isinstance(k, str))
+                                      for path in paths}
+            assert re.sub(r"\[\d+\]", "", blamed[1]) in keys, line
