@@ -326,7 +326,8 @@ def _plan(cfg: RunConfig, exp: Dict[str, Any]):
 
     exact = exp["depth_parameter"] == "exact"
     a3db = depth_mux.planning_depth_parameter(cfg.geometry, exact=exact)
-    with _blame("experiment.d_min"):
+    # d_min defaults to the geometry's d_B
+    with _blame("geometry" if exp["d_min"] is None else "experiment.d_min"):
         return depth_mux.plan_depth_focal_points(
             cfg.geometry, d_min=exp["d_min"], a3db=a3db)
 

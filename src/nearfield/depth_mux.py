@@ -6,10 +6,10 @@ this module loads neither numpy nor `beam`; the channel, precoder and SINR
 functions import numpy when they run.
 
 The channel matrix comes from one blocked kernel pass that forms each
-user's phasors, with their free-space amplitude, straight into it
-(`field.phasor_rows`). Beyond the zero-forcing Gram product, the precoders
-make no temporary of the channel's size: W is their only array of that
-size, and it is scaled in place or formed in one multiply.
+user's phasors, with their free-space amplitude, and copies each block
+into it (`field.phasor_rows`). Beyond the zero-forcing Gram product, the
+precoders make no temporary of the channel's size: W is their only array
+of that size, and it is scaled in place or formed in one multiply.
 """
 
 from __future__ import annotations

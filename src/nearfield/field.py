@@ -8,9 +8,10 @@ The spherical-phase model is evaluated by one blocked kernel,
 `spherical_phasors`. It walks (points x elements) blocks of at most
 `_BLOCK_SAMPLES` samples in reused scratch arrays, so its memory is bounded
 for any array size and number of points. It forms the free-space amplitude
-lambda / (4 pi d) and checks its range. Channel vectors and multi-user
-channel matrices (`phasor_rows`) have it write each block straight into the
-real and imaginary planes of their output. A beam map reduces unit phasors
+lambda / (4 pi d) and checks its range. It yields each block in its scratch
+arrays, and each consumer reduces or stores it: channel vectors and
+multi-user channel matrices (`phasor_rows`) copy each block into the real and
+imaginary planes of their output, and a beam map reduces unit phasors
 against the focus weights in one pass over its whole grid; for an on-axis
 focus on a symmetric grid that grid is only the x >= 0 half.
 
@@ -70,25 +71,22 @@ def _scratch(size: int) -> np.ndarray:
     return buf[start:start + 4 * stride].reshape(4, stride)
 
 
-def _tangent_phasor(t, t2, q, numerator=1.0, denominator=None, out=None):
+def _tangent_phasor(t, t2, q, numerator=1.0, denominator=None):
     """(numerator / denominator) * e^{i phi} from t = tan(phi / 2), in place.
 
     Returns (re, im) = numerator / (denominator (1 + t^2)) * (1 - t^2, 2t),
-    written over `t2` and `t`, or into the pair of arrays `out`; `q` is
-    scratch, and `t` and `t2` are overwritten either way. One tangent
-    replaces a cosine and a sine, and no complex exponential is taken.
-    `numerator` and `denominator` (default 1) are scalars or arrays that
-    broadcast against `t`; the amplitude takes one division with the
-    1 + t^2 of the phasor.
+    written over `t2` and `t`; `q` is scratch. One tangent replaces a cosine
+    and a sine, and no complex exponential is taken. `numerator` and
+    `denominator` (default 1) are scalars or arrays that broadcast against
+    `t`; the amplitude takes one division with the 1 + t^2 of the phasor.
     """
     np.multiply(t, t, out=t2)
     np.add(t2, 1.0, out=q)
     if denominator is not None:
         q *= denominator
     np.divide(numerator, q, out=q)
-    re_out, im_out = (t2, t) if out is None else out
-    re = np.multiply(np.subtract(1.0, t2, out=t2), q, out=re_out)
-    im = np.multiply(np.multiply(t, 2.0, out=t), q, out=im_out)
+    re = np.multiply(np.subtract(1.0, t2, out=t2), q, out=t2)
+    im = np.multiply(np.multiply(t, 2.0, out=t), q, out=t)
     return re, im
 
 
@@ -193,12 +191,6 @@ def _power_integral(u: float, v: float) -> float:
     return corner / math.pi
 
 
-def _reference_power(geom: ArrayGeometry, z: float) -> float:
-    """Integral of |E|^2 over an element-sized patch centred at the origin."""
-    a = 0.5 * geom.element_side / z
-    return _power_integral(a, a)
-
-
 def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
     """Per-element integrals of the exact field, row-major, and the reference
     |E|^2 integral over an element-sized patch at the origin.
@@ -212,7 +204,7 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
     integrated and checked, and mirrored to the full grid; mirrored
     elements have the same integrals, so the check accepts what a
     full-grid check would. The reference is exact
-    (`_reference_power`). Raises `AccuracyError`, with the order-64
+    (`_power_integral`). Raises `AccuracyError`, with the order-64
     integrals as `best_estimate`, if order 64 does not meet the tolerance,
     and `ValueError` before any level if z is so large that the field's
     amplitude numerator z (x^2 + z^2) overflows, beyond about 5.6e102 m.
@@ -228,7 +220,8 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
         cur = _quadrant_integrals(geom, z, order)
         scale = np.maximum(np.abs(cur), np.abs(prev)).max()
         if np.abs(cur - prev).max() <= tol * scale:
-            return _mirror(geom, cur), _reference_power(geom, z)
+            a = 0.5 * geom.element_side / z
+            return _mirror(geom, cur), _power_integral(a, a)
         prev = cur
     raise AccuracyError(
         f"element integrals did not converge to rel tol {tol} by Gauss "
@@ -236,7 +229,7 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
 
 
 def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
-                      wavelength: float, points, amplitude=None, out=None):
+                      wavelength: float, points, amplitude=None):
     """Spherical per-element phasors e^{i phi} for a batch of points, in
     blocks.
 
@@ -264,10 +257,10 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
     samples: whole element rows where they fit, then as many rows and
     points as fit, so the innermost axis stays long however many points
     there are. `re` and `im` are views of scratch arrays that the next
-    block overwrites or, with `out` a complex (points, rows, columns)
-    array, of that block's real and imaginary planes in `out`; no points
-    yield no blocks. Squared distances and phase numerators are sums of a
-    row term and a column term, so only those are formed per sample.
+    block overwrites, so a consumer must reduce or copy them before it asks
+    for the next block; no points yield no blocks. Squared distances and
+    phase numerators are sums of a row term and a column term, so only those
+    are formed per sample.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if not (np.all(np.isfinite(points[:, :2])) and np.all(points[:, 2] > 0)):
@@ -341,22 +334,20 @@ def spherical_phasors(x_cols: np.ndarray, y_rows: np.ndarray,
                 np.tan(t, out=t)
                 num = numerator[ps] if amplitude == "point" else numerator
                 den = dist if amplitude == "element" else None
-                dest = None
-                if out is not None:
-                    block = out[ps, rs, cs]
-                    dest = (block.real, block.imag)
-                re, im = _tangent_phasor(t, c, d, num, den, dest)
+                re, im = _tangent_phasor(t, c, d, num, den)
                 yield ps, rs, cs, re, im
 
 
 def phasor_rows(geom: ArrayGeometry, points, amplitude=None) -> np.ndarray:
     """(points, elements) complex array of `spherical_phasors` over the
-    whole array, written block by block into its real and imaginary planes."""
+    whole array, each block copied into its real and imaginary planes."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     out = np.empty((len(points), geom.rows, geom.cols), dtype=complex)
-    for _ in spherical_phasors(*geom.element_axes(), geom.wavelength, points,
-                               amplitude, out):
-        pass
+    for ps, rs, cs, re, im in spherical_phasors(*geom.element_axes(),
+                                                geom.wavelength, points,
+                                                amplitude):
+        block = out[ps, rs, cs]
+        block.real, block.imag = re, im
     return out.reshape(len(points), geom.num_elements)
 
 

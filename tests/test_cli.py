@@ -708,6 +708,10 @@ class TestCliBehavior:
         # d_F is a subnormal, too coarse for the axial gains scaled by it
         ("fig7_depth_plan_gains.yaml", "depth-plan", "geometry",
          {"geometry.element_side": "1.0e-160"}),
+        # the default d_min, the geometry's d_B, admits more focal points
+        # than the array has elements
+        ("fig10_depth_plan.yaml", "depth-plan", "geometry",
+         {"geometry.element_side": '"1.0e+6 lambda"'}),
         # heatmap points whose norm overflows
         ("fig6_heatmap.yaml", "heatmap", "experiment.focal_distance",
          {"experiment.focal_distance": "1.0e+300"}),
@@ -727,6 +731,7 @@ class TestCliBehavior:
             "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
             "freq-snr-overflow", "freq-lambda2-underflow", "regions-side-1e300", "sweep-side-1e300",
             "regions-side-1e-300", "zf-side-1e-300", "plan-side-1e-160",
+            "plan-side-1e6-lambda",
             "heatmap-focal-1e300",
             "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300",
             "sweep-z-max-largest-float", "sweep-z-max-1e300"])
