@@ -3,8 +3,8 @@ LOS MIMO capacity."""
 
 __version__ = "0.1.0"
 
-from .geometry import ArrayGeometry, build_upa
-from .regions import RegionBounds, boundary_distances, classify
+from .geometry import (ArrayGeometry, RegionBounds, boundary_distances,
+                       build_upa, classify)
 
 __all__ = [
     "ArrayGeometry",

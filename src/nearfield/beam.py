@@ -14,9 +14,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from .geometry import ArrayGeometry
+from .geometry import SQUARE_DEPTH_CONSTANT, ArrayGeometry, boundary_distances
 from .numerics import AccuracyError, _fresnel, elementwise, solve_scalar_root
-from .regions import SQUARE_DEPTH_CONSTANT, boundary_distances
 
 if TYPE_CHECKING:
     import numpy as np
@@ -156,12 +155,12 @@ def solve_a3db(rows: int, cols: int) -> float:
 
     With s = 2/(rows^2 + cols^2), a3dB/s lies in [0.869, 1.2422] for every
     shape: 1.2422 for a square array (rows^2 * a3dB = 1.2422, often rounded
-    to 1.25) and 0.869 in the 1:inf limit. So the root is searched on the
-    fixed bracket [s/2, 2 s], which holds the one half-gain crossing.
+    to 1.25) and 0.869 in the 1:inf limit. So the one half-gain crossing is
+    searched on the fixed bracket [s/2, 2 s], to a tolerance scaled by s.
     """
     scale = 2.0 / (rows**2 + cols**2)
     return solve_scalar_root(lambda x: g_of_x(rows, cols, x) - 0.5,
-                             (0.5 * scale, 2.0 * scale), tol=1e-18)
+                             (0.5 * scale, 2.0 * scale), tol=1e-16 * scale)
 
 
 def beam_depth_3db(geom: ArrayGeometry, focal_distance: float,

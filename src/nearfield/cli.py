@@ -15,6 +15,7 @@ import io
 import math
 import numbers
 import sys
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +23,7 @@ from . import __version__
 from .config import (REQUIRED, SPEED_OF_LIGHT, ConfigError, RunConfig,
                      Schema, count, either, enum, frequency, length, list_of,
                      load_config, non_negative, position, positive)
-from . import regions
+from .geometry import classify
 from .numerics import AccuracyError, BracketError, RankError
 
 EXIT_CONFIG_ERROR = 2
@@ -222,7 +223,7 @@ def run_regions(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     # the label echoes each distance as written in the config
     for raw, d in zip(cfg.experiment.get("classify", ()), exp["classify"]):
         rows.append([f"classify({raw})", d, d / bounds.d_f,
-                     regions.classify(d, bounds)])
+                     classify(d, bounds)])
     return CsvSeries(["quantity", "meters", "in_dF", "label"], rows)
 
 
@@ -535,6 +536,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("\n".join(report))
         return 0 if passed else 1
     name = args.subcommand
+    # each warning printed as one line, not followed by the source line
+    # that warned; callers that record warnings still get every one
+    saved = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         cfg = load_config(args.config)
         needs, schema = SCHEMAS[name]
@@ -555,6 +560,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"numeric error in {name}: {str(exc) or 'out of memory'}",
               file=sys.stderr)
         return EXIT_NUMERIC_ERROR
+    finally:
+        warnings.formatwarning = saved
     target = args.out if args.out is not None else cfg.output
     if target in (None, "-"):
         sys.stdout.write(text.getvalue())

@@ -17,8 +17,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import yaml
 
-from .geometry import ArrayGeometry, build_upa
-from .regions import RegionBounds, boundary_distances
+from .geometry import ArrayGeometry, RegionBounds, boundary_distances, build_upa
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 

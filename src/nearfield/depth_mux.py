@@ -19,9 +19,8 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .geometry import ArrayGeometry
+from .geometry import SQUARE_DEPTH_CONSTANT, ArrayGeometry, boundary_distances
 from .numerics import RankError
-from .regions import SQUARE_DEPTH_CONSTANT, boundary_distances
 
 if TYPE_CHECKING:
     import numpy as np

@@ -271,6 +271,17 @@ class TestBeamDepth:
         a = solve_a3db(30, 40)
         assert g_of_x(30, 40, a) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("rows,cols", [(10, 10), (10**6, 10**6),
+                                           (10**9, 10**9), (10**12, 10**12),
+                                           (1, 10**12)])
+    def test_a3db_converges_at_every_scale(self, rows, cols):
+        # the root scales as 2/(rows^2 + cols^2), so a fixed absolute
+        # tolerance stops short of it on large arrays
+        a = solve_a3db(rows, cols)
+        assert g_of_x(rows, cols, a) == pytest.approx(0.5, abs=1e-12)
+        if rows == cols:
+            assert rows * rows * a == pytest.approx(1.2421576124333, rel=1e-9)
+
     def test_interval_endpoints_are_half_gain(self):
         g = make_desk_array()
         f = boundary_distances(g).d_fa / 25.0

@@ -1,8 +1,11 @@
 import contextlib
 import copy
 import io
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import nearfield
 from nearfield import beam, config
 from nearfield.beam import gain_axial
 from nearfield.cli import (
@@ -71,6 +75,18 @@ RESPELLED = {
 
 def run_subcommand(config, subcommand, out):
     return main([subcommand, "--config", str(config), "--out", str(out)])
+
+
+def run_cli_process(*args):
+    """Exit code and stderr lines of the CLI, writing to stdout, run in a
+    fresh interpreter that imports this checkout's nearfield."""
+    src = str(Path(nearfield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "nearfield.cli", *args, "--out", "-"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    return result.returncode, result.stderr.splitlines()
 
 
 #: libyaml's loader and emitter when PyYAML has them: the same trees as its
@@ -1028,6 +1044,44 @@ class TestCliBehavior:
         captured = capsys.readouterr()
         assert str(missing) in captured.err
         assert "Traceback" not in captured.err
+
+    def test_library_warning_one_stderr_line(self, tmp_path):
+        # a warning reaches stderr as one line, without the source line of
+        # the CLI call that warned
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "geometry:\n  rows: 10\n  cols: 10\n"
+            "  element_side: \"0.25 lambda\"\n  frequency: \"3 GHz\"\n"
+            "experiment:\n  users: [[0, 0, 1.0], [0, 0, 1.0]]\n"
+            "  noise_power: 1.0e-12\n")
+        rc, err = run_cli_process("zf-sinr", "--config", str(cfg))
+        assert rc == EXIT_NUMERIC_ERROR
+        assert len(err) == 2
+        assert err[0] == ("warning: duplicate user positions give a "
+                          "rank-deficient channel")
+        assert err[1].startswith("numeric error in zf-sinr: ")
+        cfg = config_with(tmp_path,
+                          (CONFIGS / "fig10_depth_plan.yaml").read_text(),
+                          "experiment.d_min", '"0.5 dB"')
+        rc, more = run_cli_process("depth-plan", "--config", str(cfg))
+        assert rc == 0
+        [line] = more
+        assert line.startswith("warning: d_min below d_B: ")
+        assert not [line for line in err + more if "cli.py" in line]
+
+    def test_main_leaves_warnings_to_recording_callers(self, tmp_path, capsys):
+        # main changes only how a warning is printed, and restores that
+        cfg = config_with(tmp_path,
+                          (CONFIGS / "fig10_depth_plan.yaml").read_text(),
+                          "experiment.d_min", '"0.5 dB"')
+        formatwarning = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["depth-plan", "--config", str(cfg), "--out", "-"]) \
+                == 0
+        assert [str(w.message)[:17] for w in caught] == ["d_min below d_B: "]
+        assert warnings.formatwarning is formatwarning
+        assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
