@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .geometry import SQUARE_DEPTH_CONSTANT, ArrayGeometry, boundary_distances
-from .numerics import AccuracyError, _fresnel, elementwise, solve_scalar_root
+from .numerics import (AccuracyError, _fresnel, check_positive, elementwise,
+                       solve_scalar_root)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,14 +78,11 @@ def gain_focal_plane(geom: ArrayGeometry, focal_distance: float,
     broadcast shape. Raises `ValueError` if lambda F is below the normal
     floats, where the sinc arguments lose their digits or divide by 0.
     """
-    if not (focal_distance > 0 and math.isfinite(focal_distance)):
-        raise ValueError("focal distance must be finite and positive")
     m, n = geom.rows, geom.cols
     d = geom.element_diagonal
-    lam = geom.wavelength
     kx = n / math.sqrt(2.0) * d
     ky = m / math.sqrt(2.0) * d
-    scale = lam * focal_distance
+    scale = geom.wavelength * check_positive("focal_distance", focal_distance)
     if scale < sys.float_info.min:  # it divides every sinc argument
         raise ValueError(f"focal distance {focal_distance:g} m puts "
                          "lambda F below the normal floats")
@@ -99,8 +97,7 @@ def gain_focal_plane(geom: ArrayGeometry, focal_distance: float,
 
 def beam_width_3db(geom: ArrayGeometry, focal_distance: float) -> float:
     """3 dB beam width along x in the focal plane."""
-    if not (focal_distance > 0 and math.isfinite(focal_distance)):
-        raise ValueError("focal distance must be finite and positive")
+    check_positive("focal_distance", focal_distance)
     return 0.886 * math.sqrt(2.0) * geom.wavelength * focal_distance / (
         geom.cols * geom.element_diagonal)
 
@@ -140,12 +137,12 @@ def gain_axial(geom: ArrayGeometry, focal_distance: float, z_r):
     list, and an ndarray an ndarray of its shape (`numerics.elementwise`).
     """
     q = boundary_distances(geom).d_f / 8.0
+    x_f = q / check_positive("focal_distance", focal_distance, finite=False)
     rows, cols = geom.rows, geom.cols
 
     def gain(z: float) -> float:
-        if not z > 0:
-            raise ValueError("z_r must be positive")
-        return _g(rows, cols, abs(q / focal_distance - q / z))
+        check_positive("z_r", z, finite=False)
+        return _g(rows, cols, abs(x_f - q / z))
 
     return elementwise(gain, z_r)
 
@@ -173,9 +170,8 @@ def beam_depth_3db(geom: ArrayGeometry, focal_distance: float,
     numerically exact half-gain parameter of this array shape. Raises
     `ValueError` for an F so small that x_F overflows.
     """
-    if focal_distance <= 0:
-        raise ValueError("focal distance must be positive")
     q = boundary_distances(geom).d_f / 8.0
+    check_positive("focal_distance", focal_distance, finite=False)
     x_f = q / focal_distance  # 0 for F = inf
     if x_f == math.inf:
         raise ValueError(f"focal distance {focal_distance:g} m puts d_F/(8F) "
@@ -197,10 +193,8 @@ def beam_depth_square(geom: ArrayGeometry, focal_distance: float) -> float:
     """Square-array closed-form 3 dB beam depth (rounded constant 10)."""
     if geom.rows != geom.cols:
         raise ValueError("square-array form requires rows == cols")
-    if focal_distance <= 0:
-        raise ValueError("focal distance must be positive")
     d_fa = boundary_distances(geom).d_fa
-    f = focal_distance
+    f = check_positive("focal_distance", focal_distance, finite=False)
     c = SQUARE_DEPTH_CONSTANT
     if f >= d_fa / c:  # inf included
         return math.inf

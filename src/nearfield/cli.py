@@ -64,8 +64,6 @@ class CsvSeries:
 def _fmt(value: Any) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, numbers.Integral):  # numpy registers its integers
         return str(int(value))
     v = float(value)

@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 import yaml
 
 from .geometry import ArrayGeometry, RegionBounds, boundary_distances, build_upa
+from .numerics import check_positive
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -246,8 +247,7 @@ class RadioParams:
     bandwidth_hz: float | None = None
 
     def __post_init__(self):
-        if self.carrier_frequency <= 0:
-            raise ValueError("carrier_frequency must be positive")
+        check_positive("carrier_frequency", self.carrier_frequency)
         if (self.bandwidth_fraction is None) == (self.bandwidth_hz is None):
             raise ValueError("set exactly one of bandwidth_fraction / bandwidth_hz")
         # these messages start with the field name, which config errors use

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .geometry import SQUARE_DEPTH_CONSTANT, ArrayGeometry, boundary_distances
-from .numerics import RankError
+from .numerics import RankError, check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,8 +82,7 @@ def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
     bounds = boundary_distances(geom)
     if d_min is None:
         d_min = bounds.d_b
-    if not 0 < d_min < math.inf:
-        raise ValueError("d_min must be finite and positive")
+    check_positive("d_min", d_min)
     if a3db is None:
         a3db = planning_depth_parameter(geom)
     inv_tau = bounds.d_f / (8.0 * a3db)  # first interval's lower endpoint
@@ -113,11 +112,8 @@ def plan_user_positions(plan: FocalPlan,
     """On-axis user positions for a focal plan; the infinite focal point is
     represented by a user at z = d_FA (inside its interval)."""
     d_fa = boundary_distances(geom).d_fa
-    positions = []
-    for f in plan.focal_points:
-        z = d_fa if math.isinf(f) else f
-        positions.append((0.0, 0.0, z))
-    return positions
+    return [(0.0, 0.0, d_fa if math.isinf(f) else f)
+            for f in plan.focal_points]
 
 
 def build_mu_channel(geom: ArrayGeometry, users: Sequence[Sequence[float]],
@@ -154,9 +150,8 @@ def zf_precoder(h: np.ndarray, total_power: float = 1.0) -> np.ndarray:
     """
     import numpy as np
 
+    check_positive("total_power", total_power)
     h = np.asarray(h)
-    if total_power <= 0:
-        raise ValueError("total_power must be positive")
     gram = h.conj().T @ h
     try:
         cond = np.linalg.cond(gram)
@@ -180,6 +175,7 @@ def matched_filter_precoder(h: np.ndarray, total_power: float = 1.0) -> np.ndarr
     """
     import numpy as np
 
+    check_positive("total_power", total_power)
     h = np.asarray(h)
     k = h.shape[1]
     parts = h.T[..., None].view(h.real.dtype)  # (K, elements, 2): [Re, Im]
@@ -197,8 +193,10 @@ def evaluate_sinr(h: np.ndarray, w: np.ndarray, noise_power: float,
     """
     import numpy as np
 
-    if noise_power < 0:
-        raise ValueError("noise_power must be non-negative")
+    if not 0 <= noise_power < math.inf:
+        raise ValueError("noise_power must be finite and non-negative, got "
+                         f"{noise_power!r}")
+    check_positive("bandwidth", bandwidth)
     cross = np.asarray(h).conj().T @ np.asarray(w)  # (K, K): h_k^H w_i
     signal = np.abs(np.diag(cross)) ** 2
     interference = np.sum(np.abs(cross) ** 2, axis=1) - signal

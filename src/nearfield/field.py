@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .numerics import AccuracyError
+from .numerics import AccuracyError, check_positive
 
 
 #: Gauss-Legendre orders per axis that `element_field_integrals` tries in
@@ -209,8 +209,7 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
     and `ValueError` before any level if z is so large that the field's
     amplitude numerator z (x^2 + z^2) overflows, beyond about 5.6e102 m.
     """
-    if not 0 < z < math.inf:
-        raise ValueError("z must be finite and positive")
+    check_positive("z", z)
     x_edge = 0.5 * geom.cols * geom.element_side  # bounds every node's |x|
     if math.isinf(z * (x_edge * x_edge + z * z)):
         raise ValueError(f"z = {z:g} m is beyond the float range of the "

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .numerics import check_positive
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -37,8 +39,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be >= 1")
-        if self.element_side <= 0 or self.wavelength <= 0:
-            raise ValueError("element_side and wavelength must be positive")
+        check_positive("element_side", self.element_side)
+        check_positive("wavelength", self.wavelength)
 
     @property
     def num_elements(self) -> int:
@@ -114,8 +116,7 @@ def boundary_distances(geom: ArrayGeometry) -> RegionBounds:
 
 def classify(d: float, bounds: RegionBounds) -> str:
     """Array-level region label for an observation distance."""
-    if d <= 0:
-        raise ValueError("distance must be positive")
+    check_positive("d", d, finite=False)
     if d <= bounds.d_n:
         return REACTIVE
     if d < bounds.d_fa:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .config import SPEED_OF_LIGHT, RadioParams
-from .numerics import AccuracyError, solve_scalar_root
+from .numerics import AccuracyError, check_positive, solve_scalar_root
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +66,9 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
     """
     import numpy as np
 
-    if distance <= 0 or spacing <= 0 or wavelength <= 0:
-        raise ValueError("distance, spacing, wavelength must be positive")
+    check_positive("spacing", spacing)
+    check_positive("distance", distance)
+    check_positive("wavelength", wavelength)
     k = num_antennas
     beta = free_space_gain(wavelength, distance)
     extent = (k - 1) * spacing
@@ -88,9 +89,10 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
 
 def optimal_spacing(num_antennas: int, distance: float, wavelength: float) -> float:
     """Spacing that makes the Fresnel Gram matrix a scaled identity."""
-    if num_antennas < 1 or distance <= 0 or wavelength <= 0:
-        raise ValueError("inputs must be positive")
-    return math.sqrt(wavelength * distance / num_antennas)
+    if num_antennas < 1:
+        raise ValueError("num_antennas must be >= 1")
+    return math.sqrt(check_positive("wavelength", wavelength)
+                     * check_positive("distance", distance) / num_antennas)
 
 
 def offdiag_magnitude(num_antennas: int, spacing: float, distance: float,
@@ -131,8 +133,8 @@ def capacity_waterfilling(eigenvalues: Sequence[float], snr: float,
     lam = np.asarray(eigenvalues, dtype=float)
     if not np.all(lam >= 0):
         raise ValueError("eigenvalues must be non-negative")
-    if snr <= 0 or bandwidth <= 0:
-        raise ValueError("snr and bandwidth must be positive")
+    check_positive("snr", snr)
+    check_positive("bandwidth", bandwidth)
     top = float(lam.max(initial=0.0))
     if not snr * top < math.inf:
         raise ValueError(f"the SNR {snr:g} times the largest eigenvalue "
@@ -179,9 +181,9 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
     A bandwidth so narrow that P beta/(B N0) overflows still gets a finite
     rate. Raises `ValueError` if P beta or that bandwidth leaves the float
     range."""
-    b = [float(v) for v in bandwidths]
-    if not b or any(v <= 0 for v in b):
-        raise ValueError("bandwidths must be positive and non-empty")
+    b = [check_positive("bandwidths", float(v)) for v in bandwidths]
+    if not b:
+        raise ValueError("bandwidths must be non-empty")
     s = power_over_noise * beta  # received power over N0, in Hz
     y80 = solve_scalar_root(lambda y: math.log1p(y) - 0.8 * y, (0.1, 10.0))
     b80 = s / y80
@@ -211,9 +213,8 @@ def num_streams_for_area(area: float, distance: float, wavelength: float,
     correct. Raises `ValueError` beyond 2^53, where a float no longer tells
     K from K + 1, and where lambda d / K underflows, so the fit test cannot
     tell them either."""
-    if area <= 0 or distance <= 0:
-        raise ValueError("area and distance must be positive")
-    side = math.sqrt(area)
+    side = math.sqrt(check_positive("area", area))
+    check_positive("distance", distance)
 
     def fits(k: int) -> bool:
         return math.sqrt(wavelength * distance / k) * (k - 1) \
@@ -299,8 +300,8 @@ def capacity_frequency_sweep(area: float, distance: float,
 def spatial_dof(area: float, wavelength: float) -> float:
     """Orthogonal spatial channels pi A / lambda^2 resolvable by a planar
     aperture. Raises `ValueError` unless that is a finite positive float."""
-    if area <= 0 or wavelength <= 0:
-        raise ValueError("area and wavelength must be positive")
+    check_positive("area", area)
+    check_positive("wavelength", wavelength)
     lam2 = float(wavelength) * float(wavelength)  # an overflow gives inf
     dof = math.pi * float(area) / lam2 if lam2 else math.inf
     if not 0.0 < dof < math.inf:

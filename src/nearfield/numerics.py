@@ -1,5 +1,5 @@
 """Shared numerical kernels: Fresnel integrals, root finding and a Hermitian
-eigendecomposition.
+eigendecomposition, and the guard on the library's scalar arguments.
 
 Importing it loads the standard library only. `elementwise` maps a scalar
 routine over a float, a list or an ndarray, and imports numpy only for an
@@ -40,6 +40,15 @@ class AccuracyError(RuntimeError):
 
 class RankError(ValueError):
     """A linear system or Gram matrix is (numerically) rank deficient."""
+
+
+def check_positive(name: str, value: float, finite: bool = True) -> float:
+    """`value` if it is positive, and finite unless `finite` is False, where
+    inf stands for a point at infinity. Else `ValueError` naming `name`."""
+    if value > 0 and (value < math.inf or not finite):  # False for nan
+        return value
+    qualifier = "finite and " if finite else ""
+    raise ValueError(f"{name} must be {qualifier}positive, got {value!r}")
 
 
 _EPS = sys.float_info.epsilon
@@ -163,6 +172,7 @@ def solve_scalar_root(
     Brent's method, to an absolute tolerance `tol` plus 4 eps relative.
     Raises `AccuracyError` if it has not converged after 100 iterations.
     """
+    check_positive("tol", tol, finite=False)
     lo, hi = bracket
     g_lo, g_hi = g(lo), g(hi)
     if math.isnan(g_lo) or math.isnan(g_hi):
@@ -173,8 +183,6 @@ def solve_scalar_root(
         return hi
     if (g_lo > 0) == (g_hi > 0):
         raise BracketError(f"no sign change on [{lo}, {hi}]: g={g_lo}, {g_hi}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     return _brentq(g, float(lo), float(hi), float(g_lo), float(g_hi), tol)
 
 

@@ -621,6 +621,42 @@ class TestCliBehavior:
         assert captured.err.splitlines() == [f"config error: {key}: {message}"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("config_name,subcommand,key,value,drop,line", [
+        ("fig4_gain_sweep.yaml", "gain-sweep", "experiment.z_min",
+         '"1e6 dF"', None, "experiment: need min < max and at least 2 points"),
+        ("dof.yaml", "dof", "experiment.area_m2", "0.5", "frequencies",
+         "experiment: need wavelengths_m or frequencies"),
+        ("regions.yaml", "regions", "output", "5", None,
+         "output: expected a string, got 5"),
+    ])
+    def test_config_error_one_line(self, tmp_path, capsys, config_name,
+                                   subcommand, key, value, drop, line):
+        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(), key,
+                          value, drop)
+        assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
+            == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config error: {line}"]
+        assert captured.out == ""
+
+    def test_empty_config_names_the_missing_geometry(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text("")
+        assert main(["regions", "--config", str(cfg), "--out", "-"]) \
+            == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: geometry: missing block, which regions needs"]
+
+    def test_null_experiment_runs_regions(self, tmp_path, capsys):
+        # an empty experiment block: the bounds, and nothing classified
+        cfg = config_with(tmp_path, (CONFIGS / "regions.yaml").read_text(),
+                          "experiment", "null")
+        assert main(["regions", "--config", str(cfg), "--out", "-"]) == 0
+        rows = [r for r in capsys.readouterr().out.splitlines()
+                if not r.startswith("#")]
+        assert [r.split(",")[0] for r in rows] == [
+            "quantity", "d_n", "d_f", "d_b", "d_fa"]
+
     @pytest.mark.parametrize("config_name,subcommand,key,value,drop", [
         ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
          "1e300", None),

@@ -11,10 +11,18 @@ from scipy.optimize import brentq
 from scipy.special import fresnel
 
 import nearfield
-from nearfield import beam, mimo_los
+from nearfield import beam, depth_mux, field, mimo_los
+from nearfield.config import RadioParams
+from nearfield.geometry import (
+    FAR_FIELD,
+    ArrayGeometry,
+    boundary_distances,
+    classify,
+)
 from nearfield.numerics import (
     AccuracyError,
     BracketError,
+    check_positive,
     elementwise,
     fresnel_cs,
     hermitian_eig,
@@ -233,6 +241,111 @@ class TestRootFinding:
         (g, (lo, hi), tol), = calls
         ref = brentq(g, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
         assert abs(solve_scalar_root(g, (lo, hi), tol) - ref) <= tol
+
+
+GEOM = ArrayGeometry(4, 4, 0.05, 0.1)
+H = np.array([[1.0, 0.5j], [0.2, 1.0], [0.1j, 0.3]])  # 3 elements, 2 users
+#: bad values of a finite positive argument, and of one where inf is a point
+#: at infinity
+FINITE = (math.nan, 0.0, -1.0, math.inf)
+AT_INFINITY = (math.nan, 0.0, -1.0)
+
+#: (routine, argument, call with the argument set to v, values it refuses)
+GUARDED = [
+    ("ArrayGeometry", "element_side",
+     lambda v: ArrayGeometry(4, 4, v, 0.1), FINITE),
+    ("ArrayGeometry", "wavelength",
+     lambda v: ArrayGeometry(4, 4, 0.05, v), FINITE),
+    ("classify", "d",
+     lambda v: classify(v, boundary_distances(GEOM)), AT_INFINITY),
+    ("gain_focal_plane", "focal_distance",
+     lambda v: beam.gain_focal_plane(GEOM, v, 0.0, 0.0), FINITE),
+    ("beam_width_3db", "focal_distance",
+     lambda v: beam.beam_width_3db(GEOM, v), FINITE),
+    ("gain_axial", "focal_distance",
+     lambda v: beam.gain_axial(GEOM, v, 5.0), AT_INFINITY),
+    ("gain_axial", "z_r", lambda v: beam.gain_axial(GEOM, 1.0, v),
+     AT_INFINITY),
+    ("beam_depth_3db", "focal_distance",
+     lambda v: beam.beam_depth_3db(GEOM, v), AT_INFINITY),
+    ("beam_depth_square", "focal_distance",
+     lambda v: beam.beam_depth_square(GEOM, v), AT_INFINITY),
+    ("array_gain_exact", "z", lambda v: beam.array_gain_exact(GEOM, v),
+     FINITE),
+    ("element_field_integrals", "z",
+     lambda v: field.element_field_integrals(GEOM, v), FINITE),
+    ("plan_depth_focal_points", "d_min",
+     lambda v: depth_mux.plan_depth_focal_points(GEOM, d_min=v), FINITE),
+    ("zf_precoder", "total_power",
+     lambda v: depth_mux.zf_precoder(H, v), FINITE),
+    ("matched_filter_precoder", "total_power",
+     lambda v: depth_mux.matched_filter_precoder(H, v), FINITE),
+    # noise_power may be 0: a noise-free link
+    ("evaluate_sinr", "noise_power",
+     lambda v: depth_mux.evaluate_sinr(H, H, v), (math.nan, -1.0, math.inf)),
+    ("evaluate_sinr", "bandwidth",
+     lambda v: depth_mux.evaluate_sinr(H, H, 0.1, bandwidth=v), FINITE),
+    ("build_los_mimo", "spacing",
+     lambda v: mimo_los.build_los_mimo(4, v, 10.0, 0.1), FINITE),
+    ("build_los_mimo", "distance",
+     lambda v: mimo_los.build_los_mimo(4, 0.5, v, 0.1), FINITE),
+    ("build_los_mimo", "wavelength",
+     lambda v: mimo_los.build_los_mimo(4, 0.5, 10.0, v), FINITE),
+    ("optimal_spacing", "distance",
+     lambda v: mimo_los.optimal_spacing(4, v, 0.1), FINITE),
+    ("optimal_spacing", "wavelength",
+     lambda v: mimo_los.optimal_spacing(4, 10.0, v), FINITE),
+    ("capacity_waterfilling", "snr",
+     lambda v: mimo_los.capacity_waterfilling([1.0, 0.5], v), FINITE),
+    ("capacity_waterfilling", "bandwidth",
+     lambda v: mimo_los.capacity_waterfilling([1.0, 0.5], 10.0, v), FINITE),
+    ("capacity_bandwidth_sweep", "bandwidths",
+     lambda v: mimo_los.capacity_bandwidth_sweep(1e10, 1e-6, [1e6, v]),
+     FINITE),
+    ("num_streams_for_area", "area",
+     lambda v: mimo_los.num_streams_for_area(v, 10.0, 0.1, 0.05), FINITE),
+    ("num_streams_for_area", "distance",
+     lambda v: mimo_los.num_streams_for_area(1.0, v, 0.1, 0.05), FINITE),
+    ("spatial_dof", "area", lambda v: mimo_los.spatial_dof(v, 0.1), FINITE),
+    ("spatial_dof", "wavelength",
+     lambda v: mimo_los.spatial_dof(1.0, v), FINITE),
+    ("RadioParams", "carrier_frequency",
+     lambda v: RadioParams(carrier_frequency=v, power_over_noise_db=90.0),
+     FINITE),
+    ("solve_scalar_root", "tol",
+     lambda v: solve_scalar_root(lambda x: x - 0.5, (0.0, 1.0), tol=v),
+     AT_INFINITY),
+]
+
+
+class TestScalarGuard:
+    @pytest.mark.parametrize("call,name,bad", [
+        pytest.param(call, name, bad, id=f"{routine}-{name}-{bad}")
+        for routine, name, call, refused in GUARDED for bad in refused])
+    def test_refused_value_names_its_argument(self, call, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(bad)
+
+    def test_infinity_is_a_point_at_infinity(self):
+        assert classify(math.inf, boundary_distances(GEOM)) == FAR_FIELD
+        # F = inf: the unfocused beam, finite gain and a finite near end
+        assert 0.0 < beam.gain_axial(GEOM, math.inf, 5.0) <= 1.0
+        assert 0.0 < beam.gain_axial(GEOM, 1.0, math.inf) <= 1.0
+        metrics = beam.beam_depth_3db(GEOM, math.inf)
+        assert 0.0 < metrics.bd_interval[0] < math.inf
+        assert metrics.bd_interval[1] == metrics.bd_3db == math.inf
+        assert beam.beam_depth_square(GEOM, math.inf) == math.inf
+        assert 0.0 <= solve_scalar_root(lambda x: x - 0.5, (0.0, 1.0),
+                                        tol=math.inf) <= 1.0
+
+    def test_check_positive(self):
+        assert check_positive("x", 2.5) == 2.5
+        assert check_positive("x", math.inf, finite=False) == math.inf
+        with pytest.raises(ValueError,
+                           match="^x must be finite and positive, got inf$"):
+            check_positive("x", math.inf)
+        with pytest.raises(ValueError, match="^x must be positive, got nan$"):
+            check_positive("x", math.nan, finite=False)
 
 
 class TestDenseLinalg:
