@@ -4,7 +4,8 @@ The closed forms (focal-plane and axial gain, g(x), beam width and depth)
 use `math` only: each evaluates one scalar routine per element of a float,
 a list or an ndarray (`numerics.elementwise`). So importing this module
 does not load numpy; the exact gain and the beam map import numpy and
-`field` when they run.
+`field` when they run. The exact gain is normalized by the reference |E|^2
+integral over one element, which has a closed form (`_power_integral`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,26 @@ class BeamMetrics:
     bd_interval: Tuple[float, float]
 
 
+def _power_integral(u: float, v: float) -> float:
+    """Integral of |E|^2 over the on-axis patch |x| <= u z, |y| <= v z, for
+    the source at distance z.
+
+    In units of z, the integrand is (x^2 + 1) / (4 pi (x^2 + y^2 + 1)^(5/2))
+    over |x| <= u, |y| <= v. Its antiderivative (Bjornson and Sanguinetti,
+    IEEE OJ-COMS 2020) is F(x, y) / (4 pi) with
+    F(x, y) = xy / (3 (y^2 + 1) sqrt(x^2 + y^2 + 1))
+              + (2/3) atan(xy / sqrt(x^2 + y^2 + 1)).
+    The integrand is not symmetric in x and y, so the order matters: u is
+    the half-width along x, the axis of the amplitude's x^2 + z^2. F is odd
+    in each argument, so the four signed corner terms sum to 4 F(u, v).
+    """
+    uv = u * v
+    root = math.sqrt(u * u + v * v + 1.0)
+    corner = (uv / (3.0 * (v * v + 1.0) * root)
+              + 2.0 / 3.0 * math.atan(uv / root))
+    return corner / math.pi
+
+
 def array_gain_exact(geom: ArrayGeometry, z: float, tol: float = 1e-6) -> float:
     """Normalized array gain from patch-integrated exact fields, in (0, 1].
 
@@ -44,12 +65,13 @@ def array_gain_exact(geom: ArrayGeometry, z: float, tol: float = 1e-6) -> float:
     """
     import numpy as np
 
-    from .field import _power_integral, element_field_integrals
+    from .field import element_field_integrals
 
-    integrals, ref = element_field_integrals(geom, z, tol=tol)
+    integrals = element_field_integrals(geom, z, tol=tol)
+    half = 0.5 * geom.element_side / z
+    ref = _power_integral(half, half)
     num = float(np.sum(np.abs(integrals) ** 2))
     gain = num / (geom.num_elements * geom.element_area * ref)
-    half = 0.5 * geom.element_side / z
     bound = (_power_integral(geom.cols * half, geom.rows * half)
              / (geom.num_elements * ref))
     # far out G and B both round to within a few ulps of 1
@@ -250,7 +272,7 @@ def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
     """
     import numpy as np
 
-    from .field import _fold, fresnel_channel_vector
+    from .field import fresnel_channel_vector
 
     x_grid = np.asarray(x_grid, dtype=float)
     z_grid = np.asarray(z_grid, dtype=float)
@@ -272,5 +294,5 @@ def beam_pattern_map(geom: ArrayGeometry, focal_point, x_grid,
     gains = _pattern_row(x_cols, y_rows[m // 2:], geom.wavelength, weights,
                          x_grid[half:], z_grid)
     if mirror:  # column j takes the gain at x_grid[count - 1 - j] for j < half
-        gains = gains[:, _fold(count)]
+        gains = np.concatenate((gains[:, ::-1][:, :half], gains), axis=1)
     return gains / geom.num_elements**2

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .config import (REQUIRED, SPEED_OF_LIGHT, ConfigError, RunConfig,
-                     Schema, count, either, enum, frequency, length, list_of,
-                     load_config, non_negative, position, positive)
-from .geometry import classify
+from .config import (REQUIRED, ConfigError, RunConfig, Schema, count, either,
+                     enum, frequency, length, list_of, load_config,
+                     non_negative, position, positive)
+from .geometry import SPEED_OF_LIGHT, classify
 from .numerics import AccuracyError, BracketError, RankError
 
 EXIT_CONFIG_ERROR = 2

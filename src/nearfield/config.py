@@ -3,8 +3,7 @@ every config block. One parser, `_quantity`, reads every real number: a
 plain number, or a numeric string such as `1e-6` (YAML 1.1 reads it as
 text), in the key's base unit (meters, hertz), or `"<number> <unit>"`
 scaled by the unit's entry in a unit table. The radio block's type,
-`RadioParams`, and `SPEED_OF_LIGHT` live here too, so that parsing a config
-needs no numpy."""
+`RadioParams`, lives here too."""
 
 from __future__ import annotations
 
@@ -17,10 +16,9 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import yaml
 
-from .geometry import ArrayGeometry, RegionBounds, boundary_distances, build_upa
+from .geometry import (SPEED_OF_LIGHT, ArrayGeometry, RegionBounds,
+                       boundary_distances, build_upa)
 from .numerics import check_positive
-
-SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
 class ConfigError(ValueError):
@@ -250,6 +248,9 @@ class RadioParams:
         check_positive("carrier_frequency", self.carrier_frequency)
         if (self.bandwidth_fraction is None) == (self.bandwidth_hz is None):
             raise ValueError("set exactly one of bandwidth_fraction / bandwidth_hz")
+        for name in ("bandwidth_fraction", "bandwidth_hz"):
+            if getattr(self, name) is not None:
+                check_positive(name, getattr(self, name))
         # these messages start with the field name, which config errors use
         if not 0.0 < self.power_over_noise < math.inf:
             raise ValueError(
@@ -304,22 +305,13 @@ def _lengths(values: Mapping[str, Any]) -> UnitTable:
 
 
 def _geometry(node: Any, where: str, units: UnitTable) -> ArrayGeometry:
-    """The geometry block; its `lambda` unit is its own wavelength, and its
-    region bounds must be finite positive normal floats: as a subnormal, a
-    bound has too few digits for the gains scaled by it."""
+    """The geometry block; its `lambda` unit is its own wavelength."""
     g = GEOMETRY.validate(node, where, _lengths)
-    geom = build_upa(g["rows"], g["cols"], g["element_side"],
-                     _lengths(g)["lambda"])
     try:
-        bounds = astuple(boundary_distances(geom))
-    except OverflowError:  # a bound beyond the float range
-        bounds = (math.inf,)
-    if not all(sys.float_info.min <= d < math.inf for d in bounds):
-        raise ConfigError(f"{where}: element_side {geom.element_side:g} m and "
-                          f"wavelength {geom.wavelength:g} m put a region "
-                          "bound (d_N, d_F, d_B or d_FA) outside the finite "
-                          "positive normal floats")
-    return geom
+        return build_upa(g["rows"], g["cols"], g["element_side"],
+                         _lengths(g)["lambda"])
+    except ValueError as exc:  # "<field> ...", a value out of range
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _radio(node: Any, where: str, units: UnitTable) -> RadioParams:

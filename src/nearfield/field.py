@@ -23,7 +23,7 @@ evaluation of that field and a generic adaptive quadrature
 (`tests/patch_quadrature.py`). The on-axis field is even in x and in y over
 the centred grid, so only the quadrant x >= 0, y >= 0 is integrated and
 then mirrored, and the node grid is evaluated in the same fixed-size
-blocks. The reference |E|^2 integral over one element has a closed form.
+blocks.
 
 Both kernels form e^{i phi} from t = tan(phi / 2) in `_tangent_phasor`:
 one tangent per sample, where a complex exponential would cost a cosine
@@ -159,41 +159,16 @@ def _quadrant_integrals(geom: ArrayGeometry, z: float, order: int) -> np.ndarray
     return out * (scale * np.exp(-2j * np.pi / geom.wavelength * z))
 
 
-def _fold(count: int) -> np.ndarray:
-    """For each of `count` centred positions, the index of its mirror image
-    within the upper half, positions count // 2 onwards."""
-    i = np.arange(count)
-    return np.maximum(i, count - 1 - i) - count // 2
-
-
 def _mirror(geom: ArrayGeometry, quadrant: np.ndarray) -> np.ndarray:
-    """Row-major per-element vector from its x >= 0, y >= 0 quadrant."""
-    return quadrant[np.ix_(_fold(geom.rows), _fold(geom.cols))].ravel()
-
-
-def _power_integral(u: float, v: float) -> float:
-    """Integral of |E|^2 over the on-axis patch |x| <= u z, |y| <= v z, for
-    the source at distance z.
-
-    In units of z, the integrand is (x^2 + 1) / (4 pi (x^2 + y^2 + 1)^(5/2))
-    over |x| <= u, |y| <= v. Its antiderivative (Bjornson and Sanguinetti,
-    IEEE OJ-COMS 2020) is F(x, y) / (4 pi) with
-    F(x, y) = xy / (3 (y^2 + 1) sqrt(x^2 + y^2 + 1))
-              + (2/3) atan(xy / sqrt(x^2 + y^2 + 1)).
-    The integrand is not symmetric in x and y, so the order matters: u is
-    the half-width along x, the axis of the amplitude's x^2 + z^2. F is odd
-    in each argument, so the four signed corner terms sum to 4 F(u, v).
-    """
-    uv = u * v
-    root = math.sqrt(u * u + v * v + 1.0)
-    corner = (uv / (3.0 * (v * v + 1.0) * root)
-              + 2.0 / 3.0 * math.atan(uv / root))
-    return corner / math.pi
+    """Row-major per-element vector from its x >= 0, y >= 0 quadrant: the
+    rows and columns before it are its mirror images."""
+    rows = np.concatenate((quadrant[::-1][:geom.rows // 2], quadrant))
+    return np.concatenate((rows[:, ::-1][:, :geom.cols // 2], rows),
+                          axis=1).ravel()
 
 
 def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
-    """Per-element integrals of the exact field, row-major, and the reference
-    |E|^2 integral over an element-sized patch at the origin.
+    """Per-element integrals of the exact field, row-major.
 
     Tries the Gauss orders of `_GAUSS_ORDERS` (2, 3, 4, 6, ..., 45, 64, each
     about sqrt(2) times the last) until two successive levels agree on
@@ -203,8 +178,7 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
     before it, not four times. Only the x >= 0, y >= 0 quadrant is
     integrated and checked, and mirrored to the full grid; mirrored
     elements have the same integrals, so the check accepts what a
-    full-grid check would. The reference is exact
-    (`_power_integral`). Raises `AccuracyError`, with the order-64
+    full-grid check would. Raises `AccuracyError`, with the order-64
     integrals as `best_estimate`, if order 64 does not meet the tolerance,
     and `ValueError` before any level if z is so large that the field's
     amplitude numerator z (x^2 + z^2) overflows, beyond about 5.6e102 m.
@@ -219,8 +193,7 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
         cur = _quadrant_integrals(geom, z, order)
         scale = np.maximum(np.abs(cur), np.abs(prev)).max()
         if np.abs(cur - prev).max() <= tol * scale:
-            a = 0.5 * geom.element_side / z
-            return _mirror(geom, cur), _power_integral(a, a)
+            return _mirror(geom, cur)
         prev = cur
     raise AccuracyError(
         f"element integrals did not converge to rel tol {tol} by Gauss "

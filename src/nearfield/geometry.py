@@ -1,17 +1,20 @@
-"""Planar array geometry and the near-/far-field boundary distances it
-fixes. Importing it does not load numpy; the element coordinate arrays
-import it when they are built."""
+"""Planar array geometry, the near-/far-field boundary distances it fixes,
+and the speed of light. Importing it does not load numpy; the element
+coordinate arrays import it when they are built."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 from .numerics import check_positive
 
 if TYPE_CHECKING:
     import numpy as np
+
+SPEED_OF_LIGHT = 299792458.0  # m/s
 
 REACTIVE = "reactive"
 RADIATIVE_NEAR_FIELD = "radiative-near-field"
@@ -25,11 +28,11 @@ SQUARE_DEPTH_CONSTANT = 10.0
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform planar array of contiguous square elements in the xy-plane.
-
-    The grid is centered at the origin with broadside along +z. Element
-    spacing equals the element side (gap-free tiling).
-    """
+    """Uniform planar array of contiguous square elements in the xy-plane,
+    centered at the origin with broadside along +z; element spacing equals
+    the element side (gap-free tiling). Its region bounds must be finite
+    positive normal floats: a subnormal bound has too few digits for the
+    gains scaled by it."""
 
     rows: int
     cols: int
@@ -41,6 +44,15 @@ class ArrayGeometry:
             raise ValueError("rows and cols must be >= 1")
         check_positive("element_side", self.element_side)
         check_positive("wavelength", self.wavelength)
+        try:
+            bounds = astuple(boundary_distances(self))
+        except OverflowError:  # a bound beyond the float range
+            bounds = (math.inf,)
+        if not all(sys.float_info.min <= d < math.inf for d in bounds):
+            raise ValueError(f"element_side {self.element_side:g} m and "
+                             f"wavelength {self.wavelength:g} m put a region "
+                             "bound (d_N, d_F, d_B or d_FA) outside the "
+                             "finite positive normal floats")
 
     @property
     def num_elements(self) -> int:

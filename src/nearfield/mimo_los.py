@@ -16,11 +16,13 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Tuple
 
-from .config import SPEED_OF_LIGHT, RadioParams
+from .geometry import SPEED_OF_LIGHT
 from .numerics import AccuracyError, check_positive, solve_scalar_root
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .config import RadioParams
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,10 @@ def num_streams_for_area(area: float, distance: float, wavelength: float,
     tell them either."""
     side = math.sqrt(check_positive("area", area))
     check_positive("distance", distance)
+    check_positive("wavelength", wavelength)
+    if not 0 <= antenna_width < math.inf:
+        raise ValueError("antenna_width must be finite and non-negative, got "
+                         f"{antenna_width!r}")
 
     def fits(k: int) -> bool:
         return math.sqrt(wavelength * distance / k) * (k - 1) \

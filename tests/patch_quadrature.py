@@ -33,7 +33,7 @@ def channel_vector(geom: ArrayGeometry, source_z: float,
                    tol: float = 1e-8) -> np.ndarray:
     """Exact patch-integrated channel vector for an on-axis source: one
     complex coefficient per element, row-major over (row, column)."""
-    integrals, _ = element_field_integrals(geom, source_z, tol=tol)
+    integrals = element_field_integrals(geom, source_z, tol=tol)
     return integrals / math.sqrt(geom.element_area)
 
 

@@ -18,6 +18,7 @@ from nearfield.beam import (
     solve_a3db,
 )
 from nearfield.cli import compare_golden, main
+from nearfield.config import RadioParams
 from nearfield.depth_mux import (
     build_mu_channel,
     evaluate_sinr,
@@ -26,7 +27,6 @@ from nearfield.depth_mux import (
     zf_precoder,
 )
 from nearfield.mimo_los import (
-    RadioParams,
     build_los_mimo,
     capacity_bandwidth_sweep,
     capacity_frequency_sweep,

@@ -87,8 +87,8 @@ def gain_bound(g, z):
     """The Cauchy-Schwarz bound on the exact gain: the aperture's |E|^2
     integral over that of N reference elements."""
     half = 0.5 * g.element_side / z
-    _, ref = field.element_field_integrals(g, z)
-    return (field._power_integral(g.cols * half, g.rows * half)
+    ref = beam._power_integral(half, half)
+    return (beam._power_integral(g.cols * half, g.rows * half)
             / (g.num_elements * ref))
 
 
@@ -124,8 +124,7 @@ class TestExactGainAccuracy:
         exact = field.element_field_integrals
 
         def inflated(geom, z, tol=1e-8):
-            integrals, ref = exact(geom, z, tol=tol)
-            return 1.01 * integrals, ref
+            return 1.01 * exact(geom, z, tol=tol)
 
         monkeypatch.setattr(field, "element_field_integrals", inflated)
         g = make_desk_array()

@@ -1033,8 +1033,7 @@ class TestCliBehavior:
         exact = field.element_field_integrals
 
         def inflated(geom, z, tol=1e-8):
-            integrals, ref = exact(geom, z, tol=tol)
-            return 1.01 * integrals, ref
+            return 1.01 * exact(geom, z, tol=tol)
 
         monkeypatch.setattr(field, "element_field_integrals", inflated)
         assert main(["gain-sweep", "--config",
@@ -1072,6 +1071,16 @@ class TestCliBehavior:
         assert main(["compare-golden", str(local), str(golden),
                      "--tol", "1e-6"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_compare_golden_headerless_file_exit_code(self, tmp_path, capsys):
+        # a file of comment lines only has no header to compare by
+        comments = tmp_path / "comments.csv"
+        comments.write_text("# nearfield dof\n# config_hash 0\n")
+        assert main(["compare-golden", str(comments),
+                     str(GOLDENS / "dof.csv")]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert f"{comments}: no CSV header found" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_compare_golden_missing_file_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"

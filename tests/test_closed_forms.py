@@ -27,7 +27,7 @@ from nearfield import beam
 from nearfield.beam import g_of_x, solve_a3db
 from nearfield.cli import SCHEMAS, _linspace, _log_grid, _plan, \
     compare_golden
-from nearfield.config import ConfigError, load_config
+from nearfield.config import ConfigError, RadioParams, load_config
 from nearfield.depth_mux import (
     GRAM_CONDITION_LIMIT,
     build_mu_channel,
@@ -38,7 +38,6 @@ from nearfield.depth_mux import (
 from nearfield.field import phasor_rows
 from nearfield.mimo_los import (
     CapacityResult,
-    RadioParams,
     build_los_mimo,
     capacity_bandwidth_sweep,
     capacity_waterfilling,

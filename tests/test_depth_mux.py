@@ -185,6 +185,10 @@ class TestChannelAndPrecoders:
                 np.abs(h[:, k]), self.geom.wavelength / (4 * math.pi * dist),
                 rtol=1e-14, atol=0)
 
+    def test_no_users_raise(self):
+        with pytest.raises(ValueError, match="need at least one user"):
+            build_mu_channel(self.geom, [])
+
     def test_duplicate_users_warn(self):
         with pytest.warns(UserWarning):
             build_mu_channel(self.geom, [(0, 0, 1.0), (0, 0, 1.0)])

@@ -55,6 +55,13 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(**kwargs)
 
+    @pytest.mark.parametrize("side", [1e200, 1e-160, 1e-170])
+    def test_region_bound_outside_normal_floats(self, side):
+        # d_N overflows at 1e200 m; d_F and d_FA are subnormal at 1e-160 m
+        # and round to 0 at 1e-170 m
+        with pytest.raises(ValueError, match="^element_side .* region bound"):
+            build_upa(4, 4, side, 0.1)
+
 
 class TestBoundaries:
     def test_desk_array_anchor_values(self):

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from nearfield.config import RADIO
+from nearfield.config import RADIO, RadioParams
+from nearfield.geometry import SPEED_OF_LIGHT
 from nearfield.mimo_los import (
-    RadioParams,
-    SPEED_OF_LIGHT,
     build_los_mimo,
     capacity_bandwidth_sweep,
     capacity_frequency_sweep,
@@ -114,7 +113,10 @@ class TestOptimalSpacing:
         lam = 0.1
         d = 12.0
         k_ant = 5
-        for spacing in (0.21, 0.4, optimal_spacing(k_ant, d, lam) * 1.3):
+        # at spacing sqrt(lam d) every q = (l - k) s^2 / (lam d) is a whole
+        # number: each series term is the same, so the entry is beta K
+        for spacing in (0.21, 0.4, optimal_spacing(k_ant, d, lam) * 1.3,
+                        math.sqrt(lam * d)):
             link = build_los_mimo(k_ant, spacing, d, lam)
             gram = link.h_fresnel.conj().T @ link.h_fresnel
             for (i, j) in ((0, 1), (0, 4), (2, 3)):
@@ -383,6 +385,11 @@ class TestFrequencySweep:
         assert all(d > i for d, i in zip(c_dir, c_iso))
         ratio = np.array(c_dir) / np.array(c_iso)
         assert np.all(np.diff(ratio) > 0)  # directivity pays off more at high f
+
+    def test_empty_range(self):
+        radio = RadioParams(carrier_frequency=3e9, power_over_noise_db=PN0_DB)
+        with pytest.raises(ValueError, match="frequency range is empty"):
+            capacity_frequency_sweep(AREA, DIST, [], radio)
 
     def test_point_value(self):
         radio = RadioParams(carrier_frequency=3e9, power_over_noise_db=PN0_DB)

@@ -291,6 +291,8 @@ GUARDED = [
      lambda v: mimo_los.build_los_mimo(4, 0.5, v, 0.1), FINITE),
     ("build_los_mimo", "wavelength",
      lambda v: mimo_los.build_los_mimo(4, 0.5, 10.0, v), FINITE),
+    ("optimal_spacing", "num_antennas",
+     lambda v: mimo_los.optimal_spacing(v, 10.0, 0.1), (0, -1)),
     ("optimal_spacing", "distance",
      lambda v: mimo_los.optimal_spacing(4, v, 0.1), FINITE),
     ("optimal_spacing", "wavelength",
@@ -306,12 +308,23 @@ GUARDED = [
      lambda v: mimo_los.num_streams_for_area(v, 10.0, 0.1, 0.05), FINITE),
     ("num_streams_for_area", "distance",
      lambda v: mimo_los.num_streams_for_area(1.0, v, 0.1, 0.05), FINITE),
+    ("num_streams_for_area", "wavelength",
+     lambda v: mimo_los.num_streams_for_area(1.0, 10.0, v, 0.05), FINITE),
+    # antenna_width may be 0: point antennas
+    ("num_streams_for_area", "antenna_width",
+     lambda v: mimo_los.num_streams_for_area(1.0, 10.0, 0.1, v),
+     (math.nan, -1.0, math.inf)),
     ("spatial_dof", "area", lambda v: mimo_los.spatial_dof(v, 0.1), FINITE),
     ("spatial_dof", "wavelength",
      lambda v: mimo_los.spatial_dof(1.0, v), FINITE),
     ("RadioParams", "carrier_frequency",
      lambda v: RadioParams(carrier_frequency=v, power_over_noise_db=90.0),
      FINITE),
+    ("RadioParams", "bandwidth_fraction",
+     lambda v: RadioParams(3e9, 90.0, bandwidth_fraction=v), FINITE),
+    ("RadioParams", "bandwidth_hz",
+     lambda v: RadioParams(3e9, 90.0, bandwidth_fraction=None,
+                           bandwidth_hz=v), FINITE),
     ("solve_scalar_root", "tol",
      lambda v: solve_scalar_root(lambda x: x - 0.5, (0.0, 1.0), tol=v),
      AT_INFINITY),
@@ -402,6 +415,17 @@ SCALAR_RUNS = [("regions", "regions"), ("dof", "dof"),
                ("beam-width", "fig5_beam_width"), ("g-of-x", "fig9_g_of_x"),
                ("depth-plan", "fig7_depth_plan_gains"),
                ("capacity-vs-bandwidth", "fig1_capacity_vs_bandwidth")]
+
+
+@pytest.mark.parametrize("module", ["numerics", "geometry", "field", "beam",
+                                    "depth_mux", "mimo_los"])
+def test_library_loads_no_config_layer(module):
+    # the YAML config layer sits above the library: no library module
+    # imports it, or PyYAML with it
+    code = (f"import sys, nearfield.{module}; "
+            "print([m for m in ('nearfield.config', 'yaml') "
+            "if m in sys.modules])")
+    assert run_fresh_python(code).strip() == "[]"
 
 
 def test_scalar_subcommands_load_no_numpy(tmp_path):
