@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .geometry import SQUARE_DEPTH_CONSTANT, ArrayGeometry, boundary_distances
-from .numerics import (AccuracyError, _fresnel, check_positive, elementwise,
-                       solve_scalar_root)
+from .numerics import (AccuracyError, _fresnel, check_count, check_positive,
+                       elementwise, solve_scalar_root)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,8 +97,8 @@ def gain_focal_plane(geom: ArrayGeometry, focal_distance: float,
 
     `x_r` and `y_r` are floats, lists or ndarrays (`numerics.elementwise`):
     floats give a float, a list a list, and an ndarray an ndarray of the
-    broadcast shape. Raises `ValueError` if lambda F is below the normal
-    floats, where the sinc arguments lose their digits or divide by 0.
+    broadcast shape. Raises `ValueError` for a nan x_r or y_r, or a lambda F
+    below the normal floats, where the sinc arguments lose digits or are 0/0.
     """
     m, n = geom.rows, geom.cols
     d = geom.element_diagonal
@@ -110,6 +110,9 @@ def gain_focal_plane(geom: ArrayGeometry, focal_distance: float,
                          "lambda F below the normal floats")
 
     def gain(x: float, y: float) -> float:
+        if math.isnan(x) or math.isnan(y):
+            name = "x_r" if math.isnan(x) else "y_r"
+            raise ValueError(f"{name} must not be nan")
         sx = _sinc(kx * x / scale)
         sy = _sinc(ky * y / scale)
         return sx * sx * (sy * sy)
@@ -132,9 +135,9 @@ def _axis_ratio(m: int, root: float, ax: float) -> float:
 
 def _g(rows: int, cols: int, x: float) -> float:
     """g(x) for one float: the product of the per-axis ratios, each at most
-    1, so no finite x overflows g or makes 0/0."""
+    1, so no x overflows g or makes 0/0. `_fresnel` refuses a nan x."""
     ax = abs(x)
-    if not ax > 0:
+    if ax == 0.0:
         return 1.0
     root = math.sqrt(ax)
     ratio = _axis_ratio(rows, root, ax)
@@ -147,6 +150,7 @@ def g_of_x(rows: int, cols: int, x):
     A float gives a float, a list a list, and an ndarray an ndarray of its
     shape (`numerics.elementwise`).
     """
+    rows, cols = check_count("rows", rows), check_count("cols", cols)
     return elementwise(lambda v: _g(rows, cols, v), x)
 
 
@@ -154,17 +158,19 @@ def gain_axial(geom: ArrayGeometry, focal_distance: float, z_r):
     """Normalized gain on the beam axis at distance(s) z_r when focused at F:
     g(x) at x = |x_F - x_z| with x_p = d_F/(8p), so (d_F/8)|1/F - 1/z_r|.
 
-    F = inf gives x_F = 0, and z_r = F gives x = 0, g = 1; where x_z
-    overflows, so does x, and g is 0. A float z_r gives a float, a list a
-    list, and an ndarray an ndarray of its shape (`numerics.elementwise`).
+    F = inf gives x_F = 0, and z_r = F gives x = 0, g = 1, also where x_F
+    overflows; else g is 0 where x_z overflows. A float, list or ndarray z_r
+    gives the same (`numerics.elementwise`).
     """
     q = boundary_distances(geom).d_f / 8.0
     x_f = q / check_positive("focal_distance", focal_distance, finite=False)
     rows, cols = geom.rows, geom.cols
 
     def gain(z: float) -> float:
-        check_positive("z_r", z, finite=False)
-        return _g(rows, cols, abs(x_f - q / z))
+        x_z = q / check_positive("z_r", z, finite=False)
+        if x_f == x_z == math.inf:  # inf - inf is nan
+            return 1.0 if z == focal_distance else 0.0
+        return _g(rows, cols, abs(x_f - x_z))
 
     return elementwise(gain, z_r)
 
@@ -177,8 +183,9 @@ def solve_a3db(rows: int, cols: int) -> float:
     to 1.25) and 0.869 in the 1:inf limit. So the one half-gain crossing is
     searched on the fixed bracket [s/2, 2 s], to a tolerance scaled by s.
     """
+    rows, cols = check_count("rows", rows), check_count("cols", cols)
     scale = 2.0 / (rows**2 + cols**2)
-    return solve_scalar_root(lambda x: g_of_x(rows, cols, x) - 0.5,
+    return solve_scalar_root(lambda x: _g(rows, cols, x) - 0.5,
                              (0.5 * scale, 2.0 * scale), tol=1e-16 * scale)
 
 

@@ -3,13 +3,12 @@
 Importing this module does not load numpy. Each runner imports the library
 module it runs (`beam`, `depth_mux`, `mimo_los`), so the closed-form
 subcommands start without numpy. A library call that can reject a value its
-key's kind accepted runs in `_blame(key)`, so the config error names the key.
+key's kind accepted runs in `blame(key)`, so the config error names the key.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import io
 import math
@@ -20,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .config import (REQUIRED, ConfigError, RunConfig, Schema, count, either,
-                     enum, frequency, length, list_of, load_config,
+from .config import (REQUIRED, ConfigError, RunConfig, Schema, blame, count,
+                     either, enum, frequency, length, list_of, load_config,
                      non_negative, position, positive)
 from .geometry import SPEED_OF_LIGHT, classify
 from .numerics import AccuracyError, BracketError, RankError
@@ -66,10 +65,7 @@ def _fmt(value: Any) -> str:
         return value
     if isinstance(value, numbers.Integral):  # numpy registers its integers
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".12g")
+    return format(float(value), ".12g")
 
 
 def _read_csv(path: str):
@@ -167,15 +163,6 @@ def subcommand(name: str, needs: Optional[str] = None, one_of=(), **keys):
     return register
 
 
-@contextlib.contextmanager
-def _blame(key: str):
-    """A library `ValueError` in the block, as a `ConfigError` naming `key`."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
 def _linspace(lo: float, hi: float, points: int, where: str) -> List[float]:
     """`points` values from lo to hi, as numpy.linspace spaces them:
     i * step + lo with the last one set to hi, and lo alone for one point;
@@ -232,7 +219,7 @@ def run_gain_sweep(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 
     d_f = cfg.bounds.d_f
     z_grid = _log_grid(exp["z_min"], exp["z_max"], exp["points"], "experiment")
-    with _blame("experiment.z_max"):  # the exact field beyond the float range
+    with blame("experiment.z_max"):  # the exact field beyond the float range
         rows = [[z, z / d_f, beam.array_gain_exact(cfg.geometry, z,
                                                    tol=exp["tol"])]
                 for z in z_grid]
@@ -251,7 +238,7 @@ def run_beam_width(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     header = ["x_m"]
     comments = []
     for i, f in enumerate(exp["focal_distances"], start=1):
-        with _blame("experiment.focal_distances"):  # lambda F underflows
+        with blame("experiment.focal_distances"):  # lambda F underflows
             columns.append(beam.gain_focal_plane(geom, f, x, 0.0))
         header.append(f"gain_f{i}")
         comments.append(f"f{i}: F={_fmt(f)} m, bw_3db={_fmt(beam.beam_width_3db(geom, f))} m")
@@ -267,7 +254,7 @@ def run_beam_depth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     rows = []
     a3db = beam.solve_a3db(geom.rows, geom.cols)
     for f in exp["focal_distances"]:
-        with _blame("experiment.focal_distances"):  # d_F / (8F) overflows
+        with blame("experiment.focal_distances"):  # d_F / (8F) overflows
             metrics = beam.beam_depth_3db(geom, f, a3db=a3db)
         rows.append([f, metrics.bd_interval[0], metrics.bd_interval[1],
                      metrics.bd_3db, metrics.bw_3db, a3db])
@@ -290,7 +277,7 @@ def run_heatmap(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     f = exp["focal_distance"]
     key = ("focal_distance" if f * f == math.inf
            else max(["x_max", "z_min", "z_max"], key=exp.get))
-    with _blame(f"experiment.{key}"):
+    with blame(f"experiment.{key}"):
         gains = beam.beam_pattern_map(cfg.geometry, (0.0, 0.0, f), x_grid,
                                       z_grid)
     rows = [[x, z, gains[i, j]] for i, z in enumerate(z_grid)
@@ -326,7 +313,7 @@ def _plan(cfg: RunConfig, exp: Dict[str, Any]):
     exact = exp["depth_parameter"] == "exact"
     a3db = depth_mux.planning_depth_parameter(cfg.geometry, exact=exact)
     # d_min defaults to the geometry's d_B
-    with _blame("geometry" if exp["d_min"] is None else "experiment.d_min"):
+    with blame("geometry" if exp["d_min"] is None else "experiment.d_min"):
         return depth_mux.plan_depth_focal_points(
             cfg.geometry, d_min=exp["d_min"], a3db=a3db)
 
@@ -363,7 +350,7 @@ def run_zf_sinr(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     users = exp["users"]
     if users == "from_plan":
         users = depth_mux.plan_user_positions(_plan(cfg, exp), cfg.geometry)
-    with _blame("experiment.users"):  # a user beyond the float range
+    with blame("experiment.users"):  # a user beyond the float range
         channel = depth_mux.build_mu_channel(cfg.geometry, users)
     if exp["precoder"] == "zf":
         w = depth_mux.zf_precoder(channel.matrix, exp["total_power"])
@@ -392,7 +379,7 @@ def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
     spacing = exp["spacing"]
     if spacing == "optimal":
         spacing = mimo_los.optimal_spacing(k, d, lam)
-    with _blame("experiment.distance_m"):  # the link leaves the float range
+    with blame("experiment.distance_m"):  # the link leaves the float range
         return mimo_los.build_los_mimo(k, spacing, d, lam)
 
 
@@ -408,7 +395,7 @@ def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     eigenvalues = mimo_los.svd(h, compute_uv=False) ** 2
     b = radio.bandwidth()
     snr = radio.power_over_noise / b
-    with _blame("experiment.distance_m"):  # a stream's SNR overflows
+    with blame("experiment.distance_m"):  # a stream's SNR overflows
         result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
     rows = [[i + 1, eigenvalues[i], result.powers[i], result.capacity]
             for i in range(exp["num_antennas"])]
@@ -444,7 +431,7 @@ def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     grid = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"],
                      "experiment")
     # the path gain or P beta out of range
-    with _blame("experiment." + ("distance_m" if beta is None else "beta")):
+    with blame("experiment." + ("distance_m" if beta is None else "beta")):
         if beta is None:
             beta = mimo_los.free_space_gain(radio.wavelength(),
                                             exp["distance_m"])
@@ -470,7 +457,7 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     sweeps = {}
     for variant in variants:
         # path gain, SNR or stream count out of range
-        with _blame("experiment.distance_m"):
+        with blame("experiment.distance_m"):
             sweeps[variant] = mimo_los.capacity_frequency_sweep(
                 exp["area_m2"], exp["distance_m"], freqs, cfg.radio,
                 directive=variant == "directive")
@@ -495,7 +482,7 @@ def run_dof(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     area = exp["area_m2"]
     rows = []
     for lam, key in wavelengths:
-        with _blame(f"experiment.{key}"):  # pi A / lambda^2 out of range
+        with blame(f"experiment.{key}"):  # pi A / lambda^2 out of range
             rows.append([lam, area, mimo_los.spatial_dof(area, lam)])
     return CsvSeries(["wavelength_m", "area_m2", "dof"], rows)
 

@@ -7,10 +7,10 @@ scaled by the unit's entry in a unit table. The radio block's type,
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
-import sys
 from dataclasses import astuple, dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -18,11 +18,20 @@ import yaml
 
 from .geometry import (SPEED_OF_LIGHT, ArrayGeometry, RegionBounds,
                        boundary_distances, build_upa)
-from .numerics import check_positive
+from .numerics import check_count, check_positive
 
 
 class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
+
+
+@contextlib.contextmanager
+def blame(key: str):
+    """A library `ValueError` in the block, as a `ConfigError` naming `key`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 FREQUENCY_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
@@ -88,13 +97,6 @@ def _unit_missing(unit: str, where: str) -> str:
             "block, so it cannot give the block's own lengths")
 
 
-def _int(value: Any, where: str, units: UnitTable) -> int:
-    """A YAML integer: `2.7`, `"40"` and `true` are not."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
 def _ranged(parse: Kind, test: Callable[[float], bool], what: str) -> Kind:
     """The values that `parse` reads as a number passing `test`."""
     def check(value: Any, where: str, units: UnitTable) -> Any:
@@ -105,11 +107,13 @@ def _ranged(parse: Kind, test: Callable[[float], bool], what: str) -> Kind:
     return check
 
 
+def count(value: Any, where: str, units: UnitTable) -> int:
+    """An integer `numerics.check_count` takes: not `2.7`, `"40"` or `true`."""
+    with blame(where):
+        return check_count(where.rpartition(".")[2], value)
+
+
 _POSITIVE = (lambda x: 0 < x < math.inf, "finite and positive")
-#: The largest count: the most complex values one array can hold.
-_MAX_COUNT = sys.maxsize // 16
-count = _ranged(_int, lambda n: 1 <= n <= _MAX_COUNT,
-                f"from 1 to {_MAX_COUNT}")
 number = _ranged(_quantity({}), math.isfinite, "finite")
 positive = _ranged(_quantity({}), *_POSITIVE)
 non_negative = _ranged(_quantity({}), lambda x: 0 <= x < math.inf,
@@ -307,11 +311,9 @@ def _lengths(values: Mapping[str, Any]) -> UnitTable:
 def _geometry(node: Any, where: str, units: UnitTable) -> ArrayGeometry:
     """The geometry block; its `lambda` unit is its own wavelength."""
     g = GEOMETRY.validate(node, where, _lengths)
-    try:
+    with blame(where):  # "<field> ...", a value out of range
         return build_upa(g["rows"], g["cols"], g["element_side"],
                          _lengths(g)["lambda"])
-    except ValueError as exc:  # "<field> ...", a value out of range
-        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _radio(node: Any, where: str, units: UnitTable) -> RadioParams:

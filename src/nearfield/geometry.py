@@ -9,7 +9,7 @@ import sys
 from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
-from .numerics import check_positive
+from .numerics import check_count, check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,8 +40,8 @@ class ArrayGeometry:
     wavelength: float
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be >= 1")
+        check_count("rows", self.rows)
+        check_count("cols", self.cols)
         check_positive("element_side", self.element_side)
         check_positive("wavelength", self.wavelength)
         try:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .geometry import SPEED_OF_LIGHT
-from .numerics import AccuracyError, check_positive, solve_scalar_root
+from .numerics import (AccuracyError, check_count, check_positive,
+                       solve_scalar_root)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,10 +69,10 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
     """
     import numpy as np
 
+    k = check_count("num_antennas", num_antennas)
     check_positive("spacing", spacing)
     check_positive("distance", distance)
     check_positive("wavelength", wavelength)
-    k = num_antennas
     beta = free_space_gain(wavelength, distance)
     extent = (k - 1) * spacing
     if not distance * distance + extent * extent < math.inf:
@@ -91,21 +92,19 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
 
 def optimal_spacing(num_antennas: int, distance: float, wavelength: float) -> float:
     """Spacing that makes the Fresnel Gram matrix a scaled identity."""
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be >= 1")
+    k = check_count("num_antennas", num_antennas)
     return math.sqrt(check_positive("wavelength", wavelength)
-                     * check_positive("distance", distance) / num_antennas)
+                     * check_positive("distance", distance) / k)
 
 
 def offdiag_magnitude(num_antennas: int, spacing: float, distance: float,
-                      wavelength: float, k: int, l: int,
-                      beta: float | None = None) -> float:
+                      wavelength: float, k: int, l: int) -> float:
     """|(k, l) off-diagonal entry| of the Fresnel Gram matrix, closed form
     (geometric series)."""
+    check_count("num_antennas", num_antennas)
     if k == l:
         raise ValueError("k and l must differ")
-    if beta is None:
-        beta = free_space_gain(wavelength, distance)
+    beta = free_space_gain(wavelength, distance)
     q = (l - k) * spacing**2 / (wavelength * distance)
     denom = 1.0 - cmath.exp(2j * math.pi * q)
     if abs(denom) < 1e-12:
@@ -162,7 +161,8 @@ def equal_eigenvalue_capacity(num_streams: int, snr: float,
                               bandwidth: float = 1.0) -> float:
     """Capacity with equal eigenvalues and equal power split (closed form)."""
     # log1p keeps the rate of an snr below eps, where 1 + snr rounds to 1
-    return bandwidth * num_streams * (math.log1p(snr) / math.log(2.0))
+    return (bandwidth * check_count("num_streams", num_streams)
+            * (math.log1p(snr) / math.log(2.0)))
 
 
 @dataclass(frozen=True)
@@ -344,6 +344,7 @@ def mode_analysis(link: LosMimoLink, num_angles: int = 2048) -> ModeAnalysis:
     `AccuracyError` if the SVD does not converge."""
     import numpy as np
 
+    check_count("num_angles", num_angles)
     _, s, vh = svd(link.h_exact)
     fractions = s**2 / np.sum(s**2)
     angles = np.linspace(-np.pi / 2.0, np.pi / 2.0, num_angles)

@@ -1,5 +1,5 @@
 """Shared numerical kernels: Fresnel integrals, root finding and a Hermitian
-eigendecomposition, and the guard on the library's scalar arguments.
+eigendecomposition, and the guards on the library's scalars and counts.
 
 Importing it loads the standard library only. `elementwise` maps a scalar
 routine over a float, a list or an ndarray, and imports numpy only for an
@@ -14,6 +14,7 @@ Minimization without Derivatives*, 1973, ch. 4), in the form of scipy's
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
@@ -51,6 +52,23 @@ def check_positive(name: str, value: float, finite: bool = True) -> float:
     raise ValueError(f"{name} must be {qualifier}positive, got {value!r}")
 
 
+#: The largest count: the most complex values one array can hold.
+MAX_COUNT = sys.maxsize // 16
+
+
+def check_count(name: str, value: int) -> int:
+    """`value` as an int if it has `__index__` (numpy integers do), is not a
+    bool and is from 1 to `MAX_COUNT`; else `ValueError` naming `name`."""
+    try:
+        count = 0 if isinstance(value, bool) else operator.index(value)
+    except TypeError:  # a float, a string, None, ...
+        count = 0
+    if 1 <= count <= MAX_COUNT:
+        return count
+    raise ValueError(f"{name} must be an integer from 1 to {MAX_COUNT}, "
+                     f"got {value!r}")
+
+
 _EPS = sys.float_info.epsilon
 #: Fresnel series below this |x|, continued fraction above (NR's XMIN).
 _FRESNEL_SERIES_MAX = 1.5
@@ -67,7 +85,7 @@ _BRENT_MAX_ITER = 100
 def _fresnel(x: float) -> Tuple[float, float]:
     """(C(x), S(x)) for one float: NR `frenel` in double precision."""
     if math.isnan(x):
-        raise ValueError("fresnel_cs requires input that is not nan")
+        raise ValueError("x must not be nan")
     ax = abs(x)
     if ax > _FRESNEL_HALF_MIN:
         c = s = 0.5

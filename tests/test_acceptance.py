@@ -200,7 +200,7 @@ def test_criterion_07_los_orthogonality():
         i, j = sorted(rng.choice(k, size=2, replace=False))
         brute = abs(gram[i, j])
         closed = offdiag_magnitude(k, spacing, dist, lam,
-                                   int(i) + 1, int(j) + 1, beta=link.beta)
+                                   int(i) + 1, int(j) + 1)
         assert abs(closed - brute) <= 1e-10 * max(brute, link.beta)
 
 

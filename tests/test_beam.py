@@ -180,12 +180,20 @@ class TestFocalPlaneGain:
             beam_width_3db(g, math.inf)
         with pytest.raises(ValueError):
             gain_focal_plane(g, -1.0, 0.0, 0.0)
+        # nan is no point of the focal plane, not even a null
+        with pytest.raises(ValueError, match="^x_r must not be nan$"):
+            gain_focal_plane(g, 1.0, math.nan, 0.0)
+        with pytest.raises(ValueError, match="^y_r must not be nan$"):
+            gain_focal_plane(g, 1.0, [0.0, 0.1], [0.0, math.nan])
 
 
 class TestAxialGain:
     def test_limit_at_zero(self):
         assert g_of_x(10, 10, 0.0) == pytest.approx(1.0)
         assert g_of_x(3, 7, 1e-12) == pytest.approx(1.0, abs=1e-6)
+        # only x = 0 is the peak: nan is refused, not read as 0
+        with pytest.raises(ValueError, match="^x must not be nan$"):
+            g_of_x(10, 10, math.nan)
 
     def test_even(self):
         vals = np.array([0.003, 0.01, 0.02])
@@ -234,6 +242,9 @@ class TestAxialGain:
         g = make_desk_array()
         assert gain_axial(g, 1.0, 5e-324) == 0.0
         assert gain_axial(g, math.inf, np.array([5e-324]))[0] == 0.0
+        # x_F overflows too: g takes its limit, 0 off the focus, 1 on it
+        assert gain_axial(g, 1e-320, 1e-319) == 0.0
+        assert gain_axial(g, 1e-320, [1e-320, 1.0]) == [1.0, 0.0]
         assert len(recwarn) == 0
 
     def test_non_positive_distance_rejected(self):

@@ -122,7 +122,7 @@ class TestOptimalSpacing:
             for (i, j) in ((0, 1), (0, 4), (2, 3)):
                 expected = abs(gram[i, j])
                 got = offdiag_magnitude(k_ant, spacing, d, lam,
-                                        i + 1, j + 1, beta=link.beta)
+                                        i + 1, j + 1)
                 assert got == pytest.approx(expected, rel=1e-10, abs=1e-18)
 
     def test_offdiag_vanishes_at_optimal_spacing(self):

@@ -20,8 +20,10 @@ from nearfield.geometry import (
     classify,
 )
 from nearfield.numerics import (
+    MAX_COUNT,
     AccuracyError,
     BracketError,
+    check_count,
     check_positive,
     elementwise,
     fresnel_cs,
@@ -205,6 +207,15 @@ class TestRootFinding:
         with pytest.raises(BracketError):
             solve_scalar_root(lambda x: x * x + 1.0, (-1.0, 1.0))
 
+    @pytest.mark.parametrize("g,where", [
+        (lambda x: math.nan if x == 0.0 else x - 0.5,
+         r"an end of \[0.0, 1.0\]"),
+        (lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan, "0.5"),
+    ], ids=["at-an-end", "inside"])
+    def test_nan_raises(self, g, where):
+        with pytest.raises(ValueError, match=f"^g is NaN at {where}$"):
+            solve_scalar_root(g, (0.0, 1.0))
+
     def test_iteration_cap_raises(self):
         # a step function over a 1e300-wide bracket needs ~2000 bisections
         with pytest.raises(AccuracyError):
@@ -249,9 +260,14 @@ H = np.array([[1.0, 0.5j], [0.2, 1.0], [0.1j, 0.3]])  # 3 elements, 2 users
 #: at infinity
 FINITE = (math.nan, 0.0, -1.0, math.inf)
 AT_INFINITY = (math.nan, 0.0, -1.0)
+#: bad values of a count
+COUNT = (0, -1, 2.5, True, math.nan, MAX_COUNT + 1)
+LINK = mimo_los.build_los_mimo(4, 0.5, 10.0, 0.1)
 
 #: (routine, argument, call with the argument set to v, values it refuses)
 GUARDED = [
+    ("ArrayGeometry", "rows", lambda v: ArrayGeometry(v, 4, 0.05, 0.1), COUNT),
+    ("ArrayGeometry", "cols", lambda v: ArrayGeometry(4, v, 0.05, 0.1), COUNT),
     ("ArrayGeometry", "element_side",
      lambda v: ArrayGeometry(4, 4, v, 0.1), FINITE),
     ("ArrayGeometry", "wavelength",
@@ -266,6 +282,10 @@ GUARDED = [
      lambda v: beam.gain_axial(GEOM, v, 5.0), AT_INFINITY),
     ("gain_axial", "z_r", lambda v: beam.gain_axial(GEOM, 1.0, v),
      AT_INFINITY),
+    ("g_of_x", "rows", lambda v: beam.g_of_x(v, 4, 0.1), COUNT),
+    ("g_of_x", "cols", lambda v: beam.g_of_x(4, v, 0.1), COUNT),
+    ("solve_a3db", "rows", lambda v: beam.solve_a3db(v, 4), COUNT),
+    ("solve_a3db", "cols", lambda v: beam.solve_a3db(4, v), COUNT),
     ("beam_depth_3db", "focal_distance",
      lambda v: beam.beam_depth_3db(GEOM, v), AT_INFINITY),
     ("beam_depth_square", "focal_distance",
@@ -285,6 +305,8 @@ GUARDED = [
      lambda v: depth_mux.evaluate_sinr(H, H, v), (math.nan, -1.0, math.inf)),
     ("evaluate_sinr", "bandwidth",
      lambda v: depth_mux.evaluate_sinr(H, H, 0.1, bandwidth=v), FINITE),
+    ("build_los_mimo", "num_antennas",
+     lambda v: mimo_los.build_los_mimo(v, 0.5, 10.0, 0.1), COUNT),
     ("build_los_mimo", "spacing",
      lambda v: mimo_los.build_los_mimo(4, v, 10.0, 0.1), FINITE),
     ("build_los_mimo", "distance",
@@ -292,11 +314,17 @@ GUARDED = [
     ("build_los_mimo", "wavelength",
      lambda v: mimo_los.build_los_mimo(4, 0.5, 10.0, v), FINITE),
     ("optimal_spacing", "num_antennas",
-     lambda v: mimo_los.optimal_spacing(v, 10.0, 0.1), (0, -1)),
+     lambda v: mimo_los.optimal_spacing(v, 10.0, 0.1), COUNT),
     ("optimal_spacing", "distance",
      lambda v: mimo_los.optimal_spacing(4, v, 0.1), FINITE),
     ("optimal_spacing", "wavelength",
      lambda v: mimo_los.optimal_spacing(4, 10.0, v), FINITE),
+    ("offdiag_magnitude", "num_antennas",
+     lambda v: mimo_los.offdiag_magnitude(v, 0.5, 10.0, 0.1, 1, 2), COUNT),
+    ("equal_eigenvalue_capacity", "num_streams",
+     lambda v: mimo_los.equal_eigenvalue_capacity(v, 10.0), COUNT),
+    ("mode_analysis", "num_angles",
+     lambda v: mimo_los.mode_analysis(LINK, num_angles=v), COUNT),
     ("capacity_waterfilling", "snr",
      lambda v: mimo_los.capacity_waterfilling([1.0, 0.5], v), FINITE),
     ("capacity_waterfilling", "bandwidth",
@@ -359,6 +387,14 @@ class TestScalarGuard:
             check_positive("x", math.inf)
         with pytest.raises(ValueError, match="^x must be positive, got nan$"):
             check_positive("x", math.nan, finite=False)
+
+    def test_check_count(self):
+        assert check_count("n", MAX_COUNT) == MAX_COUNT
+        count = check_count("n", np.int64(3))  # numpy integers pass
+        assert count == 3 and type(count) is int
+        with pytest.raises(ValueError, match=f"^n must be an integer from 1 "
+                                             f"to {MAX_COUNT}, got 2.5$"):
+            check_count("n", 2.5)
 
 
 class TestDenseLinalg:
