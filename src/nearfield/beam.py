@@ -207,6 +207,7 @@ def beam_depth_3db(geom: ArrayGeometry, focal_distance: float,
                          "beyond the float range")
     if a3db is None:
         a3db = solve_a3db(geom.rows, geom.cols)
+    check_positive("a3db", a3db)
     z_lo = q / (x_f + a3db)
     if x_f > a3db:
         z_hi = q / (x_f - a3db)

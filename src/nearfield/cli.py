@@ -22,8 +22,9 @@ from . import __version__
 from .config import (REQUIRED, ConfigError, RunConfig, Schema, blame, count,
                      either, enum, frequency, length, list_of, load_config,
                      non_negative, position, positive)
-from .geometry import SPEED_OF_LIGHT, classify
-from .numerics import AccuracyError, BracketError, RankError
+from .geometry import classify, wavelength_of
+from .numerics import (AccuracyError, BracketError, RankError,
+                       check_non_negative)
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
@@ -102,8 +103,7 @@ def compare_golden(csv_path: str, golden_path: str, rel_tol: float):
     `rel_tol` is finite and non-negative, or if a file is not a rectangular
     CSV.
     """
-    if not 0.0 <= rel_tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {rel_tol}")
+    check_non_negative("tol", rel_tol)
     header_a, rows_a = _read_csv(csv_path)
     header_b, rows_b = _read_csv(golden_path)
     report = []
@@ -452,6 +452,8 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import mimo_los
 
     freqs = _log_grid(exp["f_min"], exp["f_max"], exp["points"], "experiment")
+    with blame("experiment.f_min"):  # c / f overflows first at the lowest f
+        wavelength_of(freqs[0])
     model = exp["gain_model"]
     variants = ["isotropic", "directive"] if model == "both" else [model]
     sweeps = {}
@@ -475,14 +477,15 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 def run_dof(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import mimo_los
 
-    wavelengths = [(lam, "wavelengths_m") for lam in exp["wavelengths_m"]] + [
-        (SPEED_OF_LIGHT / f, "frequencies") for f in exp["frequencies"]]
-    if not wavelengths:
+    values = [(lam, "wavelengths_m") for lam in exp["wavelengths_m"]] + [
+        (f, "frequencies") for f in exp["frequencies"]]
+    if not values:
         raise ConfigError("experiment: need wavelengths_m or frequencies")
     area = exp["area_m2"]
     rows = []
-    for lam, key in wavelengths:
-        with blame(f"experiment.{key}"):  # pi A / lambda^2 out of range
+    for value, key in values:
+        with blame(f"experiment.{key}"):  # c / f or pi A / lambda^2
+            lam = wavelength_of(value) if key == "frequencies" else value
             rows.append([lam, area, mimo_los.spatial_dof(area, lam)])
     return CsvSeries(["wavelength_m", "area_m2", "dof"], rows)
 

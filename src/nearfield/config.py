@@ -16,8 +16,8 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 import yaml
 
-from .geometry import (SPEED_OF_LIGHT, ArrayGeometry, RegionBounds,
-                       boundary_distances, build_upa)
+from .geometry import (ArrayGeometry, RegionBounds, boundary_distances,
+                       build_upa, wavelength_of)
 from .numerics import check_count, check_positive
 
 
@@ -255,7 +255,11 @@ class RadioParams:
         for name in ("bandwidth_fraction", "bandwidth_hz"):
             if getattr(self, name) is not None:
                 check_positive(name, getattr(self, name))
-        # these messages start with the field name, which config errors use
+        # these messages start with the config key, which config errors use
+        try:
+            self.wavelength()
+        except ValueError as exc:  # c / f beyond the float range
+            raise ValueError(f"frequency: {exc}") from None
         if not 0.0 < self.power_over_noise < math.inf:
             raise ValueError(
                 f"power_over_noise_db: {self.power_over_noise_db:g} dB gives "
@@ -274,7 +278,7 @@ class RadioParams:
             return math.inf
 
     def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_frequency
+        return wavelength_of(self.carrier_frequency)
 
     def bandwidth(self, frequency: float | None = None) -> float:
         if self.bandwidth_hz is not None:
@@ -298,11 +302,13 @@ RADIO = Schema({
 }, one_of=(("bandwidth_fraction", "bandwidth_hz"),))
 
 
-def _lengths(values: Mapping[str, Any]) -> UnitTable:
-    """The length units of the geometry block once `values` are parsed:
-    `lambda` is its wavelength, once that is set."""
+def _lengths(values: Mapping[str, Any], where: str) -> UnitTable:
+    """The length units of the geometry block at key `where` once `values`
+    are parsed: `lambda` is its wavelength, once that is set."""
     if values.get("frequency"):
-        return {**LENGTH_UNITS, "lambda": SPEED_OF_LIGHT / values["frequency"]}
+        with blame(f"{where}.frequency"):  # c / f beyond the float range
+            return {**LENGTH_UNITS,
+                    "lambda": wavelength_of(values["frequency"])}
     if values.get("wavelength"):
         return {**LENGTH_UNITS, "lambda": values["wavelength"]}
     return LENGTH_UNITS
@@ -310,10 +316,10 @@ def _lengths(values: Mapping[str, Any]) -> UnitTable:
 
 def _geometry(node: Any, where: str, units: UnitTable) -> ArrayGeometry:
     """The geometry block; its `lambda` unit is its own wavelength."""
-    g = GEOMETRY.validate(node, where, _lengths)
+    g = GEOMETRY.validate(node, where, lambda values: _lengths(values, where))
     with blame(where):  # "<field> ...", a value out of range
         return build_upa(g["rows"], g["cols"], g["element_side"],
-                         _lengths(g)["lambda"])
+                         _lengths(g, where)["lambda"])
 
 
 def _radio(node: Any, where: str, units: UnitTable) -> RadioParams:

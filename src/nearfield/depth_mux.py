@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .geometry import SQUARE_DEPTH_CONSTANT, ArrayGeometry, boundary_distances
-from .numerics import RankError, check_positive
+from .numerics import RankError, check_non_negative, check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,6 +85,7 @@ def plan_depth_focal_points(geom: ArrayGeometry, d_min: Optional[float] = None,
     check_positive("d_min", d_min)
     if a3db is None:
         a3db = planning_depth_parameter(geom)
+    check_positive("a3db", a3db)
     inv_tau = bounds.d_f / (8.0 * a3db)  # first interval's lower endpoint
     # the finite focal points are inv_tau / (2j) for j = 1..n, down to d_min;
     # the relative 1e-9 keeps a point that lands on d_min despite rounding
@@ -193,9 +194,7 @@ def evaluate_sinr(h: np.ndarray, w: np.ndarray, noise_power: float,
     """
     import numpy as np
 
-    if not 0 <= noise_power < math.inf:
-        raise ValueError("noise_power must be finite and non-negative, got "
-                         f"{noise_power!r}")
+    check_non_negative("noise_power", noise_power)
     check_positive("bandwidth", bandwidth)
     cross = np.asarray(h).conj().T @ np.asarray(w)  # (K, K): h_k^H w_i
     signal = np.abs(np.diag(cross)) ** 2

@@ -184,6 +184,7 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
     amplitude numerator z (x^2 + z^2) overflows, beyond about 5.6e102 m.
     """
     check_positive("z", z)
+    check_positive("tol", tol)
     x_edge = 0.5 * geom.cols * geom.element_side  # bounds every node's |x|
     if math.isinf(z * (x_edge * x_edge + z * z)):
         raise ValueError(f"z = {z:g} m is beyond the float range of the "

@@ -1,6 +1,6 @@
 """Planar array geometry, the near-/far-field boundary distances it fixes,
-and the speed of light. Importing it does not load numpy; the element
-coordinate arrays import it when they are built."""
+and the speed of light and a carrier's wavelength. Importing it does not
+load numpy; the element coordinate arrays import it when they are built."""
 
 from __future__ import annotations
 
@@ -15,6 +15,17 @@ if TYPE_CHECKING:
     import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
+
+
+def wavelength_of(frequency: float) -> float:
+    """The wavelength c / f in meters at `frequency` Hz. `ValueError` unless
+    f is finite and positive and c / f finite: f >= about 1.668e-300 Hz."""
+    wavelength = SPEED_OF_LIGHT / float(check_positive("frequency", frequency))
+    if wavelength == math.inf:
+        raise ValueError(f"frequency {frequency:g} Hz puts the wavelength "
+                         "c / f beyond the float range")
+    return wavelength
+
 
 REACTIVE = "reactive"
 RADIATIVE_NEAR_FIELD = "radiative-near-field"

@@ -16,9 +16,9 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Tuple
 
-from .geometry import SPEED_OF_LIGHT
-from .numerics import (AccuracyError, check_count, check_positive,
-                       solve_scalar_root)
+from .geometry import wavelength_of
+from .numerics import (AccuracyError, check_count, check_non_negative,
+                       check_positive, solve_scalar_root)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,8 +100,13 @@ def optimal_spacing(num_antennas: int, distance: float, wavelength: float) -> fl
 def offdiag_magnitude(num_antennas: int, spacing: float, distance: float,
                       wavelength: float, k: int, l: int) -> float:
     """|(k, l) off-diagonal entry| of the Fresnel Gram matrix, closed form
-    (geometric series)."""
-    check_count("num_antennas", num_antennas)
+    (geometric series). The antenna indices k and l run from 1 to K."""
+    num_antennas = check_count("num_antennas", num_antennas)
+    check_positive("spacing", spacing)
+    for name, index in (("k", k), ("l", l)):
+        if check_count(name, index) > num_antennas:
+            raise ValueError(f"{name} must be an antenna index from 1 to "
+                             f"{num_antennas}, got {index!r}")
     if k == l:
         raise ValueError("k and l must differ")
     beta = free_space_gain(wavelength, distance)
@@ -159,10 +164,12 @@ def capacity_waterfilling(eigenvalues: Sequence[float], snr: float,
 
 def equal_eigenvalue_capacity(num_streams: int, snr: float,
                               bandwidth: float = 1.0) -> float:
-    """Capacity with equal eigenvalues and equal power split (closed form)."""
+    """Capacity with equal eigenvalues and equal power split (closed form).
+    An snr of 0, a signal below the float range, gives 0 bit/s."""
     # log1p keeps the rate of an snr below eps, where 1 + snr rounds to 1
-    return (bandwidth * check_count("num_streams", num_streams)
-            * (math.log1p(snr) / math.log(2.0)))
+    return (check_positive("bandwidth", bandwidth)
+            * check_count("num_streams", num_streams)
+            * (math.log1p(check_non_negative("snr", snr)) / math.log(2.0)))
 
 
 @dataclass(frozen=True)
@@ -218,9 +225,7 @@ def num_streams_for_area(area: float, distance: float, wavelength: float,
     side = math.sqrt(check_positive("area", area))
     check_positive("distance", distance)
     check_positive("wavelength", wavelength)
-    if not 0 <= antenna_width < math.inf:
-        raise ValueError("antenna_width must be finite and non-negative, got "
-                         f"{antenna_width!r}")
+    check_non_negative("antenna_width", antenna_width)
 
     def fits(k: int) -> bool:
         return math.sqrt(wavelength * distance / k) * (k - 1) \
@@ -279,15 +284,16 @@ def capacity_frequency_sweep(area: float, distance: float,
     approximation closer in. 10 m is inside that distance for the 0.1 m
     square above about 75 GHz (9.34 m at 70 GHz, 13.3 m at 100 GHz), and
     this sweep does not model the near-field loss of gain there.
-    Raises `ValueError` if the path gain, the stream count or the SNR
-    leaves the float range.
+    Raises `ValueError` if a frequency has no finite wavelength
+    (`geometry.wavelength_of`), or if the path gain, the stream count or the
+    SNR leaves the float range.
     """
     freqs = [float(f) for f in frequencies]  # an overflow gives inf
     if not freqs:
         raise ValueError("frequency range is empty")
     points = []
     for f in freqs:
-        lam = SPEED_OF_LIGHT / f
+        lam = wavelength_of(f)
         k = num_streams_for_area(area, distance, lam, lam / 2.0)
         beta = free_space_gain(lam, distance)
         if directive:

@@ -52,6 +52,14 @@ def check_positive(name: str, value: float, finite: bool = True) -> float:
     raise ValueError(f"{name} must be {qualifier}positive, got {value!r}")
 
 
+def check_non_negative(name: str, value: float) -> float:
+    """`value` if it is finite and not negative, where 0 is a usable value
+    (no noise, a point antenna). Else `ValueError` naming `name`."""
+    if 0 <= value < math.inf:  # False for nan
+        return value
+    raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 #: The largest count: the most complex values one array can hold.
 MAX_COUNT = sys.maxsize // 16
 

@@ -700,6 +700,20 @@ class TestCliBehavior:
         # lambda F underflows, and divides the focal-plane sinc arguments
         ("fig5_beam_width.yaml", "beam-width", "experiment.focal_distances",
          "[5.0e-324]", None),
+        # a carrier so low that its wavelength c / f overflows
+        ("los_capacity.yaml", "los-capacity", "radio.frequency", "5.0e-324",
+         None),
+        ("fig11_mode_patterns.yaml", "mode-patterns", "radio.frequency",
+         "5.0e-324", None),
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
+         "radio.frequency", "5.0e-324", None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "radio.frequency", "5.0e-324", None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.f_min", "5.0e-324", None),
+        ("regions.yaml", "regions", "geometry.frequency", "5.0e-324", None),
+        ("dof.yaml", "dof", "experiment.frequencies", "[5.0e-324, 3.0e+9]",
+         None),
     ])
     def test_value_beyond_model_range_exit_code(self, tmp_path, capsys,
                                                 config_name, subcommand, key,
@@ -1240,6 +1254,7 @@ def edited(tree, edits):
 #: the zf-sinr base with its users given
 USERS_BASE = len(FUZZ_BASES) - 1
 REGIONS_BASE = [subcommand for subcommand, _, _ in FUZZ_BASES].index("regions")
+LOS_BASE = [subcommand for subcommand, _, _ in FUZZ_BASES].index("los-capacity")
 
 
 class TestFuzzedConfigs:
@@ -1252,6 +1267,8 @@ class TestFuzzedConfigs:
     @example(case=(USERS_BASE, [(("experiment", "users", 1, 2), "5.0e-324"),
                                 (("experiment", "precoder"), "mf")]))
     @example(case=(REGIONS_BASE, [(("geometry",), DROP)]))
+    # a carrier whose wavelength c / f overflows
+    @example(case=(LOS_BASE, [(("radio", "frequency"), "5.0e-324")]))
     def test_edge_values_exit_cleanly(self, time_limit, case):
         # exit 0, 2 or 3, with nothing raised out of main, no numpy
         # warning, and no nan in a CSV that is written; a config error

@@ -15,15 +15,18 @@ from nearfield import beam, depth_mux, field, mimo_los
 from nearfield.config import RadioParams
 from nearfield.geometry import (
     FAR_FIELD,
+    SPEED_OF_LIGHT,
     ArrayGeometry,
     boundary_distances,
     classify,
+    wavelength_of,
 )
 from nearfield.numerics import (
     MAX_COUNT,
     AccuracyError,
     BracketError,
     check_count,
+    check_non_negative,
     check_positive,
     elementwise,
     fresnel_cs,
@@ -263,6 +266,7 @@ AT_INFINITY = (math.nan, 0.0, -1.0)
 #: bad values of a count
 COUNT = (0, -1, 2.5, True, math.nan, MAX_COUNT + 1)
 LINK = mimo_los.build_los_mimo(4, 0.5, 10.0, 0.1)
+RADIO = RadioParams(3e9, 90.0)
 
 #: (routine, argument, call with the argument set to v, values it refuses)
 GUARDED = [
@@ -288,14 +292,22 @@ GUARDED = [
     ("solve_a3db", "cols", lambda v: beam.solve_a3db(4, v), COUNT),
     ("beam_depth_3db", "focal_distance",
      lambda v: beam.beam_depth_3db(GEOM, v), AT_INFINITY),
+    ("beam_depth_3db", "a3db",
+     lambda v: beam.beam_depth_3db(GEOM, 1.0, a3db=v), FINITE),
     ("beam_depth_square", "focal_distance",
      lambda v: beam.beam_depth_square(GEOM, v), AT_INFINITY),
     ("array_gain_exact", "z", lambda v: beam.array_gain_exact(GEOM, v),
      FINITE),
+    ("array_gain_exact", "tol",
+     lambda v: beam.array_gain_exact(GEOM, 1.0, tol=v), FINITE),
     ("element_field_integrals", "z",
      lambda v: field.element_field_integrals(GEOM, v), FINITE),
+    ("element_field_integrals", "tol",
+     lambda v: field.element_field_integrals(GEOM, 1.0, tol=v), FINITE),
     ("plan_depth_focal_points", "d_min",
      lambda v: depth_mux.plan_depth_focal_points(GEOM, d_min=v), FINITE),
+    ("plan_depth_focal_points", "a3db",
+     lambda v: depth_mux.plan_depth_focal_points(GEOM, a3db=v), FINITE),
     ("zf_precoder", "total_power",
      lambda v: depth_mux.zf_precoder(H, v), FINITE),
     ("matched_filter_precoder", "total_power",
@@ -321,8 +333,23 @@ GUARDED = [
      lambda v: mimo_los.optimal_spacing(4, 10.0, v), FINITE),
     ("offdiag_magnitude", "num_antennas",
      lambda v: mimo_los.offdiag_magnitude(v, 0.5, 10.0, 0.1, 1, 2), COUNT),
+    ("offdiag_magnitude", "spacing",
+     lambda v: mimo_los.offdiag_magnitude(4, v, 10.0, 0.1, 1, 2), FINITE),
+    # antenna indices run from 1 to num_antennas = 4
+    ("offdiag_magnitude", "k",
+     lambda v: mimo_los.offdiag_magnitude(4, 0.5, 10.0, 0.1, v, 2),
+     COUNT + (5,)),
+    ("offdiag_magnitude", "l",
+     lambda v: mimo_los.offdiag_magnitude(4, 0.5, 10.0, 0.1, 1, v),
+     COUNT + (5,)),
     ("equal_eigenvalue_capacity", "num_streams",
      lambda v: mimo_los.equal_eigenvalue_capacity(v, 10.0), COUNT),
+    # snr may be 0: a signal below the float range
+    ("equal_eigenvalue_capacity", "snr",
+     lambda v: mimo_los.equal_eigenvalue_capacity(2, v),
+     (math.nan, -1.0, math.inf)),
+    ("equal_eigenvalue_capacity", "bandwidth",
+     lambda v: mimo_los.equal_eigenvalue_capacity(2, 10.0, v), FINITE),
     ("mode_analysis", "num_angles",
      lambda v: mimo_los.mode_analysis(LINK, num_angles=v), COUNT),
     ("capacity_waterfilling", "snr",
@@ -342,6 +369,9 @@ GUARDED = [
     ("num_streams_for_area", "antenna_width",
      lambda v: mimo_los.num_streams_for_area(1.0, 10.0, 0.1, v),
      (math.nan, -1.0, math.inf)),
+    ("capacity_frequency_sweep", "frequency",
+     lambda v: mimo_los.capacity_frequency_sweep(0.01, 10.0, [3e9, v], RADIO),
+     FINITE),
     ("spatial_dof", "area", lambda v: mimo_los.spatial_dof(v, 0.1), FINITE),
     ("spatial_dof", "wavelength",
      lambda v: mimo_los.spatial_dof(1.0, v), FINITE),
@@ -387,6 +417,27 @@ class TestScalarGuard:
             check_positive("x", math.inf)
         with pytest.raises(ValueError, match="^x must be positive, got nan$"):
             check_positive("x", math.nan, finite=False)
+
+    def test_check_non_negative(self):
+        assert check_non_negative("x", 0.0) == 0.0
+        assert check_non_negative("x", 2.5) == 2.5
+        with pytest.raises(ValueError, match="^x must be finite and "
+                                             "non-negative, got -1.0$"):
+            check_non_negative("x", -1.0)
+
+    def test_wavelength_of(self):
+        assert wavelength_of(3e9) == SPEED_OF_LIGHT / 3e9
+        # c / f leaves the float range below c / (largest float) Hz
+        assert wavelength_of(1.668e-300) < math.inf
+        with pytest.raises(ValueError, match=r"^frequency 1\.667e-300 Hz "
+                           r"puts the wavelength c / f beyond the float "
+                           r"range$"):
+            wavelength_of(1.667e-300)
+        # the largest float gives a normal wavelength, not a subnormal one
+        assert wavelength_of(sys.float_info.max) >= sys.float_info.min
+        with pytest.raises(ValueError, match="^frequency must be finite and "
+                                             "positive, got 0.0$"):
+            wavelength_of(0.0)
 
     def test_check_count(self):
         assert check_count("n", MAX_COUNT) == MAX_COUNT
