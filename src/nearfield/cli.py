@@ -24,7 +24,7 @@ from .config import (REQUIRED, ConfigError, RunConfig, Schema, blame, count,
                      non_negative, position, positive)
 from .geometry import classify, wavelength_of
 from .numerics import (AccuracyError, BracketError, RankError,
-                       check_non_negative)
+                       check_non_negative, check_positive)
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
@@ -372,14 +372,29 @@ _LINK = {"num_antennas": (count, REQUIRED), "distance_m": (positive, REQUIRED),
          "spacing": (either("optimal", positive), "optimal")}
 
 
+def _path_gain(cfg: RunConfig, distance: float) -> float:
+    """The path gain (lambda / (4 pi d))^2. Beyond the float range the
+    config error names the radio frequency if lambda is farther from 1 m
+    than d is, else the distance."""
+    from . import mimo_los
+
+    lam = cfg.radio.wavelength()
+    far = abs(math.log(lam)) > abs(math.log(distance))
+    with blame("radio.frequency" if far else "experiment.distance_m"):
+        return mimo_los.free_space_gain(lam, distance)
+
+
 def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
     from . import mimo_los
 
     k, d, lam = exp["num_antennas"], exp["distance_m"], cfg.radio.wavelength()
-    spacing = exp["spacing"]
+    _path_gain(cfg, d)
+    spacing, key = exp["spacing"], "distance_m"
     if spacing == "optimal":
         spacing = mimo_los.optimal_spacing(k, d, lam)
-    with blame("experiment.distance_m"):  # the link leaves the float range
+    elif (k - 1) * spacing > d:  # the array's extent is the larger length
+        key = "spacing"
+    with blame(f"experiment.{key}"):  # the antenna distances overflow
         return mimo_los.build_los_mimo(k, spacing, d, lam)
 
 
@@ -395,6 +410,11 @@ def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     eigenvalues = mimo_los.svd(h, compute_uv=False) ** 2
     b = radio.bandwidth()
     snr = radio.power_over_noise / b
+    # P / (N0 B) below the float range, or beyond it at a narrow bandwidth
+    key = ("power_over_noise_db" if snr == 0 else "bandwidth_hz"
+           if radio.bandwidth_hz is not None else "bandwidth_fraction")
+    with blame(f"radio.{key}"):
+        check_positive("the SNR P / (N0 B)", snr)
     with blame("experiment.distance_m"):  # a stream's SNR overflows
         result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
     rows = [[i + 1, eigenvalues[i], result.powers[i], result.capacity]
@@ -430,11 +450,11 @@ def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     beta = exp["beta"]
     grid = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"],
                      "experiment")
-    # the path gain or P beta out of range
-    with blame("experiment." + ("distance_m" if beta is None else "beta")):
-        if beta is None:
-            beta = mimo_los.free_space_gain(radio.wavelength(),
-                                            exp["distance_m"])
+    if beta is None:
+        beta = _path_gain(cfg, exp["distance_m"])
+    # P beta out of range
+    with blame("experiment." + ("distance_m" if exp["beta"] is None
+                                else "beta")):
         sweep = mimo_los.capacity_bandwidth_sweep(radio.power_over_noise,
                                                   beta, grid)
     rows = [[b, r, sweep.rate_limit, sweep.bandwidth_80pct]

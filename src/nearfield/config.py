@@ -18,7 +18,7 @@ import yaml
 
 from .geometry import (ArrayGeometry, RegionBounds, boundary_distances,
                        build_upa, wavelength_of)
-from .numerics import check_count, check_positive
+from .numerics import check_count, check_non_negative, check_positive
 
 
 class ConfigError(ValueError):
@@ -97,30 +97,30 @@ def _unit_missing(unit: str, where: str) -> str:
             "block, so it cannot give the block's own lengths")
 
 
-def _ranged(parse: Kind, test: Callable[[float], bool], what: str) -> Kind:
-    """The values that `parse` reads as a number passing `test`."""
+def _checked(parse: Kind, guard: Callable[[str, Any], Any]) -> Kind:
+    """The values `parse` reads that `guard(<last part of the key>, value)`
+    takes, as `guard` returns them; its `ValueError` names the key."""
     def check(value: Any, where: str, units: UnitTable) -> Any:
-        result = parse(value, where, units)
-        if not test(result):
-            raise ConfigError(f"{where}: must be {what}, got {value!r}")
-        return result
+        parsed = parse(value, where, units)  # its ConfigError names `where`
+        with blame(where):
+            return guard(where.rpartition(".")[2], parsed)
     return check
 
 
-def count(value: Any, where: str, units: UnitTable) -> int:
-    """An integer `numerics.check_count` takes: not `2.7`, `"40"` or `true`."""
-    with blame(where):
-        return check_count(where.rpartition(".")[2], value)
+def _finite(name: str, value: float) -> float:
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-_POSITIVE = (lambda x: 0 < x < math.inf, "finite and positive")
-number = _ranged(_quantity({}), math.isfinite, "finite")
-positive = _ranged(_quantity({}), *_POSITIVE)
-non_negative = _ranged(_quantity({}), lambda x: 0 <= x < math.inf,
-                       "finite and non-negative")
-coordinate = _ranged(_quantity(None), math.isfinite, "finite")
-length = _ranged(_quantity(None), *_POSITIVE)
-frequency = _ranged(_quantity(FREQUENCY_UNITS), *_POSITIVE)
+#: An integer `numerics.check_count` takes: not `2.7`, `"40"` or `true`.
+count = _checked(lambda value, where, units: value, check_count)
+number = _checked(_quantity({}), _finite)
+positive = _checked(_quantity({}), check_positive)
+non_negative = _checked(_quantity({}), check_non_negative)
+coordinate = _checked(_quantity(None), _finite)
+length = _checked(_quantity(None), check_positive)
+frequency = _checked(_quantity(FREQUENCY_UNITS), check_positive)
 
 
 def text(value: Any, where: str, units: UnitTable) -> str:
@@ -174,9 +174,8 @@ _XYZ = list_of(coordinate, 3)
 def position(value: Any, where: str, units: UnitTable) -> Tuple[float, ...]:
     """A point [x, y, z] in front of the array, so z > 0."""
     x, y, z = _XYZ(value, where, units)
-    if not z > 0:
-        raise ConfigError(f"{where}: z must be positive, got {value!r}")
-    return (x, y, z)
+    with blame(where):
+        return (x, y, check_positive("z", z))
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,16 @@ class CapacityResult:
 
 
 def free_space_gain(wavelength: float, distance: float) -> float:
-    """Friis path gain (lambda / (4 pi d))^2. Raises `ValueError` unless it
-    is a finite positive float."""
-    ratio = float(wavelength) / (4.0 * math.pi * float(distance))
+    """Friis path gain (lambda / (4 pi d))^2. Raises `ValueError` unless
+    both lengths are finite and positive, and the gain a positive float."""
+    lam = float(check_positive("wavelength", wavelength))
+    d = float(check_positive("distance", distance))
+    ratio = lam / (4.0 * math.pi * d)
     gain = ratio * ratio  # Python floats: an overflow gives inf, no warning
     if not 0.0 < gain < math.inf:
-        raise ValueError(f"distance {distance:g} m puts the path gain "
-                         f"(lambda / (4 pi d))^2 = {gain:g} outside the "
-                         "float range")
+        raise ValueError(f"wavelength {lam:g} m at distance {d:g} m "
+                         f"puts the path gain (lambda / (4 pi d))^2 = "
+                         f"{gain:g} outside the float range")
     return gain
 
 
@@ -71,8 +73,6 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
 
     k = check_count("num_antennas", num_antennas)
     check_positive("spacing", spacing)
-    check_positive("distance", distance)
-    check_positive("wavelength", wavelength)
     beta = free_space_gain(wavelength, distance)
     extent = (k - 1) * spacing
     if not distance * distance + extent * extent < math.inf:
@@ -190,10 +190,12 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
     A bandwidth so narrow that P beta/(B N0) overflows still gets a finite
     rate. Raises `ValueError` if P beta or that bandwidth leaves the float
     range."""
+    # received power over N0, in Hz
+    s = check_positive("power_over_noise", power_over_noise) \
+        * check_positive("beta", beta)
     b = [check_positive("bandwidths", float(v)) for v in bandwidths]
     if not b:
         raise ValueError("bandwidths must be non-empty")
-    s = power_over_noise * beta  # received power over N0, in Hz
     y80 = solve_scalar_root(lambda y: math.log1p(y) - 0.8 * y, (0.1, 10.0))
     b80 = s / y80
     if not (0.0 < s and b80 < math.inf):

@@ -16,7 +16,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import nearfield
-from nearfield import beam, config
+from nearfield import beam, config, depth_mux, mimo_los
 from nearfield.beam import gain_axial
 from nearfield.cli import (
     SCHEMAS,
@@ -453,6 +453,40 @@ class TestCliBehavior:
         assert list(single[0]) == columns
         assert single == [{c: row[c] for c in columns} for row in both]
 
+    def test_los_capacity_exact_model(self, tmp_path, capsys):
+        # model: exact waterfills the eigenvalues of the exact channel
+        cfg = config_with(tmp_path, (CONFIGS / "los_capacity.yaml")
+                          .read_text(), "experiment.model", "exact")
+        assert main(["los-capacity", "--config", str(cfg), "--out", "-"]) == 0
+        _, *rows = [line.split(",") for line in
+                    capsys.readouterr().out.splitlines()
+                    if not line.startswith("#")]
+        run = config.load_config(str(cfg))
+        k, d = run.experiment["num_antennas"], run.experiment["distance_m"]
+        lam, b = run.radio.wavelength(), run.radio.bandwidth()
+        link = mimo_los.build_los_mimo(
+            k, mimo_los.optimal_spacing(k, d, lam), d, lam)
+        eigenvalues = mimo_los.svd(link.h_exact, compute_uv=False) ** 2
+        result = mimo_los.capacity_waterfilling(
+            eigenvalues, run.radio.power_over_noise / b, bandwidth=b)
+        assert [row[1] for row in rows] == [f"{v:.12g}" for v in eigenvalues]
+        assert {row[3] for row in rows} == {f"{result.capacity:.12g}"}
+
+    def test_depth_plan_exact_depth_parameter(self, tmp_path, capsys):
+        # depth_parameter: exact plans with the solved a3dB of the shape
+        cfg = config_with(tmp_path, (CONFIGS / "fig10_depth_plan.yaml")
+                          .read_text(), "experiment.depth_parameter", "exact")
+        assert main(["depth-plan", "--config", str(cfg), "--out", "-"]) == 0
+        _, *rows = [line.split(",") for line in
+                    capsys.readouterr().out.splitlines()
+                    if not line.startswith("#")]
+        geom = config.load_config(str(cfg)).geometry
+        plan = depth_mux.plan_depth_focal_points(
+            geom, a3db=beam.solve_a3db(geom.rows, geom.cols))
+        assert rows == [[str(i), *(f"{v:.12g}" for v in (f, lo, hi))]
+                        for i, (f, (lo, hi)) in enumerate(
+                            zip(plan.focal_points, plan.intervals), start=1)]
+
     def test_stdout_output(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("experiment:\n  area_m2: 0.5\n"
@@ -714,6 +748,26 @@ class TestCliBehavior:
         ("regions.yaml", "regions", "geometry.frequency", "5.0e-324", None),
         ("dof.yaml", "dof", "experiment.frequencies", "[5.0e-324, 3.0e+9]",
          None),
+        # a carrier so high that the path gain (lambda / (4 pi d))^2
+        # underflows: lambda is farther from 1 m than d is
+        ("los_capacity.yaml", "los-capacity", "radio.frequency", "1.0e+300",
+         None),
+        ("fig11_mode_patterns.yaml", "mode-patterns", "radio.frequency",
+         "1.0e+300", None),
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
+         "radio.frequency", "1.0e+300", None),
+        # a set spacing whose array extent makes the antenna distances
+        # overflow
+        ("los_capacity.yaml", "los-capacity", "experiment.spacing",
+         "1.0e+300", None),
+        ("fig11_mode_patterns.yaml", "mode-patterns", "experiment.spacing",
+         "1.0e+300", None),
+        # the SNR P / (N0 B) underflows to 0, or overflows at a narrow
+        # bandwidth
+        ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
+         "-3200", None),
+        ("los_capacity.yaml", "los-capacity", "radio.bandwidth_hz",
+         "5.0e-324", None),
     ])
     def test_value_beyond_model_range_exit_code(self, tmp_path, capsys,
                                                 config_name, subcommand, key,
@@ -1257,7 +1311,57 @@ REGIONS_BASE = [subcommand for subcommand, _, _ in FUZZ_BASES].index("regions")
 LOS_BASE = [subcommand for subcommand, _, _ in FUZZ_BASES].index("los-capacity")
 
 
+#: the bases of the single-edit audit: the radio subcommands and dof
+AUDITED = ("los-capacity", "mode-patterns", "capacity-vs-bandwidth",
+           "capacity-vs-frequency", "dof")
+#: (subcommand, edited key, value) of the single edits whose config error
+#: names a key the edit did not touch. capacity-vs-frequency runs its
+#: stream count, path gain and SNR checks in one library call, which blames
+#: experiment.distance_m
+MISATTRIBUTED = {("capacity-vs-frequency", key, value) for key, value in [
+    # more streams fit the area than a float counts
+    ("experiment.area_m2", "1.0e+300"),
+    ("experiment.area_m2", str(2**62)),
+    ("experiment.area_m2", str(2**70)),
+    ("experiment.f_max", "1.0e+300"),
+    # the path gain at the lowest frequency overflows
+    ("experiment.f_min", "1.0e-155"),
+    ("experiment.f_min", "1.0e-170"),
+    # a bandwidth fraction so small that the SNR P beta / (N0 B) overflows
+    ("radio.bandwidth_fraction", "5.0e-324"),
+]}
+
+
 class TestFuzzedConfigs:
+    def test_single_edits_name_the_edited_key(self, time_limit, tmp_path):
+        # every single edit of an audited base that exits 2 names the
+        # edited key, one of its blocks or the config root, but for the
+        # listed cases: a fix, or a new fault, changes the set
+        cfg = tmp_path / "edited.yaml"
+        found = set()
+        with time_limit(30):
+            for subcommand, tree, paths in FUZZ_BASES:
+                if subcommand not in AUDITED:
+                    continue
+                for path in paths:
+                    key = ".".join(k for k in path if isinstance(k, str))
+                    for text in EDGE_VALUES + (RENAME, DROP):
+                        cfg.write_text(yaml.dump(edited(tree, [(path, text)]),
+                                                 Dumper=DUMPER))
+                        err = io.StringIO()
+                        with contextlib.redirect_stdout(io.StringIO()), \
+                                contextlib.redirect_stderr(err):
+                            rc = main([subcommand, "--config", str(cfg),
+                                       "--out", "-"])
+                        if rc != EXIT_CONFIG_ERROR:
+                            continue
+                        blamed = re.sub(r"\[\d+\]", "", re.match(
+                            r"config error: (.*?): ", err.getvalue())[1])
+                        if blamed != "config root" \
+                                and not f"{key}.".startswith(f"{blamed}."):
+                            found.add((subcommand, key, text))
+        assert found == MISATTRIBUTED
+
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=40,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

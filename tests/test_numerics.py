@@ -317,6 +317,10 @@ GUARDED = [
      lambda v: depth_mux.evaluate_sinr(H, H, v), (math.nan, -1.0, math.inf)),
     ("evaluate_sinr", "bandwidth",
      lambda v: depth_mux.evaluate_sinr(H, H, 0.1, bandwidth=v), FINITE),
+    ("free_space_gain", "wavelength",
+     lambda v: mimo_los.free_space_gain(v, 10.0), FINITE),
+    ("free_space_gain", "distance",
+     lambda v: mimo_los.free_space_gain(0.1, v), FINITE),
     ("build_los_mimo", "num_antennas",
      lambda v: mimo_los.build_los_mimo(v, 0.5, 10.0, 0.1), COUNT),
     ("build_los_mimo", "spacing",
@@ -335,6 +339,12 @@ GUARDED = [
      lambda v: mimo_los.offdiag_magnitude(v, 0.5, 10.0, 0.1, 1, 2), COUNT),
     ("offdiag_magnitude", "spacing",
      lambda v: mimo_los.offdiag_magnitude(4, v, 10.0, 0.1, 1, 2), FINITE),
+    # a negative distance or wavelength flips the sign of q, which leaves
+    # |entry| as it is
+    ("offdiag_magnitude", "distance",
+     lambda v: mimo_los.offdiag_magnitude(4, 0.5, v, 0.1, 1, 2), FINITE),
+    ("offdiag_magnitude", "wavelength",
+     lambda v: mimo_los.offdiag_magnitude(4, 0.5, 10.0, v, 1, 2), FINITE),
     # antenna indices run from 1 to num_antennas = 4
     ("offdiag_magnitude", "k",
      lambda v: mimo_los.offdiag_magnitude(4, 0.5, 10.0, 0.1, v, 2),
@@ -356,6 +366,12 @@ GUARDED = [
      lambda v: mimo_los.capacity_waterfilling([1.0, 0.5], v), FINITE),
     ("capacity_waterfilling", "bandwidth",
      lambda v: mimo_los.capacity_waterfilling([1.0, 0.5], 10.0, v), FINITE),
+    ("capacity_bandwidth_sweep", "power_over_noise",
+     lambda v: mimo_los.capacity_bandwidth_sweep(v, 1e-6, [1e6, 1e7]),
+     FINITE),
+    ("capacity_bandwidth_sweep", "beta",
+     lambda v: mimo_los.capacity_bandwidth_sweep(1e10, v, [1e6, 1e7]),
+     FINITE),
     ("capacity_bandwidth_sweep", "bandwidths",
      lambda v: mimo_los.capacity_bandwidth_sweep(1e10, 1e-6, [1e6, v]),
      FINITE),
