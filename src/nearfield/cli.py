@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .config import (REQUIRED, ConfigError, RunConfig, Schema, blame, count,
-                     either, enum, frequency, length, list_of, load_config,
-                     non_negative, position, positive)
+from .config import (REQUIRED, ConfigError, RunConfig, Schema, blame, carrier,
+                     count, either, enum, frequency, length, list_of,
+                     load_config, non_negative, position, positive)
 from .geometry import classify, wavelength_of
 from .numerics import (AccuracyError, BracketError, RankError,
-                       check_non_negative, check_positive)
+                       check_non_negative)
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
@@ -372,29 +372,24 @@ _LINK = {"num_antennas": (count, REQUIRED), "distance_m": (positive, REQUIRED),
          "spacing": (either("optimal", positive), "optimal")}
 
 
-def _path_gain(cfg: RunConfig, distance: float) -> float:
-    """The path gain (lambda / (4 pi d))^2. Beyond the float range the
-    config error names the radio frequency if lambda is farther from 1 m
-    than d is, else the distance."""
-    from . import mimo_los
-
-    lam = cfg.radio.wavelength()
+def _link_key(lam: float, distance: float) -> str:
+    """The key of a path gain (lambda / (4 pi d))^2 beyond the float range:
+    the radio frequency if lambda is farther from 1 m than d is, else the
+    distance."""
     far = abs(math.log(lam)) > abs(math.log(distance))
-    with blame("radio.frequency" if far else "experiment.distance_m"):
-        return mimo_los.free_space_gain(lam, distance)
+    return "radio.frequency" if far else "experiment.distance_m"
 
 
 def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
     from . import mimo_los
 
     k, d, lam = exp["num_antennas"], exp["distance_m"], cfg.radio.wavelength()
-    _path_gain(cfg, d)
-    spacing, key = exp["spacing"], "distance_m"
+    spacing, key = exp["spacing"], _link_key(lam, d)
     if spacing == "optimal":
         spacing = mimo_los.optimal_spacing(k, d, lam)
     elif (k - 1) * spacing > d:  # the array's extent is the larger length
-        key = "spacing"
-    with blame(f"experiment.{key}"):  # the antenna distances overflow
+        key = "experiment.spacing"
+    with blame(key):  # the path gain or the antenna distances overflow
         return mimo_los.build_los_mimo(k, spacing, d, lam)
 
 
@@ -410,11 +405,6 @@ def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     eigenvalues = mimo_los.svd(h, compute_uv=False) ** 2
     b = radio.bandwidth()
     snr = radio.power_over_noise / b
-    # P / (N0 B) below the float range, or beyond it at a narrow bandwidth
-    key = ("power_over_noise_db" if snr == 0 else "bandwidth_hz"
-           if radio.bandwidth_hz is not None else "bandwidth_fraction")
-    with blame(f"radio.{key}"):
-        check_positive("the SNR P / (N0 B)", snr)
     with blame("experiment.distance_m"):  # a stream's SNR overflows
         result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
     rows = [[i + 1, eigenvalues[i], result.powers[i], result.capacity]
@@ -451,7 +441,9 @@ def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     grid = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"],
                      "experiment")
     if beta is None:
-        beta = _path_gain(cfg, exp["distance_m"])
+        lam, d = radio.wavelength(), exp["distance_m"]
+        with blame(_link_key(lam, d)):
+            beta = mimo_los.free_space_gain(lam, d)
     # P beta out of range
     with blame("experiment." + ("distance_m" if exp["beta"] is None
                                 else "beta")):
@@ -465,15 +457,13 @@ def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 
 
 @subcommand("capacity-vs-frequency", "radio", area_m2=(positive, REQUIRED),
-            distance_m=(positive, REQUIRED), f_min=(frequency, REQUIRED),
-            f_max=(frequency, REQUIRED), points=(count, 100),
+            distance_m=(positive, REQUIRED), f_min=(carrier, REQUIRED),
+            f_max=(carrier, REQUIRED), points=(count, 100),
             gain_model=(enum("both", "isotropic", "directive"), "both"))
 def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import mimo_los
 
     freqs = _log_grid(exp["f_min"], exp["f_max"], exp["points"], "experiment")
-    with blame("experiment.f_min"):  # c / f overflows first at the lowest f
-        wavelength_of(freqs[0])
     model = exp["gain_model"]
     variants = ["isotropic", "directive"] if model == "both" else [model]
     sweeps = {}
@@ -493,7 +483,7 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 
 @subcommand("dof", area_m2=(positive, REQUIRED),
             wavelengths_m=(list_of(positive), ()),
-            frequencies=(list_of(frequency), ()))
+            frequencies=(list_of(carrier), ()))
 def run_dof(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import mimo_los
 
@@ -504,8 +494,8 @@ def run_dof(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     area = exp["area_m2"]
     rows = []
     for value, key in values:
-        with blame(f"experiment.{key}"):  # c / f or pi A / lambda^2
-            lam = wavelength_of(value) if key == "frequencies" else value
+        lam = wavelength_of(value) if key == "frequencies" else value
+        with blame(f"experiment.{key}"):  # pi A / lambda^2
             rows.append([lam, area, mimo_los.spatial_dof(area, lam)])
     return CsvSeries(["wavelength_m", "area_m2", "dof"], rows)
 

@@ -113,6 +113,11 @@ def _finite(name: str, value: float) -> float:
     raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _carrier(name: str, value: float) -> float:
+    wavelength_of(check_positive(name, value))  # c / f is finite
+    return value
+
+
 #: An integer `numerics.check_count` takes: not `2.7`, `"40"` or `true`.
 count = _checked(lambda value, where, units: value, check_count)
 number = _checked(_quantity({}), _finite)
@@ -121,6 +126,7 @@ non_negative = _checked(_quantity({}), check_non_negative)
 coordinate = _checked(_quantity(None), _finite)
 length = _checked(_quantity(None), check_positive)
 frequency = _checked(_quantity(FREQUENCY_UNITS), check_positive)
+carrier = _checked(_quantity(FREQUENCY_UNITS), _carrier)
 
 
 def text(value: Any, where: str, units: UnitTable) -> str:
@@ -255,19 +261,22 @@ class RadioParams:
             if getattr(self, name) is not None:
                 check_positive(name, getattr(self, name))
         # these messages start with the config key, which config errors use
-        try:
-            self.wavelength()
-        except ValueError as exc:  # c / f beyond the float range
-            raise ValueError(f"frequency: {exc}") from None
         if not 0.0 < self.power_over_noise < math.inf:
             raise ValueError(
                 f"power_over_noise_db: {self.power_over_noise_db:g} dB gives "
                 f"the power ratio {self.power_over_noise:g}; it must be "
                 "finite and positive")
-        if not self.bandwidth() < math.inf:
-            raise ValueError(
-                f"bandwidth_fraction: {self.bandwidth_fraction:g} gives an "
-                "infinite bandwidth at the carrier")
+        b = self.bandwidth()
+        if not 0.0 < b < math.inf:
+            raise ValueError("bandwidth_fraction: the bandwidth at the "
+                             f"carrier must be finite and positive, got {b!r}")
+        # P / (N0 B) underflows to 0, or overflows at a narrow bandwidth
+        snr = self.power_over_noise / b
+        if not 0.0 < snr < math.inf:
+            key = ("power_over_noise_db" if snr == 0 else "bandwidth_hz"
+                   if self.bandwidth_hz is not None else "bandwidth_fraction")
+            raise ValueError(f"{key}: the SNR P / (N0 B) must be finite and "
+                             f"positive, got {snr!r}")
 
     @property
     def power_over_noise(self) -> float:
@@ -289,25 +298,23 @@ GEOMETRY = Schema({
     "rows": (count, REQUIRED),
     "cols": (count, REQUIRED),
     "wavelength": (length, None),
-    "frequency": (frequency, None),
+    "frequency": (carrier, None),
     "element_side": (length, REQUIRED),
 }, one_of=(("wavelength", "frequency"),))
 
 RADIO = Schema({
-    "frequency": (frequency, REQUIRED),
+    "frequency": (carrier, REQUIRED),
     "power_over_noise_db": (number, REQUIRED),
     "bandwidth_fraction": (positive, RadioParams.bandwidth_fraction),
     "bandwidth_hz": (frequency, None),
 }, one_of=(("bandwidth_fraction", "bandwidth_hz"),))
 
 
-def _lengths(values: Mapping[str, Any], where: str) -> UnitTable:
-    """The length units of the geometry block at key `where` once `values`
-    are parsed: `lambda` is its wavelength, once that is set."""
+def _lengths(values: Mapping[str, Any]) -> UnitTable:
+    """The length units of a geometry block once `values` are parsed:
+    `lambda` is its wavelength, once that is set."""
     if values.get("frequency"):
-        with blame(f"{where}.frequency"):  # c / f beyond the float range
-            return {**LENGTH_UNITS,
-                    "lambda": wavelength_of(values["frequency"])}
+        return {**LENGTH_UNITS, "lambda": wavelength_of(values["frequency"])}
     if values.get("wavelength"):
         return {**LENGTH_UNITS, "lambda": values["wavelength"]}
     return LENGTH_UNITS
@@ -315,10 +322,10 @@ def _lengths(values: Mapping[str, Any], where: str) -> UnitTable:
 
 def _geometry(node: Any, where: str, units: UnitTable) -> ArrayGeometry:
     """The geometry block; its `lambda` unit is its own wavelength."""
-    g = GEOMETRY.validate(node, where, lambda values: _lengths(values, where))
+    g = GEOMETRY.validate(node, where, _lengths)
     with blame(where):  # "<field> ...", a value out of range
         return build_upa(g["rows"], g["cols"], g["element_side"],
-                         _lengths(g, where)["lambda"])
+                         _lengths(g)["lambda"])
 
 
 def _radio(node: Any, where: str, units: UnitTable) -> RadioParams:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .geometry import wavelength_of
 from .numerics import (AccuracyError, check_count, check_non_negative,
-                       check_positive, solve_scalar_root)
+                       check_positive)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -182,11 +182,15 @@ class BandwidthSweep:
     bandwidth_80pct: float
 
 
+#: log1p(y80) = 0.8 y80, y80 > 0: the double nearest 0.5385527622303237960
+_Y80 = 0.5385527622303238
+
+
 def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
                              bandwidths: Sequence[float]) -> BandwidthSweep:
     """Single-stream rate B log2(1 + P beta/(B N0)) over a bandwidth range,
     plus the infinite-bandwidth limit and the 80%-of-limit bandwidth
-    P beta / (N0 y80), where log1p(y80) = 0.8 y80 is solved on [0.1, 10].
+    P beta / (N0 y80), where log1p(y80) = 0.8 y80 (`_Y80`).
     A bandwidth so narrow that P beta/(B N0) overflows still gets a finite
     rate. Raises `ValueError` if P beta or that bandwidth leaves the float
     range."""
@@ -196,8 +200,7 @@ def capacity_bandwidth_sweep(power_over_noise: float, beta: float,
     b = [check_positive("bandwidths", float(v)) for v in bandwidths]
     if not b:
         raise ValueError("bandwidths must be non-empty")
-    y80 = solve_scalar_root(lambda y: math.log1p(y) - 0.8 * y, (0.1, 10.0))
-    b80 = s / y80
+    b80 = s / _Y80
     if not (0.0 < s and b80 < math.inf):
         raise ValueError(f"received power over noise density P beta = {s:g} "
                          "Hz is outside the float range of the sweep")

@@ -1,7 +1,10 @@
 """End-to-end acceptance checks: one test per published behavior the package
 must reproduce, each asserting at its stated tolerance."""
 
+import contextlib
+import io
 import math
+import re
 import time
 from pathlib import Path
 
@@ -293,3 +296,19 @@ def test_criterion_11_determinism_and_goldens(tmp_path):
         passed, report = compare_golden(
             str(out_a), str(REPO / "goldens" / golden), 1e-6)
         assert passed, f"{config_name}: " + "\n".join(report)
+
+
+def test_readme_library_example():
+    # the fenced block runs as written, and the plan it prints is
+    # inf, d_FA/20, d_FA/40, ... as its comment says
+    readme = (REPO / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme,
+                     re.S)[1]
+    names = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(code, names)
+    assert len(out.getvalue().splitlines()) == 3
+    d_fa = boundary_distances(names["geom"]).d_fa
+    points = plan_depth_focal_points(names["geom"]).focal_points
+    assert points[0] == math.inf
+    assert points[1:3] == pytest.approx([d_fa / 20, d_fa / 40], rel=1e-12)

@@ -137,6 +137,8 @@ BAD_VALUES = {
     config.number: (("true", "[1]"), (".nan", "-.inf")),
     config.length: (("true", "[1]"), ("0", "-1", ".nan", ".inf")),
     config.frequency: (('"abc"', "true"), ('"0 GHz"', "-.inf")),
+    config.carrier: (('"abc"', "true"),
+                     ('"0 GHz"', "-.inf", "5.0e-324")),
     config.position: (("[0, 0]", '[0, 0, "x"]'), ("[0, 0, -1]", "[.nan, 0, 1]")),
 }
 
@@ -768,6 +770,17 @@ class TestCliBehavior:
          "-3200", None),
         ("los_capacity.yaml", "los-capacity", "radio.bandwidth_hz",
          "5.0e-324", None),
+        # the same radio-block rule in every radio subcommand
+        ("fig11_mode_patterns.yaml", "mode-patterns", "radio.bandwidth_hz",
+         "5.0e-324", "bandwidth_fraction"),
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
+         "radio.bandwidth_hz", "5.0e-324", "bandwidth_fraction"),
+        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
+         "radio.power_over_noise_db", "-3200", None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "radio.power_over_noise_db", "-3200", None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "radio.bandwidth_fraction", "5.0e-324", None),
     ])
     def test_value_beyond_model_range_exit_code(self, tmp_path, capsys,
                                                 config_name, subcommand, key,
@@ -1201,12 +1214,14 @@ class TestCliBehavior:
 # fuzzed configs
 
 #: YAML values at the edges of each kind: non-finite, beyond and at the
-#: ends of the float range, zero and negative, integers past the count
-#: limit, and values of the wrong type or nesting. As counts they are small
-#: or invalid, so no case builds a large array.
+#: ends of the float range, zero and negative (-3200 dB is a subnormal
+#: power ratio), integers past the count limit, and values of the wrong
+#: type or nesting. As counts they are small or invalid, so no case builds
+#: a large array.
 EDGE_VALUES = (".nan", ".inf", "-.inf", "1.0e+300", "5.0e-324", "1.0e-155",
-               "1.0e-170", "0", "-1", "1", "2", str(2**62), str(2**70),
-               "true", '"3 parsecs"', "[1]", "[[1]]", "[]", "{}", "{a: 1}")
+               "1.0e-170", "0", "-1", "-3200", "1", "2", str(2**62),
+               str(2**70), "true", '"3 parsecs"', "[1]", "[[1]]", "[]", "{}",
+               "{a: 1}")
 #: edits that rename a key, by appending `_x`, or delete a key or list item
 RENAME, DROP = "<rename>", "<drop>"
 
@@ -1311,12 +1326,14 @@ REGIONS_BASE = [subcommand for subcommand, _, _ in FUZZ_BASES].index("regions")
 LOS_BASE = [subcommand for subcommand, _, _ in FUZZ_BASES].index("los-capacity")
 
 
-#: the bases of the single-edit audit: the radio subcommands and dof
+#: the bases of the single-edit audit: the radio subcommands, dof and the
+#: quick geometry ones
 AUDITED = ("los-capacity", "mode-patterns", "capacity-vs-bandwidth",
-           "capacity-vs-frequency", "dof")
+           "capacity-vs-frequency", "dof", "regions", "beam-width", "g-of-x",
+           "beam-depth")
 #: (subcommand, edited key, value) of the single edits whose config error
 #: names a key the edit did not touch. capacity-vs-frequency runs its
-#: stream count, path gain and SNR checks in one library call, which blames
+#: stream count and path gain checks in one library call, which blames
 #: experiment.distance_m
 MISATTRIBUTED = {("capacity-vs-frequency", key, value) for key, value in [
     # more streams fit the area than a float counts
@@ -1327,8 +1344,6 @@ MISATTRIBUTED = {("capacity-vs-frequency", key, value) for key, value in [
     # the path gain at the lowest frequency overflows
     ("experiment.f_min", "1.0e-155"),
     ("experiment.f_min", "1.0e-170"),
-    # a bandwidth fraction so small that the SNR P beta / (N0 B) overflows
-    ("radio.bandwidth_fraction", "5.0e-324"),
 ]}
 
 

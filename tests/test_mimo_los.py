@@ -7,6 +7,7 @@ import pytest
 from nearfield.config import RADIO, RadioParams
 from nearfield.geometry import SPEED_OF_LIGHT
 from nearfield.mimo_los import (
+    _Y80,
     build_los_mimo,
     capacity_bandwidth_sweep,
     capacity_frequency_sweep,
@@ -55,6 +56,17 @@ class TestRadioParams:
         with pytest.raises(ValueError, match="^bandwidth_fraction: "):
             RadioParams(carrier_frequency=3e9, power_over_noise_db=90.0,
                         bandwidth_fraction=1e300)
+        # fraction * carrier underflows to a bandwidth of 0
+        with pytest.raises(ValueError, match="^bandwidth_fraction: "):
+            RadioParams(carrier_frequency=1e-299, power_over_noise_db=90.0,
+                        bandwidth_fraction=1e-30)
+        # the SNR P / (N0 B) underflows to 0, or overflows at a narrow
+        # bandwidth
+        with pytest.raises(ValueError, match="^power_over_noise_db: "):
+            RadioParams(3e9, -3200)
+        with pytest.raises(ValueError, match="^bandwidth_hz: "):
+            RadioParams(3e9, 90.0, bandwidth_fraction=None,
+                        bandwidth_hz=5e-324)
 
 
 class TestChannelConstruction:
@@ -285,6 +297,14 @@ class TestBandwidthSweep:
         b80 = capacity_bandwidth_sweep(s, 1.0, [1.0]).bandwidth_80pct
         assert b80 == pytest.approx(s / 0.5385527622303237960, rel=1e-14,
                                     abs=0)
+
+    def test_y80_is_the_nearest_double(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            root = mpmath.findroot(lambda y: mpmath.log1p(y) - 4 * y / 5, 0.5)
+        assert _Y80 == float(root)
+        # float() of an mpf rounds down: the next double up is farther
+        assert abs(root - _Y80) < abs(root - math.nextafter(_Y80, 1.0))
 
     def test_large_bandwidth_approaches_limit(self):
         sweep = capacity_bandwidth_sweep(1e10, 4e-9, [1e5 * 1e10 * 4e-9])

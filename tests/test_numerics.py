@@ -235,23 +235,17 @@ class TestRootFinding:
         ref = brentq(g, *bracket, xtol=tol, rtol=4 * np.finfo(float).eps)
         assert abs(solve_scalar_root(g, bracket, tol) - ref) <= tol
 
-    @pytest.mark.parametrize("module,problem", [
-        (beam, lambda: beam.solve_a3db(10, 10)),
-        (beam, lambda: beam.solve_a3db(30, 40)),
-        (beam, lambda: beam.solve_a3db(200, 200)),
-        (mimo_los, lambda: mimo_los.capacity_bandwidth_sweep(
-            1e11, 5.6e-6, [1e6, 1e9])),
-    ], ids=["a3db-10x10", "a3db-30x40", "a3db-200x200", "bandwidth-80pct"])
-    def test_library_roots_match_scipy_brentq(self, monkeypatch, module,
-                                              problem):
+    @pytest.mark.parametrize("shape", [(10, 10), (30, 40), (200, 200)],
+                             ids=["a3db-10x10", "a3db-30x40", "a3db-200x200"])
+    def test_library_roots_match_scipy_brentq(self, monkeypatch, shape):
         calls = []
 
         def spy(g, bracket, tol=1e-12):
             calls.append((g, bracket, tol))
             return solve_scalar_root(g, bracket, tol)
 
-        monkeypatch.setattr(module, "solve_scalar_root", spy)
-        problem()
+        monkeypatch.setattr(beam, "solve_scalar_root", spy)
+        beam.solve_a3db(*shape)
         (g, (lo, hi), tol), = calls
         ref = brentq(g, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
         assert abs(solve_scalar_root(g, (lo, hi), tol) - ref) <= tol
