@@ -23,8 +23,7 @@ from .config import (REQUIRED, ConfigError, RunConfig, Schema, blame, carrier,
                      count, either, enum, frequency, length, list_of,
                      load_config, non_negative, position, positive)
 from .geometry import classify, wavelength_of
-from .numerics import (AccuracyError, BracketError, RankError,
-                       check_non_negative)
+from .numerics import NumericError, check_non_negative
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
@@ -33,7 +32,7 @@ EXIT_NUMERIC_ERROR = 3
 # ---------------------------------------------------------------------------
 # CSV emission and golden comparison
 
-class NanCellError(ValueError):
+class NanCellError(NumericError):
     """A CSV cell that would be written as `nan`."""
 
 
@@ -398,15 +397,13 @@ def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
 def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import mimo_los
 
-    radio = cfg.radio
     link = _los_link(cfg, exp)
     h = link.h_fresnel if exp["model"] == "fresnel" else link.h_exact
     # the eigenvalues of H^H H, descending: the squared singular values of H
     eigenvalues = mimo_los.svd(h, compute_uv=False) ** 2
-    b = radio.bandwidth()
-    snr = radio.power_over_noise / b
     with blame("experiment.distance_m"):  # a stream's SNR overflows
-        result = mimo_los.capacity_waterfilling(eigenvalues, snr, bandwidth=b)
+        result = mimo_los.capacity_waterfilling(
+            eigenvalues, cfg.radio.snr(), bandwidth=cfg.radio.bandwidth())
     rows = [[i + 1, eigenvalues[i], result.powers[i], result.capacity]
             for i in range(exp["num_antennas"])]
     return CsvSeries(
@@ -553,8 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (AccuracyError, BracketError, RankError, NanCellError,
-            MemoryError) as exc:
+    except (NumericError, MemoryError) as exc:
         print(f"numeric error in {name}: {str(exc) or 'out of memory'}",
               file=sys.stderr)
         return EXIT_NUMERIC_ERROR

@@ -21,13 +21,14 @@ from .geometry import (ArrayGeometry, RegionBounds, boundary_distances,
 from .numerics import check_count, check_non_negative, check_positive
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
 
 
 @contextlib.contextmanager
 def blame(key: str):
-    """A library `ValueError` in the block, as a `ConfigError` naming `key`."""
+    """A library `ValueError` in the block, as a `ConfigError` naming `key`;
+    a `ConfigError` or `NumericError` is no `ValueError`, and passes."""
     try:
         yield
     except ValueError as exc:
@@ -101,9 +102,8 @@ def _checked(parse: Kind, guard: Callable[[str, Any], Any]) -> Kind:
     """The values `parse` reads that `guard(<last part of the key>, value)`
     takes, as `guard` returns them; its `ValueError` names the key."""
     def check(value: Any, where: str, units: UnitTable) -> Any:
-        parsed = parse(value, where, units)  # its ConfigError names `where`
         with blame(where):
-            return guard(where.rpartition(".")[2], parsed)
+            return guard(where.rpartition(".")[2], parse(value, where, units))
     return check
 
 
@@ -271,7 +271,7 @@ class RadioParams:
             raise ValueError("bandwidth_fraction: the bandwidth at the "
                              f"carrier must be finite and positive, got {b!r}")
         # P / (N0 B) underflows to 0, or overflows at a narrow bandwidth
-        snr = self.power_over_noise / b
+        snr = self.snr()
         if not 0.0 < snr < math.inf:
             key = ("power_over_noise_db" if snr == 0 else "bandwidth_hz"
                    if self.bandwidth_hz is not None else "bandwidth_fraction")
@@ -292,6 +292,10 @@ class RadioParams:
         if self.bandwidth_hz is not None:
             return self.bandwidth_hz
         return self.bandwidth_fraction * (frequency or self.carrier_frequency)
+
+    def snr(self, beta: float = 1.0, frequency: float | None = None) -> float:
+        """P beta / (N0 B), with B at `frequency`, by default the carrier."""
+        return self.power_over_noise * beta / self.bandwidth(frequency)
 
 
 GEOMETRY = Schema({

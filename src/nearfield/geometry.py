@@ -55,11 +55,8 @@ class ArrayGeometry:
         check_count("cols", self.cols)
         check_positive("element_side", self.element_side)
         check_positive("wavelength", self.wavelength)
-        try:
-            bounds = astuple(boundary_distances(self))
-        except OverflowError:  # a bound beyond the float range
-            bounds = (math.inf,)
-        if not all(sys.float_info.min <= d < math.inf for d in bounds):
+        if not all(sys.float_info.min <= d < math.inf
+                   for d in astuple(boundary_distances(self))):
             raise ValueError(f"element_side {self.element_side:g} m and "
                              f"wavelength {self.wavelength:g} m put a region "
                              "bound (d_N, d_F, d_B or d_FA) outside the "
@@ -133,7 +130,7 @@ def boundary_distances(geom: ArrayGeometry) -> RegionBounds:
     if d < lam:
         d_n = lam
     else:
-        d_n = 0.62 * math.sqrt(d**3 / lam)
+        d_n = 0.62 * math.sqrt(d * d * d / lam)
     return RegionBounds(d_n=d_n, d_f=d_f, d_b=d_b, d_fa=d_fa)
 
 

@@ -59,6 +59,18 @@ def free_space_gain(wavelength: float, distance: float) -> float:
     return gain
 
 
+def _fresnel_scale(distance: float, wavelength: float) -> float:
+    """d lambda, the scale of the Fresnel phases pi delta / (d lambda).
+    `ValueError` below the normal floats, where one subnormal of error in
+    d^2 or delta can move a phase by more than pi 2^-52 (7e-16 rad)."""
+    scale = distance * wavelength
+    if scale < sys.float_info.min:
+        raise ValueError(f"distance {distance:g} m times wavelength "
+                         f"{wavelength:g} m puts the Fresnel scale "
+                         f"d lambda = {scale:g} m^2 below the normal floats")
+    return scale
+
+
 def build_los_mimo(num_antennas: int, spacing: float, distance: float,
                    wavelength: float) -> LosMimoLink:
     """Exact and Fresnel-approximate K x K LOS channel matrices.
@@ -67,13 +79,14 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
     which is the convention consistent with the Fresnel form
     exp(-j pi delta_mk / (d lambda)).
     Raises `ValueError` if the path gain or an antenna distance leaves the
-    float range.
+    float range, or d lambda the normal floats (`_fresnel_scale`).
     """
     import numpy as np
 
     k = check_count("num_antennas", num_antennas)
-    check_positive("spacing", spacing)
     beta = free_space_gain(wavelength, distance)
+    scale = _fresnel_scale(distance, wavelength)
+    check_positive("spacing", spacing)
     extent = (k - 1) * spacing
     if not distance * distance + extent * extent < math.inf:
         raise ValueError(f"antenna distances overflow at distance "
@@ -84,8 +97,7 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
     beta_mk = (wavelength / (4.0 * np.pi * d_mk)) ** 2
     h_exact = np.sqrt(beta_mk) * np.exp(
         -2j * np.pi * (d_mk - distance) / wavelength)
-    h_fresnel = math.sqrt(beta) * np.exp(
-        -1j * np.pi * delta / (distance * wavelength))
+    h_fresnel = math.sqrt(beta) * np.exp(-1j * np.pi * delta / scale)
     return LosMimoLink(num_antennas=k, spacing=spacing, wavelength=wavelength,
                        h_exact=h_exact, h_fresnel=h_fresnel, beta=beta)
 
@@ -110,7 +122,7 @@ def offdiag_magnitude(num_antennas: int, spacing: float, distance: float,
     if k == l:
         raise ValueError("k and l must differ")
     beta = free_space_gain(wavelength, distance)
-    q = (l - k) * spacing**2 / (wavelength * distance)
+    q = (l - k) * spacing**2 / _fresnel_scale(distance, wavelength)
     denom = 1.0 - cmath.exp(2j * math.pi * q)
     if abs(denom) < 1e-12:
         return beta * num_antennas
@@ -305,12 +317,11 @@ def capacity_frequency_sweep(area: float, distance: float,
             lam2 = lam * lam
             gain = 4.0 * math.pi * (area / k) / lam2 if lam2 else math.inf
             beta *= gain * gain
-        b = radio.bandwidth(f)
-        snr = radio.power_over_noise * beta / b
+        snr = radio.snr(beta, f)
         if not snr < math.inf:
             raise ValueError(f"distance {distance:g} m gives an infinite SNR")
-        points.append(FrequencyPoint(
-            num_streams=k, capacity=equal_eigenvalue_capacity(k, snr, b)))
+        points.append(FrequencyPoint(num_streams=k, capacity=(
+            equal_eigenvalue_capacity(k, snr, radio.bandwidth(f)))))
     return points
 
 

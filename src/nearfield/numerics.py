@@ -22,11 +22,16 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class BracketError(ValueError):
+class NumericError(RuntimeError):
+    """A numerical method failed on inputs its checks accept: the CLI's
+    exit 3, where a `ValueError` is a rejected argument."""
+
+
+class BracketError(NumericError):
     """The supplied bracket does not enclose a sign change."""
 
 
-class AccuracyError(RuntimeError):
+class AccuracyError(NumericError):
     """An iterative method (quadrature refinement, a series, a root finder,
     LAPACK's SVD) exhausted its budget without meeting the tolerance.
 
@@ -39,7 +44,7 @@ class AccuracyError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-class RankError(ValueError):
+class RankError(NumericError):
     """A linear system or Gram matrix is (numerically) rank deficient."""
 
 

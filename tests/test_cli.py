@@ -28,6 +28,9 @@ from nearfield.cli import (
     compare_golden,
     main,
 )
+from nearfield.config import ConfigError
+from nearfield.numerics import (AccuracyError, BracketError, NumericError,
+                                RankError)
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -860,6 +863,14 @@ class TestCliBehavior:
         # z (x^2 + z^2) in the exact field's amplitude overflows
         ("fig4_gain_sweep.yaml", "gain-sweep", "experiment.z_max",
          {"experiment.z_max": "1.0e+300"}),
+        # d lambda = 1e-310 is a subnormal, too coarse for the Fresnel
+        # phases pi delta / (d lambda)
+        ("fig11_mode_patterns.yaml", "mode-patterns", "experiment.distance_m",
+         {"radio.frequency": "2.99792458e+158",
+          "experiment.distance_m": "1.0e-160"}),
+        ("los_capacity.yaml", "los-capacity", "experiment.distance_m",
+         {"radio.frequency": "2.99792458e+158",
+          "experiment.distance_m": "1.0e-160"}),
     ], ids=["zf-far-user", "zf-near-user", "mf-near-user", "los-snr-overflow",
             "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
             "freq-snr-overflow", "freq-lambda2-underflow", "regions-side-1e300", "sweep-side-1e300",
@@ -867,7 +878,8 @@ class TestCliBehavior:
             "plan-side-1e6-lambda",
             "heatmap-focal-1e300",
             "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300",
-            "sweep-z-max-largest-float", "sweep-z-max-1e300"])
+            "sweep-z-max-largest-float", "sweep-z-max-1e300",
+            "modes-fresnel-scale-1e-310", "los-fresnel-scale-1e-310"])
     def test_value_beyond_model_range_one_line(self, tmp_path, capsys,
                                                config_name, subcommand, key,
                                                edits):
@@ -918,10 +930,14 @@ class TestCliBehavior:
          {"geometry.rows": "3", "geometry.cols": "3",
           "experiment.x_points": "5", "experiment.z_points": "5",
           "experiment.z_min": "5.0e-324"}, None),
+        # d lambda = 1e-156 is still a normal float
+        ("fig11_mode_patterns.yaml", "mode-patterns",
+         {"experiment.distance_m": "1.0e-155"}, None),
     ], ids=["bandwidth-overflow", "focal-plane-5e307", "g-1e-300", "g-1e300",
             "plan-z-min-1e-300",
             "plan-z-max-1e300", "plan-z-min-5e-324", "plan-z-max-1.7e308",
-            "zf-noise-5e-324", "zf-power-1.7e308", "heatmap-odd-z-min-5e-324"])
+            "zf-noise-5e-324", "zf-power-1.7e308", "heatmap-odd-z-min-5e-324",
+            "modes-distance-1e-155"])
     def test_value_near_model_range_finite_csv(self, tmp_path, capsys,
                                                config_name, subcommand,
                                                edits, drop):
@@ -1039,6 +1055,27 @@ class TestCliBehavior:
         [line] = captured.err.splitlines()
         assert line.startswith(f"numeric error in {subcommand}: ")
         assert captured.out == ""
+
+    def test_numeric_error_inside_blame_exit_code(self, capsys, monkeypatch):
+        # a numeric failure in a block that names a key still exits 3
+        def fail(*args, **kwargs):
+            raise RankError("channel Gram matrix is singular")
+        monkeypatch.setattr(depth_mux, "build_mu_channel", fail)
+        assert main(["zf-sinr", "--config", str(CONFIGS / "zf_sinr.yaml"),
+                     "--out", "-"]) == EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == ("numeric error in zf-sinr: channel Gram "
+                                "matrix is singular\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("error", [AccuracyError, BracketError, RankError,
+                                       NanCellError])
+    def test_exit_codes_follow_types(self, error):
+        # exit 3 is the NumericError family, exit 2 ConfigError, and a
+        # ValueError (a rejected argument) is neither
+        assert issubclass(error, NumericError)
+        assert not issubclass(error, ValueError)
+        assert not issubclass(ConfigError, (ValueError, NumericError))
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dof.csv"

@@ -13,6 +13,7 @@ from nearfield.config import (
     length,
     load_config,
 )
+from nearfield.numerics import BracketError, RankError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -233,3 +234,18 @@ def accepted_in_range_or_names_key(value):
                 assert str(exc).startswith("experiment.key: ")
             else:
                 assert isinstance(result, float) and in_range(result)
+
+
+class TestBlame:
+    @pytest.mark.parametrize("error", [
+        ConfigError("experiment.b: bad"),
+        RankError("channel Gram matrix is singular"),
+        BracketError("no sign change on [0, 1]")])
+    def test_other_errors_pass_unchanged(self, error):
+        # a ConfigError already names its key; a numeric failure is no
+        # config error at all
+        with pytest.raises(type(error)) as caught:
+            with config.blame("experiment.a"):
+                raise error
+        assert caught.value is error
+        assert str(caught.value) == str(error)

@@ -36,6 +36,13 @@ class TestRadioParams:
         assert r.bandwidth() == 20e6
         assert r.bandwidth(50e9) == 20e6
 
+    def test_snr(self):
+        # P beta / (N0 B), with B at the carrier unless a frequency is given
+        r = RadioParams(carrier_frequency=3e9, power_over_noise_db=100.0)
+        assert r.snr() == r.power_over_noise / r.bandwidth()
+        assert r.snr(1e-9, 10e9) \
+            == r.power_over_noise * 1e-9 / r.bandwidth(10e9)
+
     def test_fields_are_the_radio_block(self):
         # one field per key of the radio block, whose `frequency` is the
         # carrier
@@ -148,6 +155,15 @@ class TestOptimalSpacing:
     def test_offdiag_requires_distinct_indices(self):
         with pytest.raises(ValueError):
             offdiag_magnitude(4, 0.2, 5.0, 0.1, 2, 2)
+
+    def test_fresnel_scale_below_normal_floats(self):
+        # d lambda = 1e-400 rounds to 0, which q = (l - k) s^2 / (d lambda)
+        # would divide by
+        with pytest.raises(ValueError, match="^distance 1e-200 m times "
+                           "wavelength 1e-200 m puts the Fresnel scale"):
+            offdiag_magnitude(4, 0.5, 1e-200, 1e-200, 1, 2)
+        with pytest.raises(ValueError, match="below the normal floats"):
+            build_los_mimo(2, 1e-201, 1e-200, 1e-200)
 
 
 class TestWaterfilling:
