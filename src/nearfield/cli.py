@@ -371,25 +371,28 @@ _LINK = {"num_antennas": (count, REQUIRED), "distance_m": (positive, REQUIRED),
          "spacing": (either("optimal", positive), "optimal")}
 
 
-def _link_key(lam: float, distance: float) -> str:
-    """The key of a path gain (lambda / (4 pi d))^2 beyond the float range:
-    the radio frequency if lambda is farther from 1 m than d is, else the
-    distance."""
-    far = abs(math.log(lam)) > abs(math.log(distance))
-    return "radio.frequency" if far else "experiment.distance_m"
+def _link_key(lengths: Dict[str, float]) -> str:
+    """The key of a link budget beyond the float range: of `lengths`, key ->
+    a positive length in meters, the one farthest from 1 m by ratio (the
+    largest |ln L|, so an infinite length wins; a tie names the first)."""
+    return max(lengths, key=lambda key: abs(math.log(lengths[key])))
 
 
 def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
+    """The LOS link and the key `_link_key` names for it: of lambda and d,
+    and of a set spacing's extent (K - 1) spacing where that exceeds d."""
     from . import mimo_los
 
     k, d, lam = exp["num_antennas"], exp["distance_m"], cfg.radio.wavelength()
-    spacing, key = exp["spacing"], _link_key(lam, d)
-    if spacing == "optimal":
-        spacing = mimo_los.optimal_spacing(k, d, lam)
-    elif (k - 1) * spacing > d:  # the array's extent is the larger length
-        key = "experiment.spacing"
-    with blame(key):  # the path gain or the antenna distances overflow
-        return mimo_los.build_los_mimo(k, spacing, d, lam)
+    spacing = exp["spacing"]
+    lengths = {"experiment.distance_m": d, "radio.frequency": lam}
+    if spacing != "optimal" and (k - 1) * spacing > d:
+        lengths["experiment.spacing"] = (k - 1) * spacing
+    key = _link_key(lengths)
+    with blame(key):  # the path gain, spacing or antenna distances overflow
+        if spacing == "optimal":
+            spacing = mimo_los.optimal_spacing(k, d, lam)
+        return mimo_los.build_los_mimo(k, spacing, d, lam), key
 
 
 @subcommand("los-capacity", "radio",
@@ -397,11 +400,11 @@ def _los_link(cfg: RunConfig, exp: Dict[str, Any]):
 def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import mimo_los
 
-    link = _los_link(cfg, exp)
+    link, key = _los_link(cfg, exp)
     h = link.h_fresnel if exp["model"] == "fresnel" else link.h_exact
     # the eigenvalues of H^H H, descending: the squared singular values of H
     eigenvalues = mimo_los.svd(h, compute_uv=False) ** 2
-    with blame("experiment.distance_m"):  # a stream's SNR overflows
+    with blame(key):  # a stream's SNR overflows
         result = mimo_los.capacity_waterfilling(
             eigenvalues, cfg.radio.snr(), bandwidth=cfg.radio.bandwidth())
     rows = [[i + 1, eigenvalues[i], result.powers[i], result.capacity]
@@ -415,7 +418,7 @@ def run_los_capacity(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 def run_mode_patterns(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import mimo_los
 
-    analysis = mimo_los.mode_analysis(_los_link(cfg, exp),
+    analysis = mimo_los.mode_analysis(_los_link(cfg, exp)[0],
                                       num_angles=exp["num_angles"])
     n_modes = min(exp["num_modes"], exp["num_antennas"])
     header = ["theta_rad"] + [f"mode_{i}" for i in range(1, n_modes + 1)]
@@ -433,17 +436,14 @@ def run_mode_patterns(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
 def run_capacity_vs_bandwidth(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     from . import mimo_los
 
-    radio = cfg.radio
-    beta = exp["beta"]
+    radio, beta, d = cfg.radio, exp["beta"], exp["distance_m"]
     grid = _log_grid(exp["b_min_hz"], exp["b_max_hz"], exp["points"],
                      "experiment")
-    if beta is None:
-        lam, d = radio.wavelength(), exp["distance_m"]
-        with blame(_link_key(lam, d)):
-            beta = mimo_los.free_space_gain(lam, d)
-    # P beta out of range
-    with blame("experiment." + ("distance_m" if exp["beta"] is None
-                                else "beta")):
+    key = "experiment.beta" if beta is not None else _link_key(
+        {"experiment.distance_m": d, "radio.frequency": radio.wavelength()})
+    with blame(key):  # the path gain, or P beta out of range
+        if beta is None:
+            beta = mimo_los.free_space_gain(radio.wavelength(), d)
         sweep = mimo_los.capacity_bandwidth_sweep(radio.power_over_noise,
                                                   beta, grid)
     rows = [[b, r, sweep.rate_limit, sweep.bandwidth_80pct]
@@ -463,13 +463,15 @@ def run_capacity_vs_frequency(cfg: RunConfig, exp: Dict[str, Any]) -> CsvSeries:
     freqs = _log_grid(exp["f_min"], exp["f_max"], exp["points"], "experiment")
     model = exp["gain_model"]
     variants = ["isotropic", "directive"] if model == "both" else [model]
-    sweeps = {}
-    for variant in variants:
-        # path gain, SNR or stream count out of range
-        with blame("experiment.distance_m"):
-            sweeps[variant] = mimo_los.capacity_frequency_sweep(
-                exp["area_m2"], exp["distance_m"], freqs, cfg.radio,
-                directive=variant == "directive")
+    # the path gain, SNR or stream count out of range
+    with blame(_link_key({
+            "experiment.distance_m": exp["distance_m"],
+            "experiment.f_min": wavelength_of(exp["f_min"]),
+            "experiment.f_max": wavelength_of(exp["f_max"]),
+            "experiment.area_m2": math.sqrt(exp["area_m2"])})):
+        sweeps = {variant: mimo_los.capacity_frequency_sweep(
+            exp["area_m2"], exp["distance_m"], freqs, cfg.radio,
+            directive=variant == "directive") for variant in variants}
     header = ["frequency_hz", "streams"] + [f"capacity_{v}_bit_per_s"
                                             for v in variants]
     rows = [[f, sweeps[variants[0]][i].num_streams]

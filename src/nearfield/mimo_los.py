@@ -103,10 +103,16 @@ def build_los_mimo(num_antennas: int, spacing: float, distance: float,
 
 
 def optimal_spacing(num_antennas: int, distance: float, wavelength: float) -> float:
-    """Spacing that makes the Fresnel Gram matrix a scaled identity."""
+    """Spacing that makes the Fresnel Gram matrix a scaled identity.
+    Raises `ValueError` where sqrt(lambda d / K) overflows."""
     k = check_count("num_antennas", num_antennas)
-    return math.sqrt(check_positive("wavelength", wavelength)
-                     * check_positive("distance", distance) / k)
+    spacing = math.sqrt(check_positive("wavelength", wavelength)
+                        * check_positive("distance", distance) / k)
+    if spacing == math.inf:
+        raise ValueError(f"distance {distance:g} m times wavelength "
+                         f"{wavelength:g} m puts the optimal spacing "
+                         "sqrt(lambda d / K) beyond the float range")
+    return spacing
 
 
 def offdiag_magnitude(num_antennas: int, spacing: float, distance: float,
@@ -252,9 +258,10 @@ def num_streams_for_area(area: float, distance: float, wavelength: float,
     root = 0.5 * (c + math.hypot(c, 2.0))  # the largest sqrt(K)
     k_max = root * root
     if not k_max <= 2.0**53:
-        raise ValueError(f"distance {distance:g} m and wavelength "
-                         f"{wavelength:g} m fit {k_max:.3g} streams into "
-                         "the area, more than a float counts (2^53)")
+        raise ValueError(f"area {area:g} m^2, distance {distance:g} m and "
+                         f"wavelength {wavelength:g} m fit {k_max:.3g} "
+                         "streams into the area, more than a float counts "
+                         "(2^53)")
     # the fit test divides lambda d by K; as a subnormal the quotient is too
     # coarse to tell K from K + 1, and the steps below would not end
     if wavelength * distance / (k_max + 1.0) < sys.float_info.min:
@@ -319,7 +326,8 @@ def capacity_frequency_sweep(area: float, distance: float,
             beta *= gain * gain
         snr = radio.snr(beta, f)
         if not snr < math.inf:
-            raise ValueError(f"distance {distance:g} m gives an infinite SNR")
+            raise ValueError(f"distance {distance:g} m gives an infinite SNR "
+                             f"at {f:g} Hz")
         points.append(FrequencyPoint(num_streams=k, capacity=(
             equal_eigenvalue_capacity(k, snr, radio.bandwidth(f)))))
     return points

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import math
 import os
 import re
 import shutil
@@ -25,6 +26,7 @@ from nearfield.cli import (
     EXIT_NUMERIC_ERROR,
     RUNNERS,
     NanCellError,
+    _link_key,
     compare_golden,
     main,
 )
@@ -719,6 +721,28 @@ class TestCliBehavior:
          "experiment.beta", "1e300", "distance_m"),
         ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
          "experiment.distance_m", "1e300", None),
+        # the length farthest from 1 m of d, c / f_min, c / f_max and
+        # sqrt(area) names the key: the area or the highest frequency
+        # drives the stream count past 2^53, and the lowest frequency the
+        # path gain (lambda / (4 pi d))^2 beyond the float range
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.area_m2", "1.0e+300", None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.area_m2", str(2**62), None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.area_m2", str(2**70), None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.f_max", "1.0e+300", None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.f_min", "1.0e-155", None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.f_min", "1.0e-170", None),
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.f_min", "1.7e-300", None),
+        # the log grid's first point 10^log10(f_min) rounds below this
+        # f_min, and its c / f overflows
+        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
+         "experiment.f_min", "1.6676509031835456e-300", None),
         ("zf_sinr.yaml", "zf-sinr", "experiment.d_min", '"0.001 dF"', None),
         ("zf_sinr.yaml", "zf-sinr", "experiment.users",
          "[[1.0e+200, 0, 1], [0, 0, 5]]", None),
@@ -823,9 +847,10 @@ class TestCliBehavior:
         ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
          "experiment.distance_m", {"experiment.distance_m": "1e-3",
                                    "radio.power_over_noise_db": "3070"}),
-        # lambda^2 underflows to 0 in the directive aperture gain
+        # lambda d per stream underflows: lambda near 1e-163 m at f_max is
+        # farther from 1 m than d = 1e-140 m
         ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.distance_m", {"experiment.distance_m": "1.0e-140",
+         "experiment.f_max", {"experiment.distance_m": "1.0e-140",
                                    "experiment.area_m2": "1.0e-296",
                                    "experiment.f_min": '"3.0e+171 Hz"',
                                    "experiment.f_max": '"3.1e+171 Hz"',
@@ -871,6 +896,10 @@ class TestCliBehavior:
         ("los_capacity.yaml", "los-capacity", "experiment.distance_m",
          {"radio.frequency": "2.99792458e+158",
           "experiment.distance_m": "1.0e-160"}),
+        # a path gain that underflows beside a set spacing whose extent
+        # exceeds d: lambda = 3e-292 m is the length farthest from 1 m
+        ("los_capacity.yaml", "los-capacity", "radio.frequency",
+         {"experiment.spacing": "100", "radio.frequency": "1.0e+300"}),
     ], ids=["zf-far-user", "zf-near-user", "mf-near-user", "los-snr-overflow",
             "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
             "freq-snr-overflow", "freq-lambda2-underflow", "regions-side-1e300", "sweep-side-1e300",
@@ -879,7 +908,8 @@ class TestCliBehavior:
             "heatmap-focal-1e300",
             "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300",
             "sweep-z-max-largest-float", "sweep-z-max-1e300",
-            "modes-fresnel-scale-1e-310", "los-fresnel-scale-1e-310"])
+            "modes-fresnel-scale-1e-310", "los-fresnel-scale-1e-310",
+            "los-spacing-path-gain"])
     def test_value_beyond_model_range_one_line(self, tmp_path, capsys,
                                                config_name, subcommand, key,
                                                edits):
@@ -984,6 +1014,35 @@ class TestCliBehavior:
         sinr = [float(row.split(",")[4]) for row in rows]
         np.testing.assert_allclose(sinr, [40965.7858767, 40965.6531887],
                                    rtol=1e-9)
+
+    def test_optimal_spacing_overflow_names_it(self, tmp_path, capsys):
+        # lambda = 1e250 m at d = 1e100 m: the path gain is finite, but the
+        # optimal spacing sqrt(lambda d / K) is not
+        cfg = CONFIGS / "fig11_mode_patterns.yaml"
+        for key, value in {"radio.frequency": "2.99792458e-242",
+                           "experiment.distance_m": "1.0e+100"}.items():
+            cfg = config_with(tmp_path, cfg.read_text(), key, value)
+        assert main(["mode-patterns", "--config", str(cfg), "--out", "-"]) \
+            == EXIT_CONFIG_ERROR
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: radio.frequency: ")
+        assert "optimal spacing" in line
+
+    def test_link_key_names_the_length_farthest_from_1_m(self):
+        # by ratio, above or below 1 m; an infinite length wins, and a tie
+        # names the first key
+        assert _link_key({"d": 10.0, "lambda": 1e-3}) == "lambda"
+        assert _link_key({"d": 1e3, "lambda": 0.1}) == "d"
+        assert _link_key({"d": 1e300, "f": math.inf, "a": 5e-324}) == "f"
+        assert _link_key({"d": 2.0, "lambda": 0.5}) == "d"
+
+    def test_readme_lists_every_subcommand(self):
+        # the README's `Subcommands:` sentence names each runner and
+        # compare-golden once, so a subcommand added or renamed fails here
+        readme = (REPO / "README.md").read_text()
+        sentence = re.search(r"^Subcommands: (.*?):$", readme, re.M | re.S)
+        assert sorted(re.findall(r"`([a-z-]+)`", sentence[1])) \
+            == sorted([*RUNNERS, "compare-golden"])
 
     def test_stream_count_underflow_exit_code(self, tmp_path, capsys,
                                               time_limit):
@@ -1369,19 +1428,9 @@ AUDITED = ("los-capacity", "mode-patterns", "capacity-vs-bandwidth",
            "capacity-vs-frequency", "dof", "regions", "beam-width", "g-of-x",
            "beam-depth")
 #: (subcommand, edited key, value) of the single edits whose config error
-#: names a key the edit did not touch. capacity-vs-frequency runs its
-#: stream count and path gain checks in one library call, which blames
-#: experiment.distance_m
-MISATTRIBUTED = {("capacity-vs-frequency", key, value) for key, value in [
-    # more streams fit the area than a float counts
-    ("experiment.area_m2", "1.0e+300"),
-    ("experiment.area_m2", str(2**62)),
-    ("experiment.area_m2", str(2**70)),
-    ("experiment.f_max", "1.0e+300"),
-    # the path gain at the lowest frequency overflows
-    ("experiment.f_min", "1.0e-155"),
-    ("experiment.f_min", "1.0e-170"),
-]}
+#: names a key the edit did not touch: none, since every radio subcommand
+#: names the length of its link farthest from 1 m (`cli._link_key`)
+MISATTRIBUTED = set()
 
 
 class TestFuzzedConfigs:

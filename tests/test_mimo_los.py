@@ -118,6 +118,12 @@ class TestOptimalSpacing:
     def test_value(self):
         assert optimal_spacing(4, 10.0, 0.1) == pytest.approx(0.5)
 
+    def test_overflow_raises(self):
+        # lambda d overflows; the message names both lengths
+        with pytest.raises(ValueError, match="^distance 1e\\+100 m times "
+                           "wavelength 1e\\+250 m puts the optimal spacing"):
+            optimal_spacing(4, 1e100, 1e250)
+
     def test_gram_is_scaled_identity(self):
         lam = 0.0999308
         d = 10.0
