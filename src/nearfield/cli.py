@@ -184,9 +184,13 @@ def _linspace(lo: float, hi: float, points: int, where: str) -> List[float]:
 
 def _log_grid(lo: float, hi: float, points: int, where: str) -> List[float]:
     """`points` values from lo to hi, evenly spaced in log10: ten to the
-    power of `_linspace`'s exponents, in place."""
-    if not lo < hi or points < 2:
-        raise ConfigError(f"{where}: need min < max and at least 2 points")
+    power of `_linspace`'s exponents, in place. An empty range names the
+    block `where`, since either end can cause it."""
+    if points < 2:
+        raise ConfigError(f"{where}.points: a log grid needs at least 2 "
+                          f"points, got {points}")
+    if not lo < hi:
+        raise ConfigError(f"{where}: need min < max, got {lo:g} and {hi:g}")
     grid = _linspace(math.log10(lo), math.log10(hi), points, where)
     try:
         for i, exponent in enumerate(grid):

@@ -387,7 +387,10 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config {path!r} is not valid YAML: {exc}") from exc
+        # PyYAML puts the position of a syntax error on lines of its own
+        reason = "; ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"config {path!r} is not valid YAML: {reason}") \
+            from exc
     if raw is None:
         raw = {}
     return RunConfig(raw=raw, **ROOT.validate(raw, ""))

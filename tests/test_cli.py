@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import io
@@ -98,30 +99,67 @@ def run_cli_process(*args):
 #: pure-Python ones, several times faster
 LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+#: edits that rename a key, by appending `_x`, or delete a key or list item
+RENAME, DROP = "<rename>", "<drop>"
 
 
-def config_with(tmp_path, base, key, value, drop=None):
-    """Write the config text `base` with the dotted `key` set to the YAML
-    text `value`, and its sibling key `drop` removed."""
-    tree = yaml.load(base, Loader=LOADER)
-    *blocks, leaf = key.split(".")
-    node = tree
-    for name in blocks:
-        node = node[name]
-    node[leaf] = yaml.load(value, Loader=LOADER)
-    node.pop(drop, None)
-    path = tmp_path / "bad.yaml"
-    path.write_text(yaml.dump(tree, Dumper=DUMPER))
+def holds(node, key):
+    """Whether `key` names a slot of the mapping or list `node`."""
+    if isinstance(node, list):
+        return isinstance(key, int) and key < len(node)
+    return isinstance(node, dict) and isinstance(key, str)
+
+
+def edited(tree, edits):
+    """A copy of `tree` with each edit made. An edit is skipped where an
+    earlier one replaced or removed its parent, and a rename or deletion
+    where there is no key to rename or delete."""
+    tree = copy.deepcopy(tree)
+    for path, text in edits:
+        parent = tree
+        for key in path[:-1]:
+            if not holds(parent, key):
+                parent = None
+            else:
+                parent = (parent.get(key) if isinstance(parent, dict)
+                          else parent[key])
+        key = path[-1]
+        if not holds(parent, key):
+            continue
+        if text == DROP:
+            if isinstance(parent, list) or key in parent:
+                del parent[key]
+        elif text == RENAME:
+            if isinstance(parent, dict) and key in parent:
+                parent[f"{key}_x"] = parent.pop(key)
+        else:
+            parent[key] = yaml.load(text, Loader=LOADER)
+    return tree
+
+
+def config_text(text, edits):
+    """The config text `text` with `edits`, {dotted key: YAML text, or
+    DROP}, made; `text` as it is without edits."""
+    if not edits:
+        return text
+    tree = edited(yaml.load(text, Loader=LOADER),
+                  [(tuple(key.split(".")), value)
+                   for key, value in edits.items()])
+    return yaml.dump(tree, Dumper=DUMPER)
+
+
+def config_with(tmp_path, text, edits):
+    """Write `config_text(text, edits)` to a file and return its path."""
+    path = tmp_path / "config.yaml"
+    path.write_text(config_text(text, edits))
     return path
 
 
-def assert_config_error(capsys, subcommand, cfg, key):
-    assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
-        == EXIT_CONFIG_ERROR
-    captured = capsys.readouterr()
-    assert key in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
+def blamed(line):
+    """(key, message) of a `config error: <key>: <message>` line, the key
+    without its item indices; None for any other line."""
+    match = re.match(r"config error: (.*?): (.*)", line)
+    return match and (re.sub(r"\[\d+\]", "", match[1]), match[2])
 
 
 BEAM_DEPTH_BASE = """\
@@ -133,6 +171,7 @@ geometry:
 experiment:
   focal_distances: ["0.1 dFA"]
 """
+BEAM_DEPTH = ("beam-depth", BEAM_DEPTH_BASE)
 
 #: YAML values of each leaf kind: (wrong types, out of range)
 BAD_VALUES = {
@@ -178,23 +217,438 @@ def table_cases(prefix, schema):
                 yield dotted, partner, value
 
 
+#: a probe of `main`'s exit contract:
+#: - `base`: a shipped config's name, or (subcommand, YAML text), with the
+#:   text None for a config file that does not exist;
+#: - `edits`: {dotted key: YAML text, or DROP};
+#: - `expect`: the key its config error names (`{config}` stands for the
+#:   config's path), NUMERIC for a numeric error, or CSV;
+#: - `pin`: the error's message after the key or the subcommand, or its
+#:   start followed by "...";
+#: - `warns`: the messages of the warnings it raises.
+Probe = collections.namedtuple("Probe", "id base edits expect pin warns",
+                               defaults=(None, ()))
+NUMERIC, CSV = "<numeric>", None
+
+
+def base_of(base):
+    """(subcommand, config text) of a probe's base."""
+    if isinstance(base, str):
+        return CASES[base][0], (CONFIGS / base).read_text()
+    return base
+
+
 def schema_cases():
-    bases = {"beam-depth": BEAM_DEPTH_BASE}
+    """A probe per bad value of every key of every table, with the key's
+    one-of partner dropped, so a new key is covered as soon as its table
+    names it."""
+    bases = {"beam-depth": BEAM_DEPTH}
     for config_name, (subcommand, _) in CASES.items():
-        bases.setdefault(subcommand, (CONFIGS / config_name).read_text())
+        bases.setdefault(subcommand, config_name)
     tables = [("regions", "geometry", config.GEOMETRY),
               ("los-capacity", "radio", config.RADIO)]
     tables += [(name, "experiment", schema)
                for name, (_, schema) in SCHEMAS.items()]
     cases = []
     for subcommand, prefix, schema in tables:
-        for key, drop, value in table_cases(prefix, schema):
-            cases.append((f"{subcommand}-{key}-{value}", subcommand,
-                          bases[subcommand], key, value, drop))
+        for key, partner, value in table_cases(prefix, schema):
+            edits = {key: value}
+            if partner:
+                edits[f"{key.rpartition('.')[0]}.{partner}"] = DROP
+            cases.append(Probe(f"{subcommand}-{key}-{value}",
+                               bases[subcommand], edits, key))
     return cases
 
 
 SCHEMA_CASES = schema_cases()
+
+
+HUGE = "1" + "0" * 400  # YAML reads it as an int float() overflows on
+#: two coincident users, which make the ZF Gram matrix singular
+COINCIDENT_USERS = ("zf-sinr", 'geometry:\n  rows: 10\n  cols: 10\n'
+                    '  element_side: "0.25 lambda"\n  frequency: "3 GHz"\n'
+                    'experiment:\n  users: [[0, 0, 1.0], [0, 0, 1.0]]\n'
+                    '  noise_power: 1.0e-12\n')
+#: the schema cases and the probes of every other exit path, each checked
+#: against the whole contract by `TestExitContract`
+PROBES = SCHEMA_CASES + [Probe(*row) for row in [
+    # missing blocks, unknown keys and files that cannot be read
+    ("sweep-no-geometry",
+     ("gain-sweep", "experiment:\n  z_min: 1\n  z_max: 2\n"), {}, "geometry"),
+    ("regions-no-geometry", ("regions", "experiment: {}\n"), {}, "geometry",
+     "missing block..."),
+    ("los-no-radio", ("los-capacity", "experiment: {}\n"), {}, "radio",
+     "missing block..."),
+    ("regions-empty-config", ("regions", ""), {}, "geometry",
+     "missing block, which regions needs"),
+    ("dof-unknown-key", ("dof", 'experiment:\n  area_m2: 0.5\n  bogus: 1\n'
+                                '  frequencies: ["3 GHz"]\n'), {},
+     "experiment", "unknown keys ['bogus']"),
+    # no radio subcommand reads a gain model from the radio block;
+    # capacity-vs-frequency takes it from experiment.gain_model
+    *[(f"{name}-radio-{key}", config_name, {f"radio.{key}": "directive"},
+       "radio", f"unknown keys ['{key}']")
+      for name, config_name in [
+          ("los", "los_capacity.yaml"), ("modes", "fig11_mode_patterns.yaml"),
+          ("bandwidth", "fig1_capacity_vs_bandwidth.yaml"),
+          ("freq", "fig13_capacity_vs_frequency.yaml")]
+      for key in ("tx_gain_model", "rx_gain_model")],
+    ("regions-missing-config", ("regions", None), {},
+     "cannot read config {config!r}"),
+    ("regions-invalid-yaml", ("regions", "geometry: [\n"), {},
+     "config {config!r} is not valid YAML"),
+    ("regions-output-5", "regions.yaml", {"output": "5"}, "output",
+     "expected a string, got 5"),
+    # a unit the geometry block derives cannot size that block; the error
+    # must not ask for the geometry block it sits in
+    ("regions-wavelength-in-lambda", "regions.yaml",
+     {"geometry.wavelength": '"1 lambda"', "geometry.frequency": DROP},
+     "geometry.wavelength",
+     "the wavelength cannot be given in wavelengths (unit 'lambda')"),
+    ("regions-side-in-dF", "regions.yaml",
+     {"geometry.element_side": '"1 dF"'}, "geometry.element_side",
+     "unit 'dF' is a region bound derived from the geometry block, so it "
+     "cannot give the block's own lengths"),
+    # values the kinds refuse
+    ("sweep-points-abc", "fig4_gain_sweep.yaml",
+     {"experiment.points": '"abc"'}, "experiment.points"),
+    ("sweep-tol-1e400", "fig4_gain_sweep.yaml", {"experiment.tol": HUGE},
+     "experiment.tol"),
+    ("sweep-rows-2**62", "fig4_gain_sweep.yaml",
+     {"geometry.rows": str(2**62)}, "geometry.rows"),
+    ("regions-classify-negative", "regions.yaml",
+     {"experiment.classify": "[-1]"}, "experiment.classify"),
+    ("regions-classify-1e400", "regions.yaml",
+     {"experiment.classify": f"[{HUGE}]"}, "experiment.classify"),
+    ("width-focal-negative", "fig5_beam_width.yaml",
+     {"experiment.focal_distances": "[-1]"}, "experiment.focal_distances"),
+    ("width-x-max-abc", "fig5_beam_width.yaml", {"experiment.x_max": '"abc"'},
+     "experiment.x_max", "expected '<number> <unit>'..."),
+    ("depth-focal-negative", BEAM_DEPTH,
+     {"experiment.focal_distances": "[-1]"}, "experiment.focal_distances"),
+    ("g-points-abc", "fig9_g_of_x.yaml", {"experiment.points": '"abc"'},
+     "experiment.points"),
+    ("g-shapes-abc", "fig9_g_of_x.yaml",
+     {"experiment.shapes": '[[10, "abc"]]'}, "experiment.shapes"),
+    ("g-shapes-triple", "fig9_g_of_x.yaml",
+     {"experiment.shapes": "[[10, 10, 10]]"}, "experiment.shapes"),
+    ("plan-grid-points-abc", "fig7_depth_plan_gains.yaml",
+     {"experiment.gain_grid.points": '"abc"'}, "experiment.gain_grid.points"),
+    ("plan-rows-list", "fig10_depth_plan.yaml", {"geometry.rows": "[1]"},
+     "geometry.rows"),
+    ("plan-d-min-negative", "fig10_depth_plan.yaml",
+     {"experiment.d_min": "-1"}, "experiment.d_min"),
+    ("plan-d-min-nan", "fig10_depth_plan.yaml", {"experiment.d_min": ".nan"},
+     "experiment.d_min"),
+    ("zf-users-pair", "zf_sinr.yaml", {"experiment.users": "[[0, 0]]"},
+     "experiment.users"),
+    ("zf-users-nan", "zf_sinr.yaml", {"experiment.users": "[[0, 0, .nan]]"},
+     "experiment.users"),
+    ("los-spacing-negative", "los_capacity.yaml",
+     {"experiment.spacing": "-0.1"}, "experiment.spacing"),
+    ("los-power-abc", "los_capacity.yaml",
+     {"radio.power_over_noise_db": '"abc"'}, "radio.power_over_noise_db"),
+    ("bandwidth-fraction-abc", "fig1_capacity_vs_bandwidth.yaml",
+     {"radio.bandwidth_fraction": '"abc"'}, "radio.bandwidth_fraction"),
+    # counts beyond the complex values one array can hold
+    ("heatmap-x-points-2**70", "fig6_heatmap.yaml",
+     {"experiment.x_points": str(2**70)}, "experiment.x_points"),
+    ("heatmap-z-points-2**62", "fig6_heatmap.yaml",
+     {"experiment.z_points": str(2**62)}, "experiment.z_points"),
+    ("g-points-2**70", "fig9_g_of_x.yaml", {"experiment.points": str(2**70)},
+     "experiment.points"),
+    ("modes-angles-2**62", "fig11_mode_patterns.yaml",
+     {"experiment.num_angles": str(2**62)}, "experiment.num_angles"),
+    # grids and value sets: a log grid needs 2 points, and either end can
+    # empty its range
+    ("sweep-points-1", "fig4_gain_sweep.yaml", {"experiment.points": "1"},
+     "experiment.points"),
+    ("bandwidth-points-1", "fig1_capacity_vs_bandwidth.yaml",
+     {"experiment.points": "1"}, "experiment.points"),
+    ("freq-points-1", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.points": "1"}, "experiment.points"),
+    ("plan-grid-points-1", "fig7_depth_plan_gains.yaml",
+     {"experiment.gain_grid.points": "1"}, "experiment.gain_grid.points"),
+    ("sweep-z-min-above-z-max", "fig4_gain_sweep.yaml",
+     {"experiment.z_min": '"1e6 dF"'}, "experiment",
+     "need min < max, got 24982.7 and 2498.27"),
+    ("dof-no-wavelengths", "dof.yaml", {"experiment.frequencies": DROP},
+     "experiment", "need wavelengths_m or frequencies"),
+    # finite values that the kinds accept but the model cannot use: path
+    # gains, power ratios, bandwidths, user distances and degrees of
+    # freedom beyond the float range, and focal plans with more points
+    # than the array has elements
+    ("los-power-1e300", "los_capacity.yaml",
+     {"radio.power_over_noise_db": "1e300"}, "radio.power_over_noise_db"),
+    ("los-power-minus-1e300", "los_capacity.yaml",
+     {"radio.power_over_noise_db": "-1e300"}, "radio.power_over_noise_db"),
+    ("los-fraction-1e300", "los_capacity.yaml",
+     {"radio.bandwidth_fraction": "1e300", "radio.bandwidth_hz": DROP},
+     "radio.bandwidth_fraction"),
+    ("los-distance-1e-300", "los_capacity.yaml",
+     {"experiment.distance_m": "1e-300"}, "experiment.distance_m"),
+    ("los-distance-1e300", "los_capacity.yaml",
+     {"experiment.distance_m": "1e300"}, "experiment.distance_m"),
+    ("modes-distance-1e-300", "fig11_mode_patterns.yaml",
+     {"experiment.distance_m": "1e-300"}, "experiment.distance_m"),
+    ("modes-distance-1e300", "fig11_mode_patterns.yaml",
+     {"experiment.distance_m": "1e300"}, "experiment.distance_m"),
+    ("bandwidth-distance-1e-300", "fig1_capacity_vs_bandwidth.yaml",
+     {"experiment.distance_m": "1e-300"}, "experiment.distance_m"),
+    ("bandwidth-distance-1e300", "fig1_capacity_vs_bandwidth.yaml",
+     {"experiment.distance_m": "1e300"}, "experiment.distance_m"),
+    ("bandwidth-beta-1e300", "fig1_capacity_vs_bandwidth.yaml",
+     {"experiment.beta": "1e300", "experiment.distance_m": DROP},
+     "experiment.beta"),
+    ("freq-distance-1e300", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.distance_m": "1e300"}, "experiment.distance_m"),
+    # the length farthest from 1 m of d, c / f_min, c / f_max and
+    # sqrt(area) names the key: the area or the highest frequency drives
+    # the stream count past 2^53, and the lowest frequency the path gain
+    # (lambda / (4 pi d))^2 beyond the float range
+    ("freq-area-1e300", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.area_m2": "1.0e+300"}, "experiment.area_m2"),
+    ("freq-area-2**62", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.area_m2": str(2**62)}, "experiment.area_m2"),
+    ("freq-area-2**70", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.area_m2": str(2**70)}, "experiment.area_m2"),
+    ("freq-f-max-1e300", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.f_max": "1.0e+300"}, "experiment.f_max"),
+    ("freq-f-min-1e-155", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.f_min": "1.0e-155"}, "experiment.f_min"),
+    ("freq-f-min-1e-170", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.f_min": "1.0e-170"}, "experiment.f_min"),
+    ("freq-f-min-1.7e-300", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.f_min": "1.7e-300"}, "experiment.f_min"),
+    # the log grid's first point 10^log10(f_min) rounds below this f_min,
+    # and its c / f overflows
+    ("freq-f-min-grid-rounding", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.f_min": "1.6676509031835456e-300"}, "experiment.f_min"),
+    ("zf-d-min-0.001-dF", "zf_sinr.yaml", {"experiment.d_min": '"0.001 dF"'},
+     "experiment.d_min"),
+    ("plan-d-min-1e-9-m", "fig10_depth_plan.yaml",
+     {"experiment.d_min": '"1e-9 m"'}, "experiment.d_min"),
+    ("dof-wavelength-1e-200", "dof.yaml",
+     {"experiment.wavelengths_m": "[1.0e-200]"}, "experiment.wavelengths_m"),
+    ("dof-wavelength-1e-160", "dof.yaml",
+     {"experiment.wavelengths_m": "[1.0e-160]"}, "experiment.wavelengths_m"),
+    ("dof-wavelength-1e300", "dof.yaml",
+     {"experiment.wavelengths_m": "[1.0e+300]"}, "experiment.wavelengths_m"),
+    ("dof-frequency-1e300", "dof.yaml",
+     {"experiment.frequencies": '["1.0e+300 Hz"]'}, "experiment.frequencies"),
+    # the span 2 x_max of a grid from -x_max to x_max overflows
+    ("width-x-max-1e308", "fig5_beam_width.yaml",
+     {"experiment.x_max": "1.0e+308"}, "experiment.x_max"),
+    ("g-x-max-1e308", "fig9_g_of_x.yaml", {"experiment.x_max": "1.0e+308"},
+     "experiment.x_max"),
+    ("heatmap-x-max-1e308", "fig6_heatmap.yaml",
+     {"experiment.x_max": "1.0e+308"}, "experiment.x_max"),
+    # lambda F underflows, and divides the focal-plane sinc arguments
+    ("width-focal-5e-324", "fig5_beam_width.yaml",
+     {"experiment.focal_distances": "[5.0e-324]"},
+     "experiment.focal_distances"),
+    # d_F / (8F) overflows, and the interval would read [0, 0]
+    ("depth-focal-5e-324", BEAM_DEPTH,
+     {"experiment.focal_distances": "[5.0e-324]"},
+     "experiment.focal_distances"),
+    # a carrier so low that its wavelength c / f overflows
+    ("modes-frequency-5e-324", "fig11_mode_patterns.yaml",
+     {"radio.frequency": "5.0e-324"}, "radio.frequency"),
+    ("bandwidth-frequency-5e-324", "fig1_capacity_vs_bandwidth.yaml",
+     {"radio.frequency": "5.0e-324"}, "radio.frequency"),
+    ("freq-frequency-5e-324", "fig13_capacity_vs_frequency.yaml",
+     {"radio.frequency": "5.0e-324"}, "radio.frequency"),
+    ("dof-frequency-5e-324", "dof.yaml",
+     {"experiment.frequencies": "[5.0e-324, 3.0e+9]"},
+     "experiment.frequencies"),
+    # a carrier so high that the path gain (lambda / (4 pi d))^2
+    # underflows: lambda is farther from 1 m than d is
+    ("los-frequency-1e300", "los_capacity.yaml",
+     {"radio.frequency": "1.0e+300"}, "radio.frequency"),
+    ("modes-frequency-1e300", "fig11_mode_patterns.yaml",
+     {"radio.frequency": "1.0e+300"}, "radio.frequency"),
+    ("bandwidth-frequency-1e300", "fig1_capacity_vs_bandwidth.yaml",
+     {"radio.frequency": "1.0e+300"}, "radio.frequency"),
+    # a set spacing whose array extent makes the antenna distances
+    # overflow
+    ("los-spacing-1e300", "los_capacity.yaml",
+     {"experiment.spacing": "1.0e+300"}, "experiment.spacing"),
+    ("modes-spacing-1e300", "fig11_mode_patterns.yaml",
+     {"experiment.spacing": "1.0e+300"}, "experiment.spacing"),
+    # the SNR P / (N0 B) underflows to 0, or overflows at a narrow
+    # bandwidth, by the same radio-block rule in every radio subcommand
+    ("los-power-minus-3200", "los_capacity.yaml",
+     {"radio.power_over_noise_db": "-3200"}, "radio.power_over_noise_db"),
+    ("los-bandwidth-5e-324", "los_capacity.yaml",
+     {"radio.bandwidth_hz": "5.0e-324"}, "radio.bandwidth_hz"),
+    ("modes-bandwidth-5e-324", "fig11_mode_patterns.yaml",
+     {"radio.bandwidth_hz": "5.0e-324"}, "radio.bandwidth_hz"),
+    ("bandwidth-hz-5e-324", "fig1_capacity_vs_bandwidth.yaml",
+     {"radio.bandwidth_hz": "5.0e-324", "radio.bandwidth_fraction": DROP},
+     "radio.bandwidth_hz"),
+    ("bandwidth-power-minus-3200", "fig1_capacity_vs_bandwidth.yaml",
+     {"radio.power_over_noise_db": "-3200"}, "radio.power_over_noise_db"),
+    ("freq-power-minus-3200", "fig13_capacity_vs_frequency.yaml",
+     {"radio.power_over_noise_db": "-3200"}, "radio.power_over_noise_db"),
+    ("freq-fraction-5e-324", "fig13_capacity_vs_frequency.yaml",
+     {"radio.bandwidth_fraction": "5.0e-324"}, "radio.bandwidth_fraction"),
+    ("zf-far-user", "zf_sinr.yaml",
+     {"experiment.users": "[[1.0e+200, 0, 1], [0, 0, 5]]"},
+     "experiment.users"),
+    # a user so near that its column's power N (lambda / (4 pi z))^2
+    # overflows, for both precoders
+    ("zf-near-user", "zf_sinr.yaml",
+     {"experiment.users": "[[0, 0, 1.0e-155], [0, 0, 5]]"},
+     "experiment.users"),
+    ("mf-near-user", "zf_sinr.yaml",
+     {"experiment.users": "[[0, 0, 1.0e-155], [0, 0, 5]]",
+      "experiment.precoder": "mf"}, "experiment.users"),
+    # the SNR times the largest eigenvalue overflows, so log2(1 + SNR)
+    # would read inf
+    ("los-snr-overflow", "los_capacity.yaml",
+     {"experiment.distance_m": "1.0e-155"}, "experiment.distance_m"),
+    ("freq-1e-300", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.distance_m": "1e-300"}, "experiment.distance_m"),
+    # the SNR overflows at the first frequency
+    ("freq-1e-150", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.distance_m": "1e-150"}, "experiment.distance_m"),
+    # with a weak transmitter the stream count passes 2^53 instead
+    ("freq-1e-150-weak", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.distance_m": "1e-150",
+      "radio.power_over_noise_db": "-2000"}, "experiment.distance_m"),
+    # a finite path gain and stream count, but an infinite SNR
+    ("freq-snr-overflow", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.distance_m": "1e-3", "radio.power_over_noise_db": "3070"},
+     "experiment.distance_m"),
+    # lambda d per stream underflows: lambda near 1e-163 m at f_max is
+    # farther from 1 m than d = 1e-140 m
+    ("freq-lambda2-underflow", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.distance_m": "1.0e-140", "experiment.area_m2": "1.0e-296",
+      "experiment.f_min": '"3.0e+171 Hz"', "experiment.f_max": '"3.1e+171 Hz"',
+      "experiment.points": "2", "experiment.gain_model": "directive"},
+     "experiment.f_max"),
+    # lambda d underflows, so the stream-count fit test cannot tell K from
+    # K + 1; the count stepped for ever before this exited
+    ("freq-stream-count-underflow", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.f_min": '"1.5e170 Hz"', "experiment.f_max": '"1.6e170 Hz"',
+      "experiment.distance_m": "1.0e-162", "experiment.area_m2": "1.0e-310"},
+     "experiment.distance_m"),
+    # region bounds beyond the float range: d_N overflows at D^3, and d_F
+    # and d_FA underflow to 0
+    ("regions-side-1e300", "regions.yaml",
+     {"geometry.element_side": "1.0e+300"}, "geometry"),
+    ("sweep-side-1e300", "fig4_gain_sweep.yaml",
+     {"geometry.element_side": "1.0e+300"}, "geometry"),
+    ("regions-side-1e-300", "regions.yaml",
+     {"geometry.element_side": "1.0e-300"}, "geometry"),
+    ("zf-side-1e-300", "zf_sinr.yaml", {"geometry.element_side": "1.0e-300"},
+     "geometry"),
+    # d_F is a subnormal, too coarse for the axial gains scaled by it
+    ("plan-side-1e-160", "fig7_depth_plan_gains.yaml",
+     {"geometry.element_side": "1.0e-160"}, "geometry"),
+    # the default d_min, the geometry's d_B, admits more focal points than
+    # the array has elements
+    ("plan-side-1e6-lambda", "fig10_depth_plan.yaml",
+     {"geometry.element_side": '"1.0e+6 lambda"'}, "geometry"),
+    # heatmap points whose norm overflows
+    ("heatmap-focal-1e300", "fig6_heatmap.yaml",
+     {"experiment.focal_distance": "1.0e+300"}, "experiment.focal_distance"),
+    ("heatmap-x-1e300", "fig6_heatmap.yaml", {"experiment.x_max": "1.0e+300"},
+     "experiment.x_max"),
+    ("heatmap-z-min-1e300", "fig6_heatmap.yaml",
+     {"experiment.z_min": "1.0e+300"}, "experiment.z_min"),
+    ("heatmap-z-max-1e300", "fig6_heatmap.yaml",
+     {"experiment.z_max": "1.0e+300"}, "experiment.z_max"),
+    # the last point of a log grid rounds past the largest float
+    ("sweep-z-max-largest-float", "fig4_gain_sweep.yaml",
+     {"experiment.z_max": "1.7976931348623157e+308"}, "experiment"),
+    # z (x^2 + z^2) in the exact field's amplitude overflows
+    ("sweep-z-max-1e300", "fig4_gain_sweep.yaml",
+     {"experiment.z_max": "1.0e+300"}, "experiment.z_max"),
+    # d lambda = 1e-310 is a subnormal, too coarse for the Fresnel phases
+    # pi delta / (d lambda)
+    ("modes-fresnel-scale-1e-310", "fig11_mode_patterns.yaml",
+     {"radio.frequency": "2.99792458e+158",
+      "experiment.distance_m": "1.0e-160"}, "experiment.distance_m"),
+    ("los-fresnel-scale-1e-310", "los_capacity.yaml",
+     {"radio.frequency": "2.99792458e+158",
+      "experiment.distance_m": "1.0e-160"}, "experiment.distance_m"),
+    # a path gain that underflows beside a set spacing whose extent exceeds
+    # d: lambda = 3e-292 m is the length farthest from 1 m
+    ("los-spacing-path-gain", "los_capacity.yaml",
+     {"experiment.spacing": "100", "radio.frequency": "1.0e+300"},
+     "radio.frequency"),
+    # lambda = 1e250 m at d = 1e100 m: the path gain is finite, but the
+    # optimal spacing sqrt(lambda d / K) is not
+    ("modes-optimal-spacing-overflow", "fig11_mode_patterns.yaml",
+     {"radio.frequency": "2.99792458e-242",
+      "experiment.distance_m": "1.0e+100"}, "radio.frequency",
+     "distance 1e+100 m times wavelength 1e+250 m puts the optimal spacing "
+     "sqrt(lambda d / K) beyond the float range"),
+    # numeric failures
+    # a 20 lambda element within two wavelengths needs more than order 64
+    ("sweep-quadrature-order-64",
+     ("gain-sweep", 'geometry:\n  rows: 1\n  cols: 1\n'
+                    '  element_side: "20 lambda"\n  frequency: "3 GHz"\n'
+                    'experiment:\n  z_min: "1 lambda"\n  z_max: "2 lambda"\n'
+                    '  points: 2\n'), {}, NUMERIC),
+    ("zf-coincident-users", COINCIDENT_USERS, {}, NUMERIC, None,
+     ("duplicate user positions give a rank-deficient channel",)),
+    # at z = 1e-154 the column's power is finite, but zero-forcing meets a
+    # Gram matrix whose condition number overflows
+    ("zf-user-1e-154", "zf_sinr.yaml",
+     {"experiment.users": "[[0, 0, 1.0e-154], [0, 0, 5]]"}, NUMERIC),
+    # 2^52 rows admit about 8e13 focal points, fewer than the array's
+    # elements but beyond any 64-bit address space: the plan's list cannot
+    # be allocated, and nothing is built point by point first
+    ("plan-rows-2**52", "fig10_depth_plan.yaml",
+     {"geometry.rows": str(2**52)}, NUMERIC, "out of memory"),
+    ("zf-rows-2**52", "zf_sinr.yaml", {"geometry.rows": str(2**52)}, NUMERIC,
+     "out of memory"),
+    # 10^15 grid points need 7.1 PiB, beyond any 64-bit address space, so
+    # the allocation fails at once
+    *[(f"{name}-points-1e15", config_name, {"experiment.points": str(10**15)},
+       NUMERIC) for name, config_name in [
+          ("sweep", "fig4_gain_sweep.yaml"),
+          ("freq", "fig13_capacity_vs_frequency.yaml"),
+          ("bandwidth", "fig1_capacity_vs_bandwidth.yaml"),
+          ("width", "fig5_beam_width.yaml"), ("g", "fig9_g_of_x.yaml")]],
+    # extreme values the model can still evaluate
+    # P beta / B overflows at the narrowest bandwidth
+    ("bandwidth-overflow", "fig1_capacity_vs_bandwidth.yaml",
+     {"experiment.beta": "1e290", "experiment.b_min_hz": '"1e-10 Hz"',
+      "experiment.distance_m": DROP}, CSV),
+    # the focal-plane gain where pi x D / (lambda F) overflows: 0
+    ("focal-plane-5e307", "fig5_beam_width.yaml",
+     {"experiment.x_max": "5.0e+307"}, CSV),
+    # g and the axial gains at x near the ends of the float range
+    ("g-1e-300", "fig9_g_of_x.yaml", {"experiment.x_max": "1.0e-300"}, CSV),
+    ("g-1e300", "fig9_g_of_x.yaml", {"experiment.x_max": "1.0e+300"}, CSV),
+    ("plan-z-min-1e-300", "fig7_depth_plan_gains.yaml",
+     {"experiment.gain_grid.z_min": "1.0e-300"}, CSV),
+    ("plan-z-max-1e300", "fig7_depth_plan_gains.yaml",
+     {"experiment.gain_grid.z_max": "1.0e+300"}, CSV),
+    # 1/z overflows to inf (g = 0), or is a subnormal beside 1/F
+    ("plan-z-min-5e-324", "fig7_depth_plan_gains.yaml",
+     {"experiment.gain_grid.z_min": "5.0e-324"}, CSV),
+    ("plan-z-max-1.7e308", "fig7_depth_plan_gains.yaml",
+     {"experiment.gain_grid.z_max": "1.7e+308"}, CSV),
+    # signal / (interference + noise) overflows to the SINR cap
+    ("zf-noise-5e-324", "zf_sinr.yaml", {"experiment.noise_power": "5.0e-324"},
+     CSV),
+    ("zf-power-1.7e308", "zf_sinr.yaml",
+     {"experiment.total_power": "1.7e+308"}, CSV),
+    # a grid point on the centre element of an odd array, where z^2
+    # underflows and the element's distance is 0
+    ("heatmap-odd-z-min-5e-324", "fig6_heatmap.yaml",
+     {"geometry.rows": "3", "geometry.cols": "3", "experiment.x_points": "5",
+      "experiment.z_points": "5", "experiment.z_min": "5.0e-324"}, CSV),
+    # d lambda = 1e-156 is still a normal float
+    ("modes-distance-1e-155", "fig11_mode_patterns.yaml",
+     {"experiment.distance_m": "1.0e-155"}, CSV),
+]]
+
+
 
 
 class TestCsvSeries:
@@ -392,7 +846,7 @@ class TestCliBehavior:
         def capacities(power_db):
             cfg = config_with(tmp_path, (CONFIGS / "fig13_capacity_vs_"
                                          "frequency.yaml").read_text(),
-                              "radio.power_over_noise_db", power_db)
+                              {"radio.power_over_noise_db": power_db})
             assert main(["capacity-vs-frequency", "--config", str(cfg),
                          "--out", "-"]) == 0
             _, *rows = [line.split(",") for line in
@@ -409,7 +863,7 @@ class TestCliBehavior:
         # 1/eps; the streams still share the whole power, and the rate is
         # linear in it: P/N0 lam / ln 2 for the four (near) equal lam
         cfg = config_with(tmp_path, (CONFIGS / "los_capacity.yaml")
-                          .read_text(), "radio.power_over_noise_db", "-300")
+                          .read_text(), {"radio.power_over_noise_db": "-300"})
         assert main(["los-capacity", "--config", str(cfg), "--out", "-"]) == 0
         _, *rows = [line.split(",") for line in
                     capsys.readouterr().out.splitlines()
@@ -455,7 +909,7 @@ class TestCliBehavior:
         base = CONFIGS / "fig13_capacity_vs_frequency.yaml"
         both = table(base)
         single = table(config_with(tmp_path, base.read_text(),
-                                   "experiment.gain_model", model))
+                                   {"experiment.gain_model": model}))
         columns = ["frequency_hz", "streams", f"capacity_{model}_bit_per_s"]
         assert list(single[0]) == columns
         assert single == [{c: row[c] for c in columns} for row in both]
@@ -463,7 +917,7 @@ class TestCliBehavior:
     def test_los_capacity_exact_model(self, tmp_path, capsys):
         # model: exact waterfills the eigenvalues of the exact channel
         cfg = config_with(tmp_path, (CONFIGS / "los_capacity.yaml")
-                          .read_text(), "experiment.model", "exact")
+                          .read_text(), {"experiment.model": "exact"})
         assert main(["los-capacity", "--config", str(cfg), "--out", "-"]) == 0
         _, *rows = [line.split(",") for line in
                     capsys.readouterr().out.splitlines()
@@ -482,7 +936,8 @@ class TestCliBehavior:
     def test_depth_plan_exact_depth_parameter(self, tmp_path, capsys):
         # depth_parameter: exact plans with the solved a3dB of the shape
         cfg = config_with(tmp_path, (CONFIGS / "fig10_depth_plan.yaml")
-                          .read_text(), "experiment.depth_parameter", "exact")
+                          .read_text(),
+                          {"experiment.depth_parameter": "exact"})
         assert main(["depth-plan", "--config", str(cfg), "--out", "-"]) == 0
         _, *rows = [line.split(",") for line in
                     capsys.readouterr().out.splitlines()
@@ -510,503 +965,28 @@ class TestCliBehavior:
         assert main(["dof", "--config", str(cfg)]) == 0
         assert (tmp_path / "from_field.csv").exists()
 
-    def test_missing_geometry_exit_code(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("experiment:\n  z_min: 1\n  z_max: 2\n")
-        assert main(["gain-sweep", "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        assert "geometry" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("subcommand,block", [("regions", "geometry"),
-                                                  ("los-capacity", "radio")])
-    def test_missing_block_error_starts_with_it(self, tmp_path, capsys,
-                                                subcommand, block):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("experiment: {}\n")
-        assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"config error: {block}: missing block")
-
-    def test_unknown_experiment_key_exit_code(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("experiment:\n  area_m2: 0.5\n  bogus: 1\n"
-                       "  frequencies: [\"3 GHz\"]\n")
-        assert main(["dof", "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        assert "bogus" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key,value", [
-        ("z_min", ".nan"), ("z_max", ".inf"), ("z_min", "0"),
-        ("focal_distance", "-1"), ("focal_distance", ".inf"),
-        ("x_max", ".nan"),
-    ])
-    def test_heatmap_invalid_length_exit_code(self, tmp_path, capsys, key,
-                                              value):
-        lengths = {"focal_distance": "1", "x_max": "0.1", "z_min": "0.5",
-                   "z_max": "2", key: value}
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
-            "geometry:\n  rows: 4\n  cols: 4\n"
-            "  element_side: \"0.25 lambda\"\n  frequency: \"3 GHz\"\n"
-            "experiment:\n"
-            + "".join(f"  {k}: {v}\n" for k, v in lengths.items()))
-        assert main(["heatmap", "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        assert f"experiment.{key}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("config_name,subcommand", [
-        ("los_capacity.yaml", "los-capacity"),
-        ("fig11_mode_patterns.yaml", "mode-patterns"),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth"),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency"),
-    ])
-    @pytest.mark.parametrize("key", ["tx_gain_model", "rx_gain_model"])
-    @pytest.mark.parametrize("model", ["directive", "isotropic"])
-    def test_radio_gain_model_key_exit_code(self, tmp_path, capsys,
-                                            config_name, subcommand, key,
-                                            model):
-        # no radio subcommand reads a gain model from the radio block;
-        # capacity-vs-frequency takes it from experiment.gain_model
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text((CONFIGS / config_name).read_text().replace(
-            "radio:\n", f"radio:\n  {key}: {model}\n", 1))
-        assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() \
-            == [f"config error: radio: unknown keys ['{key}']"]
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("config_name,subcommand,key,value", [
-        ("fig4_gain_sweep.yaml", "gain-sweep", "points", '"abc"'),
-        ("fig4_gain_sweep.yaml", "gain-sweep", "z_max", ".inf"),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "area_m2", "-1"),
-        ("los_capacity.yaml", "los-capacity", "num_antennas", "0"),
-        ("fig9_g_of_x.yaml", "g-of-x", "x_max", '"abc"'),
-        ("fig9_g_of_x.yaml", "g-of-x", "points", '"abc"'),
-        ("fig9_g_of_x.yaml", "g-of-x", "shapes", '[[10, "abc"]]'),
-        ("fig9_g_of_x.yaml", "g-of-x", "shapes", "[[10, 10, 10]]"),
-        ("fig7_depth_plan_gains.yaml", "depth-plan", "gain_grid.points",
-         '"abc"'),
-        ("fig7_depth_plan_gains.yaml", "depth-plan", "gain_grid.z_max",
-         ".inf"),
-        ("zf_sinr.yaml", "zf-sinr", "noise_power", "-1"),
-        ("zf_sinr.yaml", "zf-sinr", "total_power", '"abc"'),
-        ("zf_sinr.yaml", "zf-sinr", "users", "[[0, 0]]"),
-        ("los_capacity.yaml", "los-capacity", "spacing", "-0.1"),
-        ("fig5_beam_width.yaml", "beam-width", "focal_distances", "5"),
-        ("fig5_beam_width.yaml", "beam-width", "focal_distances", "[-1]"),
-        ("fig5_beam_width.yaml", "beam-width", "x_max", ".inf"),
-        ("regions.yaml", "regions", "classify", "5"),
-        ("regions.yaml", "regions", "classify", "[-1]"),
-        ("zf_sinr.yaml", "zf-sinr", "users", "[[0, 0, -1]]"),
-        ("zf_sinr.yaml", "zf-sinr", "users", "[[0, 0, .nan]]"),
-        ("zf_sinr.yaml", "zf-sinr", "d_min", "-1"),
-        ("dof.yaml", "dof", "frequencies", '["0 GHz"]'),
-        ("dof.yaml", "dof", "frequencies", "5"),
-        ("fig4_gain_sweep.yaml", "gain-sweep", "points", "2.7"),
-        ("fig10_depth_plan.yaml", "depth-plan", "d_min", "-1"),
-        ("fig10_depth_plan.yaml", "depth-plan", "d_min", ".nan"),
-        # counts beyond the complex values one array can hold
-        ("fig6_heatmap.yaml", "heatmap", "x_points", str(2**70)),
-        ("fig9_g_of_x.yaml", "g-of-x", "points", str(2**70)),
-        ("fig6_heatmap.yaml", "heatmap", "z_points", str(2**62)),
-        ("fig11_mode_patterns.yaml", "mode-patterns", "num_angles",
-         str(2**62)),
-    ])
-    def test_invalid_experiment_value_exit_code(self, tmp_path, capsys,
-                                                config_name, subcommand, key,
-                                                value):
-        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(),
-                          f"experiment.{key}", value)
-        assert_config_error(capsys, subcommand, cfg, f"experiment.{key}")
-
-    @pytest.mark.parametrize("config_name,subcommand,key,value", [
-        ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
-         '"abc"'),
-        ("fig10_depth_plan.yaml", "depth-plan", "geometry.rows", "[1]"),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
-         "radio.bandwidth_fraction", '"abc"'),
-        ("regions.yaml", "regions", "geometry.frequency", '"0 GHz"'),
-        ("regions.yaml", "regions", "geometry.rows", "2.7"),
-        ("regions.yaml", "regions", "geometry.wavelength", ".nan"),
-        ("fig4_gain_sweep.yaml", "gain-sweep", "geometry.rows", str(2**62)),
-    ])
-    def test_invalid_block_value_exit_code(self, tmp_path, capsys,
-                                           config_name, subcommand, key,
-                                           value):
-        drop = "frequency" if key == "geometry.wavelength" else None
-        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(), key,
-                          value, drop)
-        assert_config_error(capsys, subcommand, cfg, key)
-
-    @pytest.mark.parametrize("key,value,drop,message", [
-        ("geometry.wavelength", '"1 lambda"', "frequency",
-         "the wavelength cannot be given in wavelengths (unit 'lambda')"),
-        ("geometry.element_side", '"1 dF"', None,
-         "unit 'dF' is a region bound derived from the geometry block, so "
-         "it cannot give the block's own lengths"),
-    ])
-    def test_geometry_unit_inside_geometry_one_line(self, tmp_path, capsys,
-                                                    key, value, drop,
-                                                    message):
-        # a unit the geometry block derives cannot size that block; the
-        # error must not ask for the geometry block it sits in
-        cfg = config_with(tmp_path, (CONFIGS / "regions.yaml").read_text(),
-                          key, value, drop)
-        assert main(["regions", "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"config error: {key}: {message}"]
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("config_name,subcommand,key,value,drop,line", [
-        ("fig4_gain_sweep.yaml", "gain-sweep", "experiment.z_min",
-         '"1e6 dF"', None, "experiment: need min < max and at least 2 points"),
-        ("dof.yaml", "dof", "experiment.area_m2", "0.5", "frequencies",
-         "experiment: need wavelengths_m or frequencies"),
-        ("regions.yaml", "regions", "output", "5", None,
-         "output: expected a string, got 5"),
-    ])
-    def test_config_error_one_line(self, tmp_path, capsys, config_name,
-                                   subcommand, key, value, drop, line):
-        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(), key,
-                          value, drop)
-        assert main([subcommand, "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"config error: {line}"]
-        assert captured.out == ""
-
-    def test_empty_config_names_the_missing_geometry(self, tmp_path, capsys):
-        cfg = tmp_path / "empty.yaml"
-        cfg.write_text("")
-        assert main(["regions", "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: geometry: missing block, which regions needs"]
 
     def test_null_experiment_runs_regions(self, tmp_path, capsys):
         # an empty experiment block: the bounds, and nothing classified
         cfg = config_with(tmp_path, (CONFIGS / "regions.yaml").read_text(),
-                          "experiment", "null")
+                          {"experiment": "null"})
         assert main(["regions", "--config", str(cfg), "--out", "-"]) == 0
         rows = [r for r in capsys.readouterr().out.splitlines()
                 if not r.startswith("#")]
         assert [r.split(",")[0] for r in rows] == [
             "quantity", "d_n", "d_f", "d_b", "d_fa"]
 
-    @pytest.mark.parametrize("config_name,subcommand,key,value,drop", [
-        ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
-         "1e300", None),
-        ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
-         "-1e300", None),
-        ("los_capacity.yaml", "los-capacity", "radio.bandwidth_fraction",
-         "1e300", "bandwidth_hz"),
-        ("los_capacity.yaml", "los-capacity", "experiment.distance_m",
-         "1e-300", None),
-        ("los_capacity.yaml", "los-capacity", "experiment.distance_m",
-         "1e300", None),
-        ("fig11_mode_patterns.yaml", "mode-patterns", "experiment.distance_m",
-         "1e-300", None),
-        ("fig11_mode_patterns.yaml", "mode-patterns", "experiment.distance_m",
-         "1e300", None),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
-         "experiment.distance_m", "1e-300", None),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
-         "experiment.distance_m", "1e300", None),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
-         "experiment.beta", "1e300", "distance_m"),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.distance_m", "1e300", None),
-        # the length farthest from 1 m of d, c / f_min, c / f_max and
-        # sqrt(area) names the key: the area or the highest frequency
-        # drives the stream count past 2^53, and the lowest frequency the
-        # path gain (lambda / (4 pi d))^2 beyond the float range
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.area_m2", "1.0e+300", None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.area_m2", str(2**62), None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.area_m2", str(2**70), None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.f_max", "1.0e+300", None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.f_min", "1.0e-155", None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.f_min", "1.0e-170", None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.f_min", "1.7e-300", None),
-        # the log grid's first point 10^log10(f_min) rounds below this
-        # f_min, and its c / f overflows
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.f_min", "1.6676509031835456e-300", None),
-        ("zf_sinr.yaml", "zf-sinr", "experiment.d_min", '"0.001 dF"', None),
-        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
-         "[[1.0e+200, 0, 1], [0, 0, 5]]", None),
-        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
-         "[[0, 0, 1.0e-155], [0, 0, 5]]", None),
-        ("fig10_depth_plan.yaml", "depth-plan", "experiment.d_min",
-         '"1e-9 m"', None),
-        ("dof.yaml", "dof", "experiment.wavelengths_m", "[1.0e-200]", None),
-        ("dof.yaml", "dof", "experiment.wavelengths_m", "[1.0e-160]", None),
-        ("dof.yaml", "dof", "experiment.wavelengths_m", "[1.0e+300]", None),
-        ("dof.yaml", "dof", "experiment.frequencies", '["1.0e+300 Hz"]',
-         None),
-        # the span 2 x_max of a grid from -x_max to x_max overflows
-        ("fig5_beam_width.yaml", "beam-width", "experiment.x_max", "1.0e+308",
-         None),
-        ("fig9_g_of_x.yaml", "g-of-x", "experiment.x_max", "1.0e+308", None),
-        ("fig6_heatmap.yaml", "heatmap", "experiment.x_max", "1.0e+308", None),
-        # lambda F underflows, and divides the focal-plane sinc arguments
-        ("fig5_beam_width.yaml", "beam-width", "experiment.focal_distances",
-         "[5.0e-324]", None),
-        # a carrier so low that its wavelength c / f overflows
-        ("los_capacity.yaml", "los-capacity", "radio.frequency", "5.0e-324",
-         None),
-        ("fig11_mode_patterns.yaml", "mode-patterns", "radio.frequency",
-         "5.0e-324", None),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
-         "radio.frequency", "5.0e-324", None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "radio.frequency", "5.0e-324", None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.f_min", "5.0e-324", None),
-        ("regions.yaml", "regions", "geometry.frequency", "5.0e-324", None),
-        ("dof.yaml", "dof", "experiment.frequencies", "[5.0e-324, 3.0e+9]",
-         None),
-        # a carrier so high that the path gain (lambda / (4 pi d))^2
-        # underflows: lambda is farther from 1 m than d is
-        ("los_capacity.yaml", "los-capacity", "radio.frequency", "1.0e+300",
-         None),
-        ("fig11_mode_patterns.yaml", "mode-patterns", "radio.frequency",
-         "1.0e+300", None),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
-         "radio.frequency", "1.0e+300", None),
-        # a set spacing whose array extent makes the antenna distances
-        # overflow
-        ("los_capacity.yaml", "los-capacity", "experiment.spacing",
-         "1.0e+300", None),
-        ("fig11_mode_patterns.yaml", "mode-patterns", "experiment.spacing",
-         "1.0e+300", None),
-        # the SNR P / (N0 B) underflows to 0, or overflows at a narrow
-        # bandwidth
-        ("los_capacity.yaml", "los-capacity", "radio.power_over_noise_db",
-         "-3200", None),
-        ("los_capacity.yaml", "los-capacity", "radio.bandwidth_hz",
-         "5.0e-324", None),
-        # the same radio-block rule in every radio subcommand
-        ("fig11_mode_patterns.yaml", "mode-patterns", "radio.bandwidth_hz",
-         "5.0e-324", "bandwidth_fraction"),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
-         "radio.bandwidth_hz", "5.0e-324", "bandwidth_fraction"),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
-         "radio.power_over_noise_db", "-3200", None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "radio.power_over_noise_db", "-3200", None),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "radio.bandwidth_fraction", "5.0e-324", None),
-    ])
-    def test_value_beyond_model_range_exit_code(self, tmp_path, capsys,
-                                                config_name, subcommand, key,
-                                                value, drop):
-        # finite values that the kinds accept but the model cannot use:
-        # path gains, power ratios, bandwidths, user distances and degrees
-        # of freedom beyond the float range, and focal plans with more
-        # points than the array has elements
-        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(), key,
-                          value, drop)
-        assert_config_error(capsys, subcommand, cfg, key)
-
-    @pytest.mark.parametrize("config_name,subcommand,key,edits", [
-        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
-         {"experiment.users": "[[1.0e+200, 0, 1], [0, 0, 5]]"}),
-        # a user so near that its column's power N (lambda / (4 pi z))^2
-        # overflows, for both precoders
-        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
-         {"experiment.users": "[[0, 0, 1.0e-155], [0, 0, 5]]"}),
-        ("zf_sinr.yaml", "zf-sinr", "experiment.users",
-         {"experiment.users": "[[0, 0, 1.0e-155], [0, 0, 5]]",
-          "experiment.precoder": "mf"}),
-        # the SNR times the largest eigenvalue overflows, so log2(1 + SNR)
-        # would read inf
-        ("los_capacity.yaml", "los-capacity", "experiment.distance_m",
-         {"experiment.distance_m": "1.0e-155"}),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.distance_m", {"experiment.distance_m": "1e-300"}),
-        # the SNR overflows at the first frequency
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.distance_m", {"experiment.distance_m": "1e-150"}),
-        # with a weak transmitter the stream count passes 2^53 instead
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.distance_m", {"experiment.distance_m": "1e-150",
-                                   "radio.power_over_noise_db": "-2000"}),
-        # a finite path gain and stream count, but an infinite SNR
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.distance_m", {"experiment.distance_m": "1e-3",
-                                   "radio.power_over_noise_db": "3070"}),
-        # lambda d per stream underflows: lambda near 1e-163 m at f_max is
-        # farther from 1 m than d = 1e-140 m
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency",
-         "experiment.f_max", {"experiment.distance_m": "1.0e-140",
-                                   "experiment.area_m2": "1.0e-296",
-                                   "experiment.f_min": '"3.0e+171 Hz"',
-                                   "experiment.f_max": '"3.1e+171 Hz"',
-                                   "experiment.points": "2",
-                                   "experiment.gain_model": "directive"}),
-        # region bounds beyond the float range: d_N overflows at D^3, and
-        # d_F and d_FA underflow to 0
-        ("regions.yaml", "regions", "geometry",
-         {"geometry.element_side": "1.0e+300"}),
-        ("fig4_gain_sweep.yaml", "gain-sweep", "geometry",
-         {"geometry.element_side": "1.0e+300"}),
-        ("regions.yaml", "regions", "geometry",
-         {"geometry.element_side": "1.0e-300"}),
-        ("zf_sinr.yaml", "zf-sinr", "geometry",
-         {"geometry.element_side": "1.0e-300"}),
-        # d_F is a subnormal, too coarse for the axial gains scaled by it
-        ("fig7_depth_plan_gains.yaml", "depth-plan", "geometry",
-         {"geometry.element_side": "1.0e-160"}),
-        # the default d_min, the geometry's d_B, admits more focal points
-        # than the array has elements
-        ("fig10_depth_plan.yaml", "depth-plan", "geometry",
-         {"geometry.element_side": '"1.0e+6 lambda"'}),
-        # heatmap points whose norm overflows
-        ("fig6_heatmap.yaml", "heatmap", "experiment.focal_distance",
-         {"experiment.focal_distance": "1.0e+300"}),
-        ("fig6_heatmap.yaml", "heatmap", "experiment.x_max",
-         {"experiment.x_max": "1.0e+300"}),
-        ("fig6_heatmap.yaml", "heatmap", "experiment.z_min",
-         {"experiment.z_min": "1.0e+300"}),
-        ("fig6_heatmap.yaml", "heatmap", "experiment.z_max",
-         {"experiment.z_max": "1.0e+300"}),
-        # the last point of a log grid rounds past the largest float
-        ("fig4_gain_sweep.yaml", "gain-sweep", "experiment",
-         {"experiment.z_max": "1.7976931348623157e+308"}),
-        # z (x^2 + z^2) in the exact field's amplitude overflows
-        ("fig4_gain_sweep.yaml", "gain-sweep", "experiment.z_max",
-         {"experiment.z_max": "1.0e+300"}),
-        # d lambda = 1e-310 is a subnormal, too coarse for the Fresnel
-        # phases pi delta / (d lambda)
-        ("fig11_mode_patterns.yaml", "mode-patterns", "experiment.distance_m",
-         {"radio.frequency": "2.99792458e+158",
-          "experiment.distance_m": "1.0e-160"}),
-        ("los_capacity.yaml", "los-capacity", "experiment.distance_m",
-         {"radio.frequency": "2.99792458e+158",
-          "experiment.distance_m": "1.0e-160"}),
-        # a path gain that underflows beside a set spacing whose extent
-        # exceeds d: lambda = 3e-292 m is the length farthest from 1 m
-        ("los_capacity.yaml", "los-capacity", "radio.frequency",
-         {"experiment.spacing": "100", "radio.frequency": "1.0e+300"}),
-    ], ids=["zf-far-user", "zf-near-user", "mf-near-user", "los-snr-overflow",
-            "freq-1e-300", "freq-1e-150", "freq-1e-150-weak",
-            "freq-snr-overflow", "freq-lambda2-underflow", "regions-side-1e300", "sweep-side-1e300",
-            "regions-side-1e-300", "zf-side-1e-300", "plan-side-1e-160",
-            "plan-side-1e6-lambda",
-            "heatmap-focal-1e300",
-            "heatmap-x-1e300", "heatmap-z-min-1e300", "heatmap-z-max-1e300",
-            "sweep-z-max-largest-float", "sweep-z-max-1e300",
-            "modes-fresnel-scale-1e-310", "los-fresnel-scale-1e-310",
-            "los-spacing-path-gain"])
-    def test_value_beyond_model_range_one_line(self, tmp_path, capsys,
-                                               config_name, subcommand, key,
-                                               edits):
-        # the config error is all that reaches stderr: no numpy warning
-        cfg = CONFIGS / config_name
-        for edit_key, value in edits.items():
-            cfg = config_with(tmp_path, cfg.read_text(), edit_key, value)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main([subcommand, "--config", str(cfg), "--out", "-"])
-        assert rc == EXIT_CONFIG_ERROR
-        assert [str(w.message) for w in caught] == []
-        captured = capsys.readouterr()
-        [line] = captured.err.splitlines()
-        assert line.startswith(f"config error: {key}: ")
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("config_name,subcommand,edits,drop", [
-        # P beta / B overflows at the narrowest bandwidth
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth",
-         {"experiment.beta": "1e290", "experiment.b_min_hz": '"1e-10 Hz"'},
-         "distance_m"),
-        # the focal-plane gain where pi x D / (lambda F) overflows: 0
-        ("fig5_beam_width.yaml", "beam-width",
-         {"experiment.x_max": "5.0e+307"}, None),
-        # g and the axial gains at x near the ends of the float range
-        ("fig9_g_of_x.yaml", "g-of-x", {"experiment.x_max": "1.0e-300"},
-         None),
-        ("fig9_g_of_x.yaml", "g-of-x", {"experiment.x_max": "1.0e+300"},
-         None),
-        ("fig7_depth_plan_gains.yaml", "depth-plan",
-         {"experiment.gain_grid.z_min": "1.0e-300"}, None),
-        ("fig7_depth_plan_gains.yaml", "depth-plan",
-         {"experiment.gain_grid.z_max": "1.0e+300"}, None),
-        # 1/z overflows to inf (g = 0), or is a subnormal beside 1/F
-        ("fig7_depth_plan_gains.yaml", "depth-plan",
-         {"experiment.gain_grid.z_min": "5.0e-324"}, None),
-        ("fig7_depth_plan_gains.yaml", "depth-plan",
-         {"experiment.gain_grid.z_max": "1.7e+308"}, None),
-        # signal / (interference + noise) overflows to the SINR cap
-        ("zf_sinr.yaml", "zf-sinr", {"experiment.noise_power": "5.0e-324"},
-         None),
-        ("zf_sinr.yaml", "zf-sinr", {"experiment.total_power": "1.7e+308"},
-         None),
-        # a grid point on the centre element of an odd array, where z^2
-        # underflows and the element's distance is 0
-        ("fig6_heatmap.yaml", "heatmap",
-         {"geometry.rows": "3", "geometry.cols": "3",
-          "experiment.x_points": "5", "experiment.z_points": "5",
-          "experiment.z_min": "5.0e-324"}, None),
-        # d lambda = 1e-156 is still a normal float
-        ("fig11_mode_patterns.yaml", "mode-patterns",
-         {"experiment.distance_m": "1.0e-155"}, None),
-    ], ids=["bandwidth-overflow", "focal-plane-5e307", "g-1e-300", "g-1e300",
-            "plan-z-min-1e-300",
-            "plan-z-max-1e300", "plan-z-min-5e-324", "plan-z-max-1.7e308",
-            "zf-noise-5e-324", "zf-power-1.7e308", "heatmap-odd-z-min-5e-324",
-            "modes-distance-1e-155"])
-    def test_value_near_model_range_finite_csv(self, tmp_path, capsys,
-                                               config_name, subcommand,
-                                               edits, drop):
-        # extreme values the model can still evaluate: a CSV of finite
-        # numbers, with nothing on stderr
-        cfg = CONFIGS / config_name
-        for edit_key, value in edits.items():
-            cfg = config_with(tmp_path, cfg.read_text(), edit_key, value, drop)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = main([subcommand, "--config", str(cfg), "--out", "-"])
-        assert rc == 0
-        assert [str(w.message) for w in caught] == []
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        _, *rows = [line for line in captured.out.splitlines()
-                    if not line.startswith("#")]
-        values = np.array([line.split(",") for line in rows], dtype=float)
-        assert values.size and np.all(np.isfinite(values))
-
     def test_user_at_amplitude_limit(self, tmp_path, capsys):
-        # at z = 1e-154 the column's power is finite: the matched filter
-        # still resolves both users, and zero-forcing meets a Gram matrix
-        # whose condition number overflows
-        cfg = config_with(tmp_path, (CONFIGS / "zf_sinr.yaml").read_text(),
-                          "experiment.users", "[[0, 0, 1.0e-154], [0, 0, 5]]")
+        # at z = 1e-154 the column's power is finite, and the matched filter
+        # still resolves both users (zero-forcing exits 3: `zf-user-1e-154`)
+        cfg = config_with(tmp_path, (CONFIGS / "zf_sinr.yaml").read_text(), {
+            "experiment.users": "[[0, 0, 1.0e-154], [0, 0, 5]]",
+            "experiment.precoder": "mf"})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["zf-sinr", "--config", str(cfg), "--out", "-"])
-        assert rc == EXIT_NUMERIC_ERROR
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("numeric error in zf-sinr: ")
-        cfg = config_with(tmp_path, cfg.read_text(), "experiment.precoder",
-                          "mf")
-        with warnings.catch_warnings(record=True) as more:
-            warnings.simplefilter("always")
-            rc = main(["zf-sinr", "--config", str(cfg), "--out", "-"])
         assert rc == 0
-        assert [str(w.message) for w in caught + more] == []
+        assert [str(w.message) for w in caught] == []
         captured = capsys.readouterr()
         assert captured.err == ""
         _, *rows = [line for line in captured.out.splitlines()
@@ -1014,19 +994,6 @@ class TestCliBehavior:
         sinr = [float(row.split(",")[4]) for row in rows]
         np.testing.assert_allclose(sinr, [40965.7858767, 40965.6531887],
                                    rtol=1e-9)
-
-    def test_optimal_spacing_overflow_names_it(self, tmp_path, capsys):
-        # lambda = 1e250 m at d = 1e100 m: the path gain is finite, but the
-        # optimal spacing sqrt(lambda d / K) is not
-        cfg = CONFIGS / "fig11_mode_patterns.yaml"
-        for key, value in {"radio.frequency": "2.99792458e-242",
-                           "experiment.distance_m": "1.0e+100"}.items():
-            cfg = config_with(tmp_path, cfg.read_text(), key, value)
-        assert main(["mode-patterns", "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("config error: radio.frequency: ")
-        assert "optimal spacing" in line
 
     def test_link_key_names_the_length_farthest_from_1_m(self):
         # by ratio, above or below 1 m; an infinite length wins, and a tie
@@ -1043,60 +1010,6 @@ class TestCliBehavior:
         sentence = re.search(r"^Subcommands: (.*?):$", readme, re.M | re.S)
         assert sorted(re.findall(r"`([a-z-]+)`", sentence[1])) \
             == sorted([*RUNNERS, "compare-golden"])
-
-    def test_stream_count_underflow_exit_code(self, tmp_path, capsys,
-                                              time_limit):
-        # lambda d underflows, so the stream-count fit test cannot tell K
-        # from K + 1; the count stepped for ever before this exited
-        cfg = CONFIGS / "fig13_capacity_vs_frequency.yaml"
-        for key, value in {"experiment.f_min": '"1.5e170 Hz"',
-                           "experiment.f_max": '"1.6e170 Hz"',
-                           "experiment.distance_m": "1.0e-162",
-                           "experiment.area_m2": "1.0e-310"}.items():
-            cfg = config_with(tmp_path, cfg.read_text(), key, value)
-        with time_limit(10):
-            assert_config_error(capsys, "capacity-vs-frequency", cfg,
-                                "experiment.distance_m")
-
-    @pytest.mark.parametrize("config_name,subcommand", [
-        ("fig10_depth_plan.yaml", "depth-plan"),
-        ("zf_sinr.yaml", "zf-sinr")])
-    def test_plan_too_large_for_memory_exit_code(self, tmp_path, capsys,
-                                                 time_limit, config_name,
-                                                 subcommand):
-        # 2^52 rows admit about 8e13 focal points, fewer than the array's
-        # elements but beyond any 64-bit address space: the plan's list
-        # cannot be allocated, and nothing is built point by point first
-        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(),
-                          "geometry.rows", str(2**52))
-        with time_limit(10):
-            rc = main([subcommand, "--config", str(cfg), "--out", "-"])
-        assert rc == EXIT_NUMERIC_ERROR
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            f"numeric error in {subcommand}: out of memory"]
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("config_name,subcommand", [
-        ("fig4_gain_sweep.yaml", "gain-sweep"),
-        ("fig13_capacity_vs_frequency.yaml", "capacity-vs-frequency"),
-        ("fig1_capacity_vs_bandwidth.yaml", "capacity-vs-bandwidth"),
-        ("fig5_beam_width.yaml", "beam-width"),
-        ("fig9_g_of_x.yaml", "g-of-x")])
-    def test_result_too_large_for_memory_exit_code(self, tmp_path, capsys,
-                                                   time_limit, config_name,
-                                                   subcommand):
-        # 10^15 grid points need 7.1 PiB, beyond any 64-bit address space,
-        # so the allocation fails at once
-        cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(),
-                          "experiment.points", str(10**15))
-        with time_limit(10):
-            rc = main([subcommand, "--config", str(cfg), "--out", "-"])
-        assert rc == EXIT_NUMERIC_ERROR
-        captured = capsys.readouterr()
-        [line] = captured.err.splitlines()
-        assert line.startswith(f"numeric error in {subcommand}: ")
-        assert captured.out == ""
 
     @pytest.mark.parametrize("config_name,subcommand,routine", [
         ("los_capacity.yaml", "los-capacity", "svd"),
@@ -1146,32 +1059,6 @@ class TestCliBehavior:
         assert str(out) in line
         assert captured.out == ""
 
-    @pytest.mark.parametrize("case", SCHEMA_CASES,
-                             ids=[case[0] for case in SCHEMA_CASES])
-    def test_schema_value_exit_code(self, tmp_path, capsys, case):
-        # one case per bad value of every key of every table, so a new key
-        # is covered as soon as its table names it
-        _, subcommand, base, key, value, drop = case
-        cfg = config_with(tmp_path, base, key, value, drop)
-        assert_config_error(capsys, subcommand, cfg, key)
-
-    def test_integer_beyond_float_range_exit_code(self, tmp_path, capsys):
-        huge = "1" + "0" * 400  # YAML reads it as an int float() overflows on
-        for config_name, subcommand, key, value in [
-                ("fig4_gain_sweep.yaml", "gain-sweep", "tol", huge),
-                ("regions.yaml", "regions", "classify", f"[{huge}]")]:
-            cfg = config_with(tmp_path, (CONFIGS / config_name).read_text(),
-                              f"experiment.{key}", value)
-            assert_config_error(capsys, subcommand, cfg, f"experiment.{key}")
-
-    def test_quantity_error_names_key(self, tmp_path, capsys):
-        cfg = config_with(tmp_path, (CONFIGS / "fig5_beam_width.yaml")
-                          .read_text(), "experiment.x_max", '"abc"')
-        assert main(["beam-width", "--config", str(cfg), "--out", "-"]) \
-            == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err.startswith(
-            "config error: experiment.x_max: expected '<number> <unit>'")
-
     def test_beam_depth(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(BEAM_DEPTH_BASE)
@@ -1180,27 +1067,6 @@ class TestCliBehavior:
                  if not l.startswith("#")]
         assert lines[0] == "focal_m,z_lo_m,z_hi_m,bd_3db_m,bw_3db_m,a_3db"
         assert len(lines) == 2
-        # at 5e-324, d_F / (8F) overflows and the interval would read [0, 0]
-        for focal_distances in ("[-1]", "[5.0e-324]"):
-            cfg = config_with(tmp_path, BEAM_DEPTH_BASE,
-                              "experiment.focal_distances", focal_distances)
-            assert_config_error(capsys, "beam-depth", cfg,
-                                "experiment.focal_distances")
-
-    def test_quadrature_not_converged_exit_code(self, tmp_path, capsys):
-        # a 20 lambda element within two wavelengths needs more than order 64
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
-            "geometry:\n  rows: 1\n  cols: 1\n"
-            "  element_side: \"20 lambda\"\n  frequency: \"3 GHz\"\n"
-            "experiment:\n  z_min: \"1 lambda\"\n  z_max: \"2 lambda\"\n"
-            "  points: 2\n")
-        assert main(["gain-sweep", "--config", str(cfg), "--out", "-"]) \
-            == EXIT_NUMERIC_ERROR
-        captured = capsys.readouterr()
-        assert "gain-sweep" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == ""
 
     def test_gain_above_its_bound_exit_code(self, capsys, monkeypatch):
         # element integrals 1 % too large break the gain's Cauchy-Schwarz
@@ -1221,20 +1087,6 @@ class TestCliBehavior:
         assert line.startswith("numeric error in gain-sweep: exact gain ")
         assert "Cauchy-Schwarz bound" in line
         assert captured.out == ""
-
-    def test_numeric_error_exit_code(self, tmp_path, capsys):
-        # two coincident users make the ZF Gram matrix singular
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
-            "geometry:\n  rows: 10\n  cols: 10\n"
-            "  element_side: \"0.25 lambda\"\n  frequency: \"3 GHz\"\n"
-            "experiment:\n  users: [[0, 0, 1.0], [0, 0, 1.0]]\n"
-            "  noise_power: 1.0e-12\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rc = main(["zf-sinr", "--config", str(cfg), "--out", "-"])
-        assert rc == EXIT_NUMERIC_ERROR
-        assert "zf-sinr" in capsys.readouterr().err
 
     def test_compare_golden_subcommand(self, tmp_path, capsys):
         golden = GOLDENS / "dof.csv"
@@ -1271,11 +1123,7 @@ class TestCliBehavior:
         # a warning reaches stderr as one line, without the source line of
         # the CLI call that warned
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
-            "geometry:\n  rows: 10\n  cols: 10\n"
-            "  element_side: \"0.25 lambda\"\n  frequency: \"3 GHz\"\n"
-            "experiment:\n  users: [[0, 0, 1.0], [0, 0, 1.0]]\n"
-            "  noise_power: 1.0e-12\n")
+        cfg.write_text(COINCIDENT_USERS[1])
         rc, err = run_cli_process("zf-sinr", "--config", str(cfg))
         assert rc == EXIT_NUMERIC_ERROR
         assert len(err) == 2
@@ -1284,7 +1132,7 @@ class TestCliBehavior:
         assert err[1].startswith("numeric error in zf-sinr: ")
         cfg = config_with(tmp_path,
                           (CONFIGS / "fig10_depth_plan.yaml").read_text(),
-                          "experiment.d_min", '"0.5 dB"')
+                          {"experiment.d_min": '"0.5 dB"'})
         rc, more = run_cli_process("depth-plan", "--config", str(cfg))
         assert rc == 0
         [line] = more
@@ -1295,7 +1143,7 @@ class TestCliBehavior:
         # main changes only how a warning is printed, and restores that
         cfg = config_with(tmp_path,
                           (CONFIGS / "fig10_depth_plan.yaml").read_text(),
-                          "experiment.d_min", '"0.5 dB"')
+                          {"experiment.d_min": '"0.5 dB"'})
         formatwarning = warnings.formatwarning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1304,6 +1152,57 @@ class TestCliBehavior:
         assert [str(w.message)[:17] for w in caught] == ["d_min below d_B: "]
         assert warnings.formatwarning is formatwarning
         assert capsys.readouterr().err == ""
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("probe", PROBES, ids=[p.id for p in PROBES])
+    def test_probe(self, tmp_path, capsys, time_limit, probe):
+        # within 10 s, exit 0 with a CSV of finite numbers and nothing on
+        # stderr, or exit 2 or 3 with one stderr line and nothing on stdout;
+        # the probe's warnings are the only ones
+        subcommand, text = base_of(probe.base)
+        cfg = tmp_path / "config.yaml"
+        if text is not None:
+            cfg.write_text(config_text(text, probe.edits))
+        with time_limit(10), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([subcommand, "--config", str(cfg), "--out", "-"])
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == list(probe.warns)
+        if probe.expect is CSV:
+            assert (rc, err) == (0, "")
+            _, *rows = [line for line in out.splitlines()
+                        if not line.startswith("#")]
+            cells = [float(cell) for row in rows for cell in row.split(",")]
+            assert cells and all(map(math.isfinite, cells))
+            return
+        assert out == ""
+        [line] = err.splitlines()
+        if probe.expect is NUMERIC:
+            assert rc == EXIT_NUMERIC_ERROR
+            prefix = f"numeric error in {subcommand}: "
+            assert line.startswith(prefix), line
+            message = line[len(prefix):]
+        else:
+            assert rc == EXIT_CONFIG_ERROR
+            assert blamed(line), line
+            key, message = blamed(line)
+            assert key == probe.expect.format(config=str(cfg)), line
+        if probe.pin and probe.pin.endswith("..."):
+            assert message.startswith(probe.pin[:-3]), line
+        elif probe.pin:
+            assert message == probe.pin, line
+
+    def test_probes_are_distinct(self):
+        # one id per probe, and one probe per config a subcommand runs, so
+        # a guard's new probe cannot repeat an old one
+        ids = collections.Counter(probe.id for probe in PROBES)
+        assert [name for name, n in ids.items() if n > 1] == []
+        runs = collections.defaultdict(list)
+        for probe in PROBES:
+            subcommand, text = base_of(probe.base)
+            runs[subcommand, config_text(text, probe.edits)].append(probe.id)
+        assert [same for same in runs.values() if len(same) > 1] == []
 
 
 # ---------------------------------------------------------------------------
@@ -1318,8 +1217,6 @@ EDGE_VALUES = (".nan", ".inf", "-.inf", "1.0e+300", "5.0e-324", "1.0e-155",
                "1.0e-170", "0", "-1", "-3200", "1", "2", str(2**62),
                str(2**70), "true", '"3 parsecs"', "[1]", "[[1]]", "[]", "{}",
                "{a: 1}")
-#: edits that rename a key, by appending `_x`, or delete a key or list item
-RENAME, DROP = "<rename>", "<drop>"
 
 
 def edit_paths(schema, node, prefix):
@@ -1382,39 +1279,6 @@ def fuzzed_configs(draw):
                    for path in paths]
 
 
-def holds(node, key):
-    """Whether `key` names a slot of the mapping or list `node`."""
-    if isinstance(node, list):
-        return isinstance(key, int) and key < len(node)
-    return isinstance(node, dict) and isinstance(key, str)
-
-
-def edited(tree, edits):
-    """A copy of `tree` with each edit made. An edit is skipped where an
-    earlier one replaced or removed its parent, and a rename or deletion
-    where there is no key to rename or delete."""
-    tree = copy.deepcopy(tree)
-    for path, text in edits:
-        parent = tree
-        for key in path[:-1]:
-            if not holds(parent, key):
-                parent = None
-            else:
-                parent = (parent.get(key) if isinstance(parent, dict)
-                          else parent[key])
-        key = path[-1]
-        if not holds(parent, key):
-            continue
-        if text == DROP:
-            if isinstance(parent, list) or key in parent:
-                del parent[key]
-        elif text == RENAME:
-            if isinstance(parent, dict) and key in parent:
-                parent[f"{key}_x"] = parent.pop(key)
-        else:
-            parent[key] = yaml.load(text, Loader=LOADER)
-    return tree
-
 
 #: the zf-sinr base with its users given
 USERS_BASE = len(FUZZ_BASES) - 1
@@ -1456,10 +1320,9 @@ class TestFuzzedConfigs:
                                        "--out", "-"])
                         if rc != EXIT_CONFIG_ERROR:
                             continue
-                        blamed = re.sub(r"\[\d+\]", "", re.match(
-                            r"config error: (.*?): ", err.getvalue())[1])
-                        if blamed != "config root" \
-                                and not f"{key}.".startswith(f"{blamed}."):
+                        named, _ = blamed(err.getvalue())
+                        if named != "config root" \
+                                and not f"{key}.".startswith(f"{named}."):
                             found.add((subcommand, key, text))
         assert found == MISATTRIBUTED
 
@@ -1499,9 +1362,9 @@ class TestFuzzedConfigs:
         else:
             [line] = err.getvalue().splitlines()
         if rc == EXIT_CONFIG_ERROR:
-            blamed = re.match(r"config error: (.*?): ", line)
-            assert blamed, line
+            assert blamed(line), line
             keys = {"config root"} | {".".join(k for k in path
                                                if isinstance(k, str))
                                       for path in paths}
-            assert re.sub(r"\[\d+\]", "", blamed[1]) in keys, line
+            assert blamed(line)[0] in keys, line
+
