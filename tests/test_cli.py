@@ -2,6 +2,7 @@ import collections
 import contextlib
 import copy
 import io
+import itertools
 import math
 import os
 import re
@@ -202,19 +203,16 @@ def bad_values(kind):
     raise KeyError(f"no bad values for kind {kind!r}")
 
 
-def table_cases(prefix, schema):
-    """(dotted key, its one-of partner, bad value) for every key."""
+def table_keys(prefix, schema):
+    """(dotted key, its one-of partner, kind) for every key, a sub-table's
+    keys after it."""
     for key, (kind, _) in schema.keys.items():
         dotted = f"{prefix}.{key}"
         partner = next((a if b == key else b
                         for a, b in schema.one_of if key in (a, b)), None)
+        yield dotted, partner, kind
         if isinstance(kind, config.Schema):
-            yield dotted, partner, "5"
-            yield from table_cases(dotted, kind)
-            continue
-        for values in bad_values(kind):
-            for value in values:
-                yield dotted, partner, value
+            yield from table_keys(dotted, kind)
 
 
 #: a probe of `main`'s exit contract:
@@ -240,23 +238,40 @@ def base_of(base):
 
 def schema_cases():
     """A probe per bad value of every key of every table, with the key's
-    one-of partner dropped, so a new key is covered as soon as its table
-    names it."""
+    one-of partner dropped, and per count at its smallest values 1 and 2,
+    so a new key is covered as soon as its table names it."""
     bases = {"beam-depth": BEAM_DEPTH}
     for config_name, (subcommand, _) in CASES.items():
         bases.setdefault(subcommand, config_name)
+    # the subcommands whose `points` make a log grid, which needs 2
+    log_grids = {"gain-sweep", "depth-plan", "capacity-vs-bandwidth",
+                 "capacity-vs-frequency"}
     tables = [("regions", "geometry", config.GEOMETRY),
               ("los-capacity", "radio", config.RADIO)]
     tables += [(name, "experiment", schema)
                for name, (_, schema) in SCHEMAS.items()]
     cases = []
     for subcommand, prefix, schema in tables:
-        for key, partner, value in table_cases(prefix, schema):
-            edits = {key: value}
-            if partner:
-                edits[f"{key.rpartition('.')[0]}.{partner}"] = DROP
-            cases.append(Probe(f"{subcommand}-{key}-{value}",
-                               bases[subcommand], edits, key))
+        for key, partner, kind in table_keys(prefix, schema):
+            values = (("5",),) if isinstance(kind, config.Schema) \
+                else bad_values(kind)
+            edits = {f"{key.rpartition('.')[0]}.{partner}": DROP} \
+                if partner else {}
+            cases += [Probe(f"{subcommand}-{key}-{value}", bases[subcommand],
+                            {key: value, **edits}, key)
+                      for value in itertools.chain(*values)]
+            if kind is not config.count:
+                continue
+            # regions writes labels, so a gain sweep sizes the geometry
+            name = "gain-sweep" if subcommand == "regions" else subcommand
+            tree = yaml.load(base_of(bases[name])[1], Loader=LOADER)
+            for n in (1, 2):  # the base's own count runs as it is shipped
+                short = n < 2 and name in log_grids and key.endswith("points")
+                expect = (key, "a log grid needs at least 2 points, got 1") \
+                    if short else (CSV,)
+                if edited(tree, [(tuple(key.split(".")), str(n))]) != tree:
+                    cases.append(Probe(f"{name}-{key}-{n}", bases[name],
+                                       {key: str(n)}, *expect))
     return cases
 
 
@@ -286,13 +301,14 @@ PROBES = SCHEMA_CASES + [Probe(*row) for row in [
      "experiment", "unknown keys ['bogus']"),
     # no radio subcommand reads a gain model from the radio block;
     # capacity-vs-frequency takes it from experiment.gain_model
-    *[(f"{name}-radio-{key}", config_name, {f"radio.{key}": "directive"},
+    *[(f"{name}-radio-{key}-{model}", config_name, {f"radio.{key}": model},
        "radio", f"unknown keys ['{key}']")
       for name, config_name in [
           ("los", "los_capacity.yaml"), ("modes", "fig11_mode_patterns.yaml"),
           ("bandwidth", "fig1_capacity_vs_bandwidth.yaml"),
           ("freq", "fig13_capacity_vs_frequency.yaml")]
-      for key in ("tx_gain_model", "rx_gain_model")],
+      for key in ("tx_gain_model", "rx_gain_model")
+      for model in ("directive", "isotropic")],
     ("regions-missing-config", ("regions", None), {},
      "cannot read config {config!r}"),
     ("regions-invalid-yaml", ("regions", "geometry: [\n"), {},
@@ -359,19 +375,19 @@ PROBES = SCHEMA_CASES + [Probe(*row) for row in [
      "experiment.points"),
     ("modes-angles-2**62", "fig11_mode_patterns.yaml",
      {"experiment.num_angles": str(2**62)}, "experiment.num_angles"),
-    # grids and value sets: a log grid needs 2 points, and either end can
-    # empty its range
-    ("sweep-points-1", "fig4_gain_sweep.yaml", {"experiment.points": "1"},
-     "experiment.points"),
-    ("bandwidth-points-1", "fig1_capacity_vs_bandwidth.yaml",
-     {"experiment.points": "1"}, "experiment.points"),
-    ("freq-points-1", "fig13_capacity_vs_frequency.yaml",
-     {"experiment.points": "1"}, "experiment.points"),
-    ("plan-grid-points-1", "fig7_depth_plan_gains.yaml",
-     {"experiment.gain_grid.points": "1"}, "experiment.gain_grid.points"),
+    # grids and value sets: either end of a log grid can empty its range
     ("sweep-z-min-above-z-max", "fig4_gain_sweep.yaml",
      {"experiment.z_min": '"1e6 dF"'}, "experiment",
      "need min < max, got 24982.7 and 2498.27"),
+    ("bandwidth-b-min-at-b-max", "fig1_capacity_vs_bandwidth.yaml",
+     {"experiment.b_min_hz": '"100 GHz"'}, "experiment",
+     "need min < max, got 1e+11 and 1e+11"),
+    ("freq-f-max-at-f-min", "fig13_capacity_vs_frequency.yaml",
+     {"experiment.f_max": '"1 GHz"'}, "experiment",
+     "need min < max, got 1e+09 and 1e+09"),
+    ("plan-grid-z-min-at-z-max", "fig7_depth_plan_gains.yaml",
+     {"experiment.gain_grid.z_min": '"2 dFA"'}, "experiment.gain_grid",
+     "need min < max, got 3997.23 and 3997.23"),
     ("dof-no-wavelengths", "dof.yaml", {"experiment.frequencies": DROP},
      "experiment", "need wavelengths_m or frequencies"),
     # finite values that the kinds accept but the model cannot use: path
