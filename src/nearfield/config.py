@@ -11,6 +11,8 @@ import contextlib
 import hashlib
 import json
 import math
+import reprlib
+from collections.abc import Hashable
 from dataclasses import astuple, dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -23,6 +25,16 @@ from .numerics import check_count, check_non_negative, check_positive
 
 class ConfigError(Exception):
     """Invalid or incomplete run configuration."""
+
+
+def _shown(value: Any) -> str:
+    """`repr(value)` of three levels of six items at most, cut to 120
+    characters: a YAML alias tree, a few bytes that stand for exponentially
+    many items, is never expanded."""
+    short = reprlib.Repr()
+    short.maxlevel, short.maxstring, short.maxother = 3, 60, 60
+    text = short.repr(value)
+    return text if len(text) <= 120 else text[:117] + "..."
 
 
 @contextlib.contextmanager
@@ -63,8 +75,8 @@ def _float(value: Any, where: str, expected: str = "a number") -> float:
             raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: expected {expected}, got {value!r}") \
-            from None
+        raise ConfigError(f"{where}: expected {expected}, "
+                          f"got {_shown(value)}") from None
 
 
 def _quantity(table: Optional[UnitTable]) -> Kind:
@@ -81,7 +93,7 @@ def _quantity(table: Optional[UnitTable]) -> Kind:
             raise ConfigError(f"{where}: " + (
                 _unit_missing(words[1], where) if table is None
                 and unit in _GEOMETRY_UNITS else
-                f"unit {words[1]!r} is unknown"))
+                f"unit {_shown(words[1])} is unknown"))
         return _float(words[0], where) * scales[unit]
     return parse
 
@@ -131,7 +143,7 @@ carrier = _checked(_quantity(FREQUENCY_UNITS), _carrier)
 
 def text(value: Any, where: str, units: UnitTable) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
+        raise ConfigError(f"{where}: expected a string, got {_shown(value)}")
     return value
 
 
@@ -140,7 +152,8 @@ def block(value: Any, where: str, units: UnitTable) -> Mapping[str, Any]:
     if value is None:
         return {}
     if not isinstance(value, Mapping):
-        raise ConfigError(f"{where}: expected a mapping block, got {value!r}")
+        raise ConfigError(f"{where}: expected a mapping block, "
+                          f"got {_shown(value)}")
     return value
 
 
@@ -148,7 +161,7 @@ def enum(*words: str) -> Kind:
     def check(value: Any, where: str, units: UnitTable) -> str:
         if value not in words:
             raise ConfigError(f"{where}: expected {'|'.join(words)}, "
-                              f"got {value!r}")
+                              f"got {_shown(value)}")
         return value
     check.words = words
     return check
@@ -160,7 +173,7 @@ def list_of(item: Kind, size: Optional[int] = None) -> Kind:
         if not isinstance(value, list) or not value \
                 or size not in (None, len(value)):
             raise ConfigError(f"{where}: expected a list of "
-                              f"{size or 'one or more'}, got {value!r}")
+                              f"{size or 'one or more'}, got {_shown(value)}")
         return [item(v, f"{where}[{i}]", units) for i, v in enumerate(value)]
     check.item, check.size = item, size
     return check
@@ -205,10 +218,12 @@ class Schema:
         own wavelength. A Schema is itself the kind of a nested block."""
         name = where or "config root"
         if not isinstance(node, Mapping):
-            raise ConfigError(f"{name}: expected a mapping block, got {node!r}")
+            raise ConfigError(f"{name}: expected a mapping block, "
+                              f"got {_shown(node)}")
         unknown = set(node) - set(self.keys)
         if unknown:
-            raise ConfigError(f"{name}: unknown keys {sorted(unknown, key=str)}")
+            raise ConfigError(f"{name}: unknown keys "
+                              f"{_shown(sorted(unknown, key=str))}")
         missing = [key for key, (_, default) in self.keys.items()
                    if default is REQUIRED and key not in node]
         if missing:
@@ -378,12 +393,46 @@ class RunConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """The safe loader, on libyaml's parser where there is one (the same
+    tree as PyYAML's, about 8x faster), that refuses a mapping which repeats
+    a key: PyYAML would keep the last value and say nothing."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        # id of a value or list item node -> its dotted key; a mapping in
+        # a list in a list is named by its keys alone
+        self.keys = {}
+        self.checked = set()  # ids of the mapping nodes checked
+
+    def flatten_mapping(self, node):
+        # each mapping is checked once, before merge keys (`<<`) add theirs
+        if id(node) not in self.checked:
+            self.checked.add(id(node))
+            where = self.keys.get(id(node), "")
+            seen = set()
+            for key_node, value_node in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node)
+                if not isinstance(key, Hashable):
+                    continue  # the constructor refuses it
+                dotted = f"{where}.{key}" if where else str(key)
+                if key in seen:
+                    raise ConfigError(f"{dotted}: key repeated on line "
+                                      f"{key_node.start_mark.line + 1}")
+                seen.add(key)
+                self.keys.setdefault(id(value_node), dotted)
+                if isinstance(value_node, yaml.SequenceNode):
+                    for i, item in enumerate(value_node.value):
+                        self.keys.setdefault(id(item), f"{dotted}[{i}]")
+        super().flatten_mapping(node)
+
+
 def load_config(path: str) -> RunConfig:
-    # libyaml's parser builds the same tree as PyYAML's, about 8x faster
-    loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=loader)
+            raw = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except (yaml.YAMLError, UnicodeDecodeError) as exc:

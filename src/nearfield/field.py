@@ -18,12 +18,15 @@ focus on a symmetric grid that grid is only the x >= 0 half.
 The exact model integrates the field of an on-axis source at (0, 0, z),
 E = sqrt(z (x^2 + z^2)) / (sqrt(4 pi) r^2.5) e^{-ikr} at (x, y, 0) with
 r^2 = x^2 + y^2 + z^2, over each element by Gauss-Legendre quadrature
-(`element_field_integrals`). The tests check it against a direct
-evaluation of that field and a generic adaptive quadrature
-(`tests/patch_quadrature.py`). The on-axis field is even in x and in y over
-the centred grid, so only the quadrant x >= 0, y >= 0 is integrated and
-then mirrored, and the node grid is evaluated in the same fixed-size
-blocks.
+(`element_field_integrals`). It raises the order until two levels agree,
+starting where the classical Gauss-Legendre remainder says they first can
+(`_first_level`), so a near point skips levels too coarse to agree and
+returns what a walk from the lowest order returns. The tests check it
+against a direct evaluation of that field and a generic adaptive
+quadrature (`tests/patch_quadrature.py`). The on-axis field is even in x
+and in y over the centred grid, so only the quadrant x >= 0, y >= 0 is
+integrated and then mirrored, and the node grid is evaluated in the same
+fixed-size blocks.
 
 Both kernels form e^{i phi} from t = tan(phi / 2) in `_tangent_phasor`:
 one tangent per sample, where a complex exponential would cost a cosine
@@ -167,6 +170,41 @@ def _mirror(geom: ArrayGeometry, quadrant: np.ndarray) -> np.ndarray:
                           axis=1).ravel()
 
 
+def _first_level(geom: ArrayGeometry, z: float, tol: float) -> int:
+    """Index in `_GAUSS_ORDERS` of the lowest order n whose Gauss-Legendre
+    remainder estimate is within 10 tol, and at most that of order 45, so
+    that at least one pair of levels is compared.
+
+    The estimate (Abramowitz & Stegun 25.4.30) is
+    eps_n = 1/2 sum over e in (x_e, y_e) of
+    c_n (k s / 2)^2n sin^2n(theta_e) cos^1.5(theta_e), with
+    c_n = 2^(2n+1) (n!)^4 / ((2n + 1) ((2n)!)^3): (k s / 2) sin(theta) is
+    the phase slope across an element seen at angle theta, cos^1.5(theta)
+    its amplitude against the broadside element's, and 1/2 normalises by
+    that element's integral. e is half the aperture along one axis, and
+    sin^2(theta_e) is e^2 / (e^2 + z^2), or 2n / (2n + 1.5) where that is
+    less, the peak of sin^2n cos^1.5 over the elements. It is formed in
+    logs, since c_64 and (k s)^128 overflow for a 20-wavelength element.
+    """
+    log_slope = math.log(math.pi * geom.element_side / geom.wavelength)
+    log_target = math.log(10.0 * tol)
+    edges = [0.5 * count * geom.element_side
+             for count in (geom.cols, geom.rows)]
+    for level, n in enumerate(_GAUSS_ORDERS[:-2]):
+        log_c = ((2 * n + 1) * math.log(2.0) + 4 * math.lgamma(n + 1)
+                 - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1))
+        log_peak = math.log(2 * n / (2 * n + 1.5))
+        terms = []
+        for e in edges:
+            log_sin2 = min(2.0 * math.log(e / math.hypot(e, z)), log_peak)
+            terms.append(n * log_sin2 + 0.75 * math.log1p(-math.exp(log_sin2)))
+        low, high = sorted(terms)
+        log_mean = high + math.log1p(math.exp(low - high)) - math.log(2.0)
+        if log_c + 2 * n * log_slope + log_mean <= log_target:
+            return level
+    return len(_GAUSS_ORDERS) - 2
+
+
 def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
     """Per-element integrals of the exact field, row-major.
 
@@ -175,9 +213,13 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
     every element to the relative tolerance (relative to the largest
     element integral). So a far point can be accepted at order 3, and the
     level that confirms an order has about twice the samples of the level
-    before it, not four times. Only the x >= 0, y >= 0 quadrant is
-    integrated and checked, and mirrored to the full grid; mirrored
-    elements have the same integrals, so the check accepts what a
+    before it, not four times. The walk starts at the first order whose
+    Gauss-Legendre remainder estimate is within 10 tol (`_first_level`),
+    not at 2: the levels below it are too coarse to agree, and a start at
+    or below the first order that a walk from 2 accepts compares the same
+    pair, so it returns the same integrals. Only the x >= 0, y >= 0
+    quadrant is integrated and checked, and mirrored to the full grid;
+    mirrored elements have the same integrals, so the check accepts what a
     full-grid check would. Raises `AccuracyError`, with the order-64
     integrals as `best_estimate`, if order 64 does not meet the tolerance,
     and `ValueError` before any level if z is so large that the field's
@@ -189,8 +231,9 @@ def element_field_integrals(geom: ArrayGeometry, z: float, tol: float = 1e-8):
     if math.isinf(z * (x_edge * x_edge + z * z)):
         raise ValueError(f"z = {z:g} m is beyond the float range of the "
                          "exact field's amplitude")
-    prev = _quadrant_integrals(geom, z, _GAUSS_ORDERS[0])
-    for order in _GAUSS_ORDERS[1:]:
+    first = _first_level(geom, z, tol)
+    prev = _quadrant_integrals(geom, z, _GAUSS_ORDERS[first])
+    for order in _GAUSS_ORDERS[first + 1:]:
         cur = _quadrant_integrals(geom, z, order)
         scale = np.maximum(np.abs(cur), np.abs(prev)).max()
         if np.abs(cur - prev).max() <= tol * scale:

@@ -284,6 +284,17 @@ COINCIDENT_USERS = ("zf-sinr", 'geometry:\n  rows: 10\n  cols: 10\n'
                     '  element_side: "0.25 lambda"\n  frequency: "3 GHz"\n'
                     'experiment:\n  users: [[0, 0, 1.0], [0, 0, 1.0]]\n'
                     '  noise_power: 1.0e-12\n')
+
+
+def alias_tree(levels, width=10):
+    """A YAML list of `width` numbers under `levels` levels of `width`
+    aliases each: width ** (levels + 1) numbers in a few hundred bytes."""
+    tree = "[" + ", ".join(["0.5"] * width) + "]"
+    for name in "abcdefgh"[:levels]:
+        tree = f"[&{name} {tree}" + f", *{name}" * (width - 1) + "]"
+    return tree
+
+
 #: the schema cases and the probes of every other exit path, each checked
 #: against the whole contract by `TestExitContract`
 PROBES = SCHEMA_CASES + [Probe(*row) for row in [
@@ -299,6 +310,12 @@ PROBES = SCHEMA_CASES + [Probe(*row) for row in [
     ("dof-unknown-key", ("dof", 'experiment:\n  area_m2: 0.5\n  bogus: 1\n'
                                 '  frequencies: ["3 GHz"]\n'), {},
      "experiment", "unknown keys ['bogus']"),
+    # an error names six of 300 unknown keys
+    ("dof-300-unknown-keys",
+     ("dof", 'experiment:\n  area_m2: 0.5\n  frequencies: ["3 GHz"]\n'
+             + "".join(f"  key_{i:03d}: 1\n" for i in range(300))), {},
+     "experiment", "unknown keys ['key_000', 'key_001', 'key_002', "
+     "'key_003', 'key_004', 'key_005', ...]"),
     # no radio subcommand reads a gain model from the radio block;
     # capacity-vs-frequency takes it from experiment.gain_model
     *[(f"{name}-radio-{key}-{model}", config_name, {f"radio.{key}": model},
@@ -313,6 +330,32 @@ PROBES = SCHEMA_CASES + [Probe(*row) for row in [
      "cannot read config {config!r}"),
     ("regions-invalid-yaml", ("regions", "geometry: [\n"), {},
      "config {config!r} is not valid YAML"),
+    # a repeated key, at the root, in a block or in a list item, is
+    # refused, not read as its last value
+    ("regions-output-repeated",
+     ("regions", (CONFIGS / "regions.yaml").read_text()
+      + "output: again.csv\n"), {}, "output", "key repeated on line 14"),
+    ("width-points-repeated",
+     ("beam-width", (CONFIGS / "fig5_beam_width.yaml").read_text().replace(
+         "  points: 201\n", "  points: 201\n  points: 3\n")), {},
+     "experiment.points", "key repeated on line 11"),
+    ("zf-users-repeated-key",
+     ("zf-sinr", (CONFIGS / "zf_sinr.yaml").read_text().replace(
+         "users: from_plan", "users: [{x: 1, x: 2}]")), {},
+     "experiment.users.x", "key repeated on line 8"),
+    # merge keys still merge, and an explicit key overrides a merged one,
+    # also where the merged mapping merges one of its own
+    ("width-merge-override",
+     ("beam-width", (CONFIGS / "fig5_beam_width.yaml").read_text().replace(
+         "experiment:\n", "experiment:\n  <<: {<<: {points: 7}, points: 5, "
+         "x_max: 1}\n")), {}, CSV),
+    # 10,000 numbers in 222 bytes, by three alias levels of ten: the error
+    # shows the value cut short, never expanded
+    ("dof-area-alias-tree",
+     ("dof", 'experiment:\n  frequencies: ["3 GHz"]\n'
+             f"  area_m2: {alias_tree(3)}\n"), {}, "experiment.area_m2",
+     "expected a number, got [[[[...], [...], [...], [...], [...], [...], "
+     "...], ..."),
     ("regions-output-5", "regions.yaml", {"output": "5"}, "output",
      "expected a string, got 5"),
     # a unit the geometry block derives cannot size that block; the error
@@ -340,6 +383,10 @@ PROBES = SCHEMA_CASES + [Probe(*row) for row in [
      {"experiment.focal_distances": "[-1]"}, "experiment.focal_distances"),
     ("width-x-max-abc", "fig5_beam_width.yaml", {"experiment.x_max": '"abc"'},
      "experiment.x_max", "expected '<number> <unit>'..."),
+    # a 10,000-character unit, cut to its ends
+    ("width-x-max-long-unit", "fig5_beam_width.yaml",
+     {"experiment.x_max": '"1 ' + "u" * 10000 + '"'}, "experiment.x_max",
+     f"unit '{'u' * 27}...{'u' * 28}' is unknown"),
     ("depth-focal-negative", BEAM_DEPTH,
      {"experiment.focal_distances": "[-1]"}, "experiment.focal_distances"),
     ("g-points-abc", "fig9_g_of_x.yaml", {"experiment.points": '"abc"'},
@@ -1174,8 +1221,8 @@ class TestExitContract:
     @pytest.mark.parametrize("probe", PROBES, ids=[p.id for p in PROBES])
     def test_probe(self, tmp_path, capsys, time_limit, probe):
         # within 10 s, exit 0 with a CSV of finite numbers and nothing on
-        # stderr, or exit 2 or 3 with one stderr line and nothing on stdout;
-        # the probe's warnings are the only ones
+        # stderr, or exit 2 or 3 with one stderr line of under 300 bytes and
+        # nothing on stdout; the probe's warnings are the only ones
         subcommand, text = base_of(probe.base)
         cfg = tmp_path / "config.yaml"
         if text is not None:
@@ -1194,6 +1241,7 @@ class TestExitContract:
             return
         assert out == ""
         [line] = err.splitlines()
+        assert len(line.encode()) < 300, line[:300]
         if probe.expect is NUMERIC:
             assert rc == EXIT_NUMERIC_ERROR
             prefix = f"numeric error in {subcommand}: "

@@ -166,14 +166,95 @@ class TestElementIntegrals:
                              [("d_f", 1e3, field._GAUSS_ORDERS[:2]),
                               ("d_b", 1.0, field._GAUSS_ORDERS[:3])])
     def test_gauss_order_schedule(self, monkeypatch, bound, factor, orders):
-        # the orders of `_GAUSS_ORDERS` are tried from 2 until two levels
-        # agree: fig4's array at its tolerance stops at the second order at
-        # 1000 d_F and at the third at d_B
+        # the orders of `_GAUSS_ORDERS` are tried from the start order, 2
+        # for these points, until two levels agree: fig4's array at its
+        # tolerance stops at the second order at 1000 d_F and at the third
+        # at d_B
         g = make_desk_array()
         z = factor * getattr(boundary_distances(g), bound)
         called = self.record_orders(monkeypatch)
         element_field_integrals(g, z, tol=1e-6)
         assert called == list(orders)
+
+    #: The benchmark's near-range arrays at 3 GHz: (rows, cols, element
+    #: side in wavelengths), each with 1,024 elements.
+    NEAR_ARRAYS = ((32, 32, 1.0), (32, 32, 1.5), (32, 32, 2.0), (16, 64, 1.0),
+                   (16, 64, 1.5), (16, 64, 2.0))
+
+    @pytest.mark.parametrize("rows,cols,side", NEAR_ARRAYS)
+    def test_start_order_keeps_the_agreeing_pair(self, monkeypatch, rows, cols,
+                                                 side):
+        # at six distances from d_N to 100 d_F and every tol from 1e-4 to
+        # 1e-12, the walk starts at or below the first order that a walk
+        # from 2 accepts, so it ends on the same agreeing pair and returns
+        # the same integrals; each level is computed once and shared
+        lam = 299792458.0 / 3e9
+        g = build_upa(rows, cols, side * lam, lam)
+        b = boundary_distances(g)
+        orders = field._GAUSS_ORDERS
+        levels, called = {}, []
+
+        def recording(geom, z, order):
+            called.append(order)
+            if (z, order) not in levels:
+                levels[z, order] = _quadrant_integrals(geom, z, order)
+            return levels[z, order]
+
+        monkeypatch.setattr(field, "_quadrant_integrals", recording)
+        for z in b.d_n * (100 * b.d_f / b.d_n) ** np.linspace(0.0, 1.0, 6):
+            for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+                # the index of the order that a walk from 2 accepts, by the
+                # walk's agreement test
+                pairs = ((recording(g, z, low), recording(g, z, high))
+                         for low, high in zip(orders, orders[1:]))
+                accepted = next(
+                    i for i, (prev, cur) in enumerate(pairs)
+                    if np.abs(cur - prev).max()
+                    <= tol * np.maximum(np.abs(cur), np.abs(prev)).max())
+                called.clear()
+                integrals = element_field_integrals(g, z, tol=tol)
+                start = orders.index(called[0])
+                assert start <= accepted, (z, tol)
+                assert called == list(orders[start:accepted + 2]), (z, tol)
+                np.testing.assert_array_equal(
+                    integrals,
+                    field._mirror(g, levels[z, orders[accepted + 1]]))
+
+    @pytest.mark.parametrize("geometry,z,tol,orders", [
+        # a 20-wavelength element one wavelength away: no order below 64
+        # agrees, and the walk compares only 45 and 64
+        ((1, 1, 20.0), 1.0, 1e-6, None),
+        # no pair can agree to 5e-324 of the largest integral
+        ((3, 4, 0.25), 5.0, 5e-324, None),
+        # 5.6e102 m, just inside the amplitude's float range
+        ((3, 4, 0.25), 5.6e103, 1e-8, (2, 3)),
+        # a 1e-3 wavelength element at d_N, one wavelength
+        ((4, 4, 1e-3), 1.0, 1e-8, (2, 3)),
+        # every order's estimate is within 10 tol
+        ((3, 4, 0.25), 5.0, 1e300, (2, 3)),
+    ])
+    def test_start_order_edges(self, monkeypatch, geometry, z, tol, orders):
+        # no exception but the documented AccuracyError, whose best estimate
+        # is still the order-64 level, and no warning or floating-point
+        # error but underflow; z and the element side are in wavelengths
+        rows, cols, side = geometry
+        lam = 0.1
+        g = build_upa(rows, cols, side * lam, lam)
+        called = self.record_orders(monkeypatch)
+        with warnings.catch_warnings(), \
+                np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            if orders is None:
+                with pytest.raises(AccuracyError) as exc:
+                    element_field_integrals(g, z * lam, tol=tol)
+                np.testing.assert_array_equal(
+                    exc.value.best_estimate,
+                    field._mirror(g, _quadrant_integrals(g, z * lam, 64)))
+                assert called == [45, 64]
+            else:
+                integrals = element_field_integrals(g, z * lam, tol=tol)
+                assert np.all(np.isfinite(integrals))
+                assert called == list(orders)
 
     @pytest.mark.parametrize("side_over_z", [0.2, 1.0, 4.0])
     def test_reference_power_closed_form(self, side_over_z):
